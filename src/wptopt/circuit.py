@@ -47,7 +47,7 @@ class PassivityError(ValueError):
 
 
 class SchemaError(ValueError):
-    """Malformed impedance or geometry file."""
+    """Malformed impedance matrix or impedance file."""
 
 
 # ---------------------------------------------------------------------------
@@ -161,37 +161,6 @@ class GeometrySpec:
         rx = (distance * math.sin(angle), 0.0, distance * math.cos(angle))
         loops = [Loop(c, r_loop, a) for c in centers[name]] + [Loop(rx, r_loop, a)]
         return cls(tuple(loops), frequency)
-
-    def to_json(self) -> dict:
-        return {
-            "frequency_hz": self.frequency,
-            "loops": [
-                {
-                    "center": list(lp.center),
-                    "radius": lp.radius,
-                    "wire_radius": lp.wire_radius,
-                    "conductivity": lp.conductivity,
-                }
-                for lp in self.loops
-            ],
-        }
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "GeometrySpec":
-        try:
-            loops = tuple(
-                Loop(
-                    tuple(entry["center"]),
-                    float(entry["radius"]),
-                    float(entry["wire_radius"]),
-                    float(entry.get("conductivity", PRESET_CONDUCTIVITY)),
-                )
-                for entry in doc["loops"]
-            )
-            freq = float(doc["frequency_hz"])
-        except (KeyError, TypeError) as exc:
-            raise SchemaError(f"malformed geometry document: {exc}") from exc
-        return cls(loops, freq)
 
 
 def _check_no_overlap(loops) -> None:
@@ -438,6 +407,13 @@ def _require_passive(z: np.ndarray) -> None:
         )
 
 
+def hash_matrix(h, z: ImpedanceMatrix):
+    """Feed Z's entries and frequency to the hash object ``h``; return ``h``."""
+    h.update(np.ascontiguousarray(z.entries).tobytes())
+    h.update(np.float64(z.frequency).tobytes())
+    return h
+
+
 def partition(z: ImpedanceMatrix | np.ndarray):
     """Split Z into (Z_t, z_tr, z_r): transmit block, coupling column,
     receiver self-impedance."""
@@ -581,12 +557,3 @@ def save_impedance_file(z: ImpedanceMatrix, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(matrix_to_json(z), fh, indent=1)
         fh.write("\n")
-
-
-def load_geometry_file(path) -> GeometrySpec:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"{path}: not valid JSON: {exc}") from exc
-    return GeometrySpec.from_json(doc)

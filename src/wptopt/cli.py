@@ -16,9 +16,8 @@ Angles are degrees at this interface and radians internally.  Distances are
 fractions of the operating wavelength.  Output files use a fixed column
 order and shortest round-trip float formatting, so identical inputs produce
 byte-identical files; every sweep row carries the load, constraint mode and
-matrix hash needed to re-solve it in isolation.  Sweep rows run on a thread
-pool (size from WPTOPT_WORKERS, default up to 8) and are assembled in input
-order.
+matrix hash needed to re-solve it in isolation.  Sweep rows are solved one
+after another in input order.
 """
 
 import argparse
@@ -26,9 +25,9 @@ import hashlib
 import json
 import math
 import os
+import re
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -41,6 +40,7 @@ from .circuit import (
     PassivityError,
     SchemaError,
     build_loop_system,
+    hash_matrix,
     load_impedance_file,
     matrix_from_json,
     save_impedance_file,
@@ -51,9 +51,9 @@ from .pipeline import (
     PipelineOptions,
     RelaxationError,
     build_problem,
+    cap_r,
     full_pipeline,
     optimize_load,
-    record_to_json,
     result_record,
     solve_relaxation,
 )
@@ -100,17 +100,6 @@ def _fmt(value) -> str:
         v = float(value)
         return "nan" if math.isnan(v) else repr(v)
     return str(value)
-
-
-def _matrix_hash(z) -> str:
-    h = hashlib.sha256()
-    h.update(np.ascontiguousarray(z.entries).tobytes())
-    h.update(np.float64(z.frequency).tobytes())
-    return h.hexdigest()
-
-
-def _cap_r(x_r: float, omega: float) -> float:
-    return -1.0 / (omega * x_r) if x_r < 0.0 else float("nan")
 
 
 # ---------------------------------------------------------------- parsing
@@ -289,19 +278,6 @@ def _solve_point(z, rl_policy, opts: PipelineOptions):
     return full_pipeline(z, r_load, opts)
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("WPTOPT_WORKERS", "").strip()
-    if raw:
-        try:
-            n = int(raw)
-        except ValueError:
-            raise CommandError(f"WPTOPT_WORKERS must be an integer, got {raw!r}")
-        if n < 1:
-            raise CommandError("WPTOPT_WORKERS must be at least 1")
-        return n
-    return min(8, os.cpu_count() or 1)
-
-
 def _ensure_out(path):
     os.makedirs(path, exist_ok=True)
     return path
@@ -326,7 +302,7 @@ def _describe(res, z, source: str, theta_deg: float, d_frac: float, args) -> str
         f"constraints   : {label}   relaxation form: {args.form}",
         f"R_L           : {_fmt(res.r_load)} ohm (policy: {args.rl})",
         f"eta           : {_fmt(res.eta)}   loss at 1 W received: {_fmt(res.p_relax)} W",
-        f"x_r           : {_fmt(res.x_r)} ohm   C_r: {_fmt(_cap_r(res.x_r, z.omega))} F",
+        f"x_r           : {_fmt(res.x_r)} ohm   C_r: {_fmt(cap_r(res.x_r, z.omega))} F",
         "tx powers [W] : " + " ".join(_fmt(float(p)) for p in res.transmit_powers),
     ]
     if res.skipped:
@@ -373,13 +349,13 @@ def cmd_solve(args) -> int:
             "source": source,
             "theta_deg": theta_deg,
             "d_frac": d_frac,
-            "matrix_sha256": _matrix_hash(z),
+            "matrix_sha256": hash_matrix(hashlib.sha256(), z).hexdigest(),
             "constraint_mode": args.constraints[0],
             "form": args.form,
             "rl_policy": str(args.rl),
         }
     )
-    text = record_to_json(record)
+    text = json.dumps(record, indent=2, sort_keys=True)
     if args.out:
         path = os.path.join(_ensure_out(args.out), "solve.json")
         _write_text(path, [text])
@@ -421,23 +397,22 @@ def _sweep_tasks(args):
     return points, source, n_tx
 
 
-def _sweep_row(task):
+def _sweep_row(theta_deg, d_frac, z, source, args, opts):
     """Solve one point; never raises.
 
     Returns (row dict, eta, total tx power, failure detail, per-port powers).
     """
-    theta_deg, d_frac, z, source, rl_policy, opts, mode_label, form = task
     nan = float("nan")
     base = {
         "theta_deg": theta_deg,
         "d_frac": d_frac,
         "source": source,
-        "matrix_sha256": _matrix_hash(z),
-        "constraint_mode": mode_label,
-        "form": form,
+        "matrix_sha256": hash_matrix(hashlib.sha256(), z).hexdigest(),
+        "constraint_mode": args.constraints[0],
+        "form": args.form,
     }
     try:
-        res = _solve_point(z, rl_policy, opts)
+        res = _solve_point(z, args.rl, opts)
     except RelaxationError as exc:
         row = _failed_row(base, f"error:{exc.status}")
         return row, None, None, str(exc), [nan] * z.n_tx
@@ -455,7 +430,7 @@ def _sweep_row(task):
             "eta": res.eta,
             "p_relax_w": res.p_relax,
             "x_r_ohm": res.x_r,
-            "c_r_farad": _cap_r(res.x_r, z.omega),
+            "c_r_farad": cap_r(res.x_r, z.omega),
             "delta_eta_db": res.delta_eta_db,
             "delta_cr_rel": res.delta_cr_rel,
             "iterations": res.iterations,
@@ -491,16 +466,7 @@ def cmd_sweep(args) -> int:
     mode_label, _, caps = args.constraints
     _check_caps(caps, n_tx)
     opts = _pipeline_options(args)
-    workers = _worker_count()
-    tasks = [
-        (theta, d, z, source, args.rl, opts, mode_label, args.form)
-        for theta, d, z in points
-    ]
-    if workers == 1 or len(tasks) == 1:
-        outcomes = [_sweep_row(t) for t in tasks]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_sweep_row, tasks))
+    outcomes = [_sweep_row(theta, d, z, source, args, opts) for theta, d, z in points]
 
     out_dir = _ensure_out(args.out or ".")
     power_cols = tuple(f"p_t_{k + 1}_w" for k in range(n_tx))
@@ -567,8 +533,7 @@ def _sweep_hash(points, args) -> str:
     for theta, d, z in points:
         h.update(np.float64(theta).tobytes())
         h.update(np.float64(d).tobytes())
-        h.update(np.ascontiguousarray(z.entries).tobytes())
-        h.update(np.float64(z.frequency).tobytes())
+        hash_matrix(h, z)
     h.update(repr((args.constraints[0], str(args.rl), args.form, args.tol)).encode())
     return h.hexdigest()
 
@@ -653,9 +618,24 @@ def cmd_gen_matrix(args) -> int:
 # ---------------------------------------------------------------- entry
 
 
+def _join_theta_range(argv):
+    """Glue ``--theta-range -90:90:2`` into ``--theta-range=-90:90:2``.
+
+    argparse takes a token that starts with '-' and is not a plain number for
+    an option, so a range with a negative start needs the '=' spelling.
+    """
+    out = []
+    for token in argv:
+        if out and out[-1] == "--theta-range" and re.match(r"-[\d.]", token):
+            out[-1] = f"--theta-range={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_theta_range(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except CommandError as exc:

@@ -1,13 +1,9 @@
-"""Independent verification of the operating-point solvers.
+"""Independent verification of the power algebra.
 
-Small instances are solved by machinery that shares nothing with the main
-solution path: the two affine rows are eliminated through an orthonormal
-null-space basis and the remaining coordinates are either grid-scanned and
-penalty-polished (:func:`brute_force_qcqp`, constrained instances) or handed
-to a multistart quasi-Newton descent (:func:`minimize_loss_descent`,
-unconstrained instances). :func:`verify_identities` recomputes the power
-algebra identities of a whole system from scratch; the CLI `validate`
-command runs it on every preset.
+:func:`verify_identities` recomputes the power-algebra identities of a whole
+system from scratch; the CLI `validate` command runs it on every preset.
+The reference oracles the tests compare the solvers against are in
+``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -15,250 +11,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import null_space
-from scipy.optimize import minimize
 
 from .closedform import solve_closed_form
 from .pims import pim_eigensystem, pim_split, port_impedance_matrices, port_power
 from .qcqp import build_affine, build_problem
 
 __all__ = [
-    "OracleReport",
     "IdentityCheck",
     "IdentityReport",
-    "brute_force_qcqp",
-    "minimize_loss_descent",
     "verify_identities",
 ]
-
-FEASIBILITY_TOL = 1e-8
-GRID_RESOLUTION = 41
-PENALTY_ROUNDS = 6
-PENALTY_FACTOR = 10.0
-
-
-@dataclass(frozen=True)
-class OracleReport:
-    """Best point found by an oracle method.
-
-    ``max_violation`` is the worst residual of the constraints the method
-    enforced (power constraints for the grid oracle, the affine rows for
-    the descent oracle). ``agreement_gap`` is the relative objective gap
-    against the candidate value under test, NaN when none was supplied.
-    """
-
-    c: np.ndarray
-    objective: float
-    method: str
-    evaluations: int
-    agreement_gap: float
-    max_violation: float
-
-
-def _reduced_basis(problem):
-    """Particular solution and orthonormal null-space basis of A c = b."""
-    c0, *_ = np.linalg.lstsq(problem.a, problem.b, rcond=None)
-    v = null_space(problem.a)
-    if v.shape[1] != problem.m - problem.a.shape[0]:
-        raise ValueError("affine rows of the instance are rank deficient")
-    return c0, v
-
-
-def _power_violations(problem, powers):
-    viol = np.maximum(0.0, -powers)
-    if problem.power_caps is not None:
-        viol = np.maximum(viol, powers - np.asarray(problem.power_caps))
-    return viol
-
-
-def _gap(objective, candidate):
-    if candidate is None:
-        return float("nan")
-    return abs(objective - candidate) / max(abs(candidate), 1e-300)
-
-
-def brute_force_qcqp(problem, resolution=GRID_RESOLUTION, candidate=None):
-    """Grid-scan + penalty-polish global solve of a small constrained QCQP.
-
-    Limited to systems with at most three ports, where eliminating the two
-    affine rows leaves at most three free coordinates. The scan box is
-    centered on the unconstrained reduced optimum with half-width ten times
-    the norm of that point; if no grid point is feasible the box is widened
-    once before giving up.
-    """
-    if problem.m - 2 > 3:
-        raise ValueError(
-            "grid oracle supports at most 3 free coordinates "
-            f"(got {problem.m - 2}); use minimize_loss_descent or the SDR"
-        )
-    if resolution < 3:
-        raise ValueError("resolution must be at least 3")
-    c0, v = _reduced_basis(problem)
-    free = v.shape[1]
-
-    # unconstrained optimum of the reduced strictly convex quadratic; it
-    # fixes both the scan center and the scale of the search box
-    h = v.T @ problem.q0 @ v
-    t_star = np.linalg.solve(h, -(v.T @ (problem.q0 @ c0)))
-    radius = 10.0 * max(float(np.linalg.norm(c0 + v @ t_star)), 1e-12)
-
-    evaluations = 0
-    best_t = best_obj = None
-    for attempt in range(2):
-        half = radius * (2.0 ** attempt)
-        axes = [np.linspace(t_star[j] - half, t_star[j] + half, resolution)
-                for j in range(free)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack([g.ravel() for g in mesh], axis=1)
-        cs = c0[None, :] + pts @ v.T
-        obj = np.einsum("pi,ij,pj->p", cs, problem.q0, cs)
-        powers = np.stack(
-            [np.einsum("pi,ij,pj->p", cs, qn, cs) for qn in problem.q], axis=1
-        )
-        evaluations += pts.shape[0]
-        feasible = (powers >= -FEASIBILITY_TOL).all(axis=1)
-        if problem.power_caps is not None:
-            caps = np.asarray(problem.power_caps)
-            feasible &= (powers <= caps[None, :] + FEASIBILITY_TOL).all(axis=1)
-        if feasible.any():
-            masked = np.where(feasible, obj, np.inf)
-            order = np.argsort(masked, kind="stable")  # stable: grid-index tie-break
-            starts = [pts[int(i)] for i in order[: min(3, int(feasible.sum()))]]
-            idx = int(order[0])
-            best_t = pts[idx]
-            best_obj = float(obj[idx])
-            break
-    if best_t is None:
-        raise RuntimeError(
-            "no feasible point on the oracle grid, even after widening; "
-            "the constraints are likely infeasible"
-        )
-
-    caps = np.asarray(problem.power_caps) if problem.power_caps is not None else None
-
-    def _powers(c):
-        return np.array([float(c @ (qn @ c)) for qn in problem.q])
-
-    def penalized(t, weight):
-        c = c0 + v @ t
-        qc = problem.q0 @ c
-        val = float(c @ qc)
-        grad = 2.0 * (v.T @ qc)
-        for j, qn in enumerate(problem.q):
-            pj = float(c @ (qn @ c))
-            lo = max(0.0, -pj)
-            if lo > 0.0:
-                val += weight * lo * lo
-                grad -= 4.0 * weight * lo * (v.T @ (qn @ c))
-            if caps is not None:
-                hi = max(0.0, pj - caps[j])
-                if hi > 0.0:
-                    val += weight * hi * hi
-                    grad += 4.0 * weight * hi * (v.T @ (qn @ c))
-        return val, grad
-
-    def _restore(t):
-        # Gauss-Newton push of the residual penalty-round violations onto
-        # the constraint boundary; negligible objective drift
-        nonlocal evaluations
-        for _ in range(6):
-            c = c0 + v @ t
-            p = _powers(c)
-            evaluations += 1
-            res, rows = [], []
-            for j, qn in enumerate(problem.q):
-                if p[j] < 0.0:
-                    res.append(-p[j])
-                    rows.append(2.0 * (v.T @ (qn @ c)))
-                elif caps is not None and p[j] > caps[j]:
-                    res.append(caps[j] - p[j])
-                    rows.append(2.0 * (v.T @ (qn @ c)))
-            if not rows:
-                break
-            dt, *_ = np.linalg.lstsq(np.stack(rows), np.array(res), rcond=None)
-            t = t + dt
-        return t
-
-    # penalty polish of the leading feasible grid points plus the exterior
-    # homotopy start at the unconstrained optimum, weight escalating tenfold
-    # per round from an objective-scaled base
-    starts.append(t_star)
-    viol = float(_power_violations(problem, _powers(c0 + v @ best_t)).max())
-    for t0 in starts:
-        t_cur = t0.copy()
-        weight = max(1.0, abs(best_obj))
-        for _ in range(PENALTY_ROUNDS):
-            res = minimize(
-                penalized, t_cur, args=(weight,), jac=True,
-                method="L-BFGS-B", tol=1e-10,
-            )
-            t_cur = res.x
-            evaluations += int(res.nfev)
-            weight *= PENALTY_FACTOR
-        t_cur = _restore(t_cur)
-        c_ref = c0 + v @ t_cur
-        obj_ref = float(c_ref @ problem.q0 @ c_ref)
-        viol_ref = float(_power_violations(problem, _powers(c_ref)).max())
-        # refinement never hands back a worse or infeasible answer
-        if viol_ref <= FEASIBILITY_TOL and obj_ref <= best_obj:
-            best_t, best_obj, viol = t_cur, obj_ref, viol_ref
-
-    c_best = c0 + v @ best_t
-    return OracleReport(
-        c=c_best,
-        objective=best_obj,
-        method="grid",
-        evaluations=evaluations,
-        agreement_gap=_gap(best_obj, candidate),
-        max_violation=viol,
-    )
-
-
-def minimize_loss_descent(problem, n_starts=8, seed=0, candidate=None):
-    """Multistart quasi-Newton descent on the reduced unconstrained loss.
-
-    Ignores the power constraints: this is the oracle for the analytic
-    minimum-loss solution on systems of any size. The objective is strictly
-    convex, so every start must land on the same point; the spread across
-    starts is folded into ``max_violation`` as a sanity term.
-    """
-    c0, v = _reduced_basis(problem)
-    free = v.shape[1]
-
-    def fun(t):
-        c = c0 + v @ t
-        qc = problem.q0 @ c
-        return float(c @ qc), 2.0 * (v.T @ qc)
-
-    rng = np.random.default_rng(seed)
-    scale = 10.0 * (1.0 + float(np.linalg.norm(c0)))
-    starts = [np.zeros(free)]
-    starts += [scale * rng.standard_normal(free) for _ in range(max(0, n_starts - 1))]
-
-    evaluations = 0
-    results = []
-    for t0 in starts:
-        res = minimize(fun, t0, jac=True, method="L-BFGS-B", tol=1e-12)
-        evaluations += int(res.nfev)
-        results.append((float(res.fun), res.x))
-    best_obj, best_t = min(results, key=lambda r: r[0])
-    spread = max(abs(f - best_obj) for f, _ in results) / max(abs(best_obj), 1e-300)
-
-    c_best = c0 + v @ best_t
-    affine_res = float(np.abs(problem.a @ c_best - problem.b).max())
-    return OracleReport(
-        c=c_best,
-        objective=best_obj,
-        method="multistart",
-        evaluations=evaluations,
-        agreement_gap=_gap(best_obj, candidate),
-        max_violation=max(affine_res, spread),
-    )
-
-
-# ---------------------------------------------------------------------------
-# cross-module identity audit
-# ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)

@@ -11,14 +11,13 @@ to a grid scan if the efficiency profile fails the unimodality probe.
 """
 
 import hashlib
-import json
 import math
 import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .circuit import ImpedanceMatrix, Loading, apply_loading
+from .circuit import ImpedanceMatrix, Loading, apply_loading, hash_matrix
 from .closedform import ClosedFormSolution, solve_closed_form
 from .qcqp import QcqpProblem, build_problem, evaluate
 from .sdp import SdpInstance, SdpOptions, check_kkt, solve
@@ -35,13 +34,14 @@ __all__ = [
     "full_pipeline",
     "optimize_load",
     "LoadSearch",
+    "cap_r",
     "result_record",
 ]
 
 SKIP_TOLERANCE = -1e-12  # watts; closed-form powers above this mean no SDR run
-TIGHTNESS_THRESHOLD = 1e-8
-KKT_THRESHOLD = 1e-8
-RANK_RATIO_LIMIT = 1e-4
+TIGHTNESS_THRESHOLD = 1e-8  # epsilon at or below this certifies a tight relaxation
+KKT_THRESHOLD = 1e-8  # worst normalized KKT residual an attempt may leave
+RANK_RATIO_LIMIT = 1e-4  # second/first eigenvalue above this: heuristic extraction
 
 
 class RelaxationError(RuntimeError):
@@ -56,10 +56,6 @@ class RelaxationError(RuntimeError):
 @dataclass(frozen=True)
 class PipelineOptions:
     form: str = "conic"
-    tightness_threshold: float = TIGHTNESS_THRESHOLD
-    kkt_threshold: float = KKT_THRESHOLD
-    rank_ratio_limit: float = RANK_RATIO_LIMIT
-    include_redundant: bool = True
     power_caps: tuple | None = None
     constrain_powers: bool = True  # off: relax the current equalities only
     sdp: SdpOptions = field(default_factory=SdpOptions)
@@ -137,12 +133,12 @@ def tightness_error(cmat: np.ndarray, cvec: np.ndarray) -> float:
     return float(np.linalg.norm(cmat - np.outer(c, c))) / nsq
 
 
-def extract_solution(cmat, problem, rank_ratio_limit: float = RANK_RATIO_LIMIT):
+def extract_solution(cmat, problem):
     """Dominant-eigenvector extraction with the sign and scale conventions.
 
     The sign makes the receiver-current coordinate positive; the scale puts
     the vector exactly on the unit-received-power surface.  A second
-    eigenvalue above ``rank_ratio_limit`` times the first flags a clearly
+    eigenvalue above ``RANK_RATIO_LIMIT`` times the first flags a clearly
     rank-deficient relaxation; the vector is still returned as a heuristic.
     """
     sym = 0.5 * (cmat + cmat.T)
@@ -151,9 +147,9 @@ def extract_solution(cmat, problem, rank_ratio_limit: float = RANK_RATIO_LIMIT):
     if mu1 <= 0.0:
         raise ValueError("matrix optimum has no positive eigenvalue")
     ratio = float(max(w[-2], 0.0)) / mu1 if w.size > 1 else 0.0
-    if ratio > rank_ratio_limit:
+    if ratio > RANK_RATIO_LIMIT:
         warnings.warn(
-            f"second eigenvalue ratio {ratio:.2e} exceeds {rank_ratio_limit:.0e}; "
+            f"second eigenvalue ratio {ratio:.2e} exceeds {RANK_RATIO_LIMIT:.0e}; "
             "extraction is heuristic",
             RuntimeWarning,
             stacklevel=2,
@@ -293,7 +289,8 @@ def solve_relaxation(problem: QcqpProblem, options: PipelineOptions | None = Non
     coupling cancellations the optimal currents sit orders of magnitude
     above the constraint scale and the two forms hit their conditioning
     limits at different points.  The retry is deterministic, so a result is
-    always reproducible from the problem and options alone.
+    always reproducible from the problem and options alone.  ``iterations``
+    counts the interior-point iterations of every attempt, kept or not.
 
     Constrained solves get a final Newton polish of the extracted vector
     onto the binding power constraints (see :func:`_polish`); the tightness
@@ -309,18 +306,19 @@ def solve_relaxation(problem: QcqpProblem, options: PipelineOptions | None = Non
         if form == "affine":
             cvec = sol.x_vec.copy()
         else:
-            cvec = extract_solution(sol.x_mat, problem, opts.rank_ratio_limit)
+            cvec = extract_solution(sol.x_mat, problem)
         kkt = check_kkt(inst, sol)
         # eps certifies the relaxation with the raw extracted vector; the
         # reported point is then polished back onto the binding constraints
         eps = tightness_error(sol.x_mat, cvec)
         # worst threshold-normalized defect; > 1 means the attempt missed one
-        score = max(eps / opts.tightness_threshold, kkt.max_residual() / opts.kkt_threshold)
+        score = max(eps / TIGHTNESS_THRESHOLD, kkt.max_residual() / KKT_THRESHOLD)
         if opts.constrain_powers:
             cvec = _polish(problem, cvec, sol.primal_obj)
         return inst, sol, cvec, kkt, eps, score
 
     inst, sol, cvec, kkt, eps, score = attempt(opts.form)
+    iterations = sol.iterations
     retry = (
         sol.status in ("max_iters", "failed")  # certificates are answers
         or (sol.status == "optimal" and score > 1.0)
@@ -328,6 +326,7 @@ def solve_relaxation(problem: QcqpProblem, options: PipelineOptions | None = Non
     if retry:
         other = "affine" if opts.form == "conic" else "conic"
         attempt2 = attempt(other)
+        iterations += attempt2[1].iterations
         if attempt2[5] < score:
             inst, sol, cvec, kkt, eps, score = attempt2
     if sol.status != "optimal":
@@ -336,7 +335,7 @@ def solve_relaxation(problem: QcqpProblem, options: PipelineOptions | None = Non
     return SdrResult(
         status=sol.status,
         skipped=False,
-        tight=bool(eps <= opts.tightness_threshold),
+        tight=bool(eps <= TIGHTNESS_THRESHOLD),
         epsilon=eps,
         p_relax=float(sol.primal_obj),
         eta=1.0 / (1.0 + rep.objective),
@@ -346,7 +345,7 @@ def solve_relaxation(problem: QcqpProblem, options: PipelineOptions | None = Non
         currents=problem.current_from_real(cvec),
         x_r=float("nan"),
         transmit_powers=rep.tx_powers,
-        iterations=sol.iterations,
+        iterations=iterations,
         kkt=kkt,
     )
 
@@ -355,7 +354,8 @@ def _closed_form_vector(cf: ClosedFormSolution) -> np.ndarray:
     return np.concatenate([cf.i_t.real, [cf.i_r], cf.i_t.imag])
 
 
-def _cap_r(x_r: float, omega: float) -> float:
+def cap_r(x_r: float, omega: float) -> float:
+    """Receiver compensation capacitance for reactance ``x_r``; NaN unless x_r < 0."""
     return -1.0 / (omega * x_r) if x_r < 0.0 else float("nan")
 
 
@@ -393,14 +393,12 @@ def full_pipeline(
             kkt=None,
             closed_form=cf,
         )
-    problem = build_problem(
-        z, r_load, power_caps=opts.power_caps, include_redundant=opts.include_redundant
-    )
+    problem = build_problem(z, r_load, power_caps=opts.power_caps)
     res = solve_relaxation(problem, opts)
     op = recover_operating_point(res.cvec, z, r_load)
     omega = z.omega
-    cr_cf = _cap_r(cf.x_r, omega)
-    cr_sdr = _cap_r(op["x_r"], omega)
+    cr_cf = cap_r(cf.x_r, omega)
+    cr_sdr = cap_r(op["x_r"], omega)
     return replace(
         res,
         currents=op["currents"],
@@ -482,9 +480,7 @@ def optimize_load(
 
 def result_record(result: SdrResult, z: ImpedanceMatrix) -> dict:
     """JSON-ready record of one pipeline run, keyed by an input hash."""
-    h = hashlib.sha256()
-    h.update(np.ascontiguousarray(z.entries).tobytes())
-    h.update(np.float64(z.frequency).tobytes())
+    h = hash_matrix(hashlib.sha256(), z)
     h.update(np.float64(result.r_load).tobytes())
     i = np.asarray(result.currents, dtype=complex)
     return {
@@ -499,13 +495,9 @@ def result_record(result: SdrResult, z: ImpedanceMatrix) -> dict:
         "currents_re": [float(v) for v in i.real],
         "currents_im": [float(v) for v in i.imag],
         "x_r_ohm": result.x_r,
-        "c_r_farad": _cap_r(result.x_r, z.omega),
+        "c_r_farad": cap_r(result.x_r, z.omega),
         "p_relax_w": result.p_relax,
         "delta_eta_db": result.delta_eta_db,
         "delta_cr_rel": result.delta_cr_rel,
         "iterations": result.iterations,
     }
-
-
-def record_to_json(record: dict) -> str:
-    return json.dumps(record, indent=2, sort_keys=True)

@@ -11,7 +11,6 @@ Two encodings of the receiver-side equalities are provided: an affine block
 relaxation, where redundant rank-two equalities sharpen the lifted problem.
 """
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,8 +26,6 @@ __all__ = [
     "build_conic",
     "build_problem",
     "evaluate",
-    "problem_to_json",
-    "problem_from_json",
 ]
 
 
@@ -92,7 +89,7 @@ def build_affine(z, r_load):
     return a, b
 
 
-def build_conic(z, r_load, include_redundant=True):
+def build_conic(z, r_load):
     """Quadratic encodings of the same equalities for the lifted problem.
 
     Returns (K0, K_list, R): tr(K0 C) = 0 encodes the KVL row (K0 = k k^T is
@@ -106,12 +103,11 @@ def build_conic(z, r_load, include_redundant=True):
     k = _kvl_row(zmat, r_load)
     k0 = np.outer(k, k)
     k_list = []
-    if include_redundant:
-        for j in range(m):
-            km = np.zeros((m, m))
-            km[j, :] += k
-            km[:, j] += k
-            k_list.append(km)
+    for j in range(m):
+        km = np.zeros((m, m))
+        km[j, :] += k
+        km[:, j] += k
+        k_list.append(km)
     r = np.zeros((m, m))
     r[n - 1, n - 1] = 0.5 * r_load
     return k0, k_list, r
@@ -155,7 +151,7 @@ class QcqpProblem:
         return _realify_vector(c, self.n_tx + 1)
 
 
-def build_problem(z, r_load, power_caps=None, include_redundant=True):
+def build_problem(z, r_load, power_caps=None):
     """Assemble the full QCQP data from an impedance matrix and load."""
     if isinstance(z, ImpedanceMatrix):
         zmat = z.entries
@@ -170,7 +166,7 @@ def build_problem(z, r_load, power_caps=None, include_redundant=True):
     pims = port_impedance_matrices(zloaded)
     q = tuple(realify(pims[j]) for j in range(n - 1))
     a, b = build_affine(zmat, r_load)
-    k0, k_list, r_mat = build_conic(zmat, r_load, include_redundant)
+    k0, k_list, r_mat = build_conic(zmat, r_load)
     caps = None
     if power_caps is not None:
         caps = tuple(float(v) for v in power_caps)
@@ -219,50 +215,3 @@ def evaluate(problem, c):
     report.tx_powers.setflags(write=False)
     return report
 
-
-# ---------------------------------------------------------------------------
-# JSON dump/restore (solver debugging)
-# ---------------------------------------------------------------------------
-
-
-def problem_to_json(problem, path=None):
-    doc = {
-        "m": problem.m,
-        "n_tx": problem.n_tx,
-        "r_load": problem.r_load,
-        "q0": problem.q0.tolist(),
-        "q": [qn.tolist() for qn in problem.q],
-        "a": problem.a.tolist(),
-        "b": problem.b.tolist(),
-        "k0": problem.k0.tolist(),
-        "k_redundant": [km.tolist() for km in problem.k_redundant],
-        "r_mat": problem.r_mat.tolist(),
-        "power_caps": list(problem.power_caps) if problem.power_caps else None,
-    }
-    text = json.dumps(doc, indent=1)
-    if path is not None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    return text
-
-
-def problem_from_json(source):
-    if isinstance(source, str) and source.lstrip().startswith("{"):
-        doc = json.loads(source)
-    else:
-        with open(source, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    caps = doc.get("power_caps")
-    return QcqpProblem(
-        m=int(doc["m"]),
-        n_tx=int(doc["n_tx"]),
-        r_load=float(doc["r_load"]),
-        q0=np.array(doc["q0"], dtype=float),
-        q=tuple(np.array(qn, dtype=float) for qn in doc["q"]),
-        a=np.array(doc["a"], dtype=float),
-        b=np.array(doc["b"], dtype=float),
-        k0=np.array(doc["k0"], dtype=float),
-        k_redundant=tuple(np.array(km, dtype=float) for km in doc["k_redundant"]),
-        r_mat=np.array(doc["r_mat"], dtype=float),
-        power_caps=tuple(caps) if caps else None,
-    )

@@ -18,7 +18,7 @@ inconsistent the instance is certified infeasible before any iteration.
 Steps are verified against the cone and backtracked when rounding in the
 factorizations overestimates the boundary step. The best iterate seen is
 retained; if progress stalls, the run ends there and is still reported
-optimal when every residual meets `tol_accept` (the attained accuracy is
+optimal when every residual meets `TOL_ACCEPT` (the attained accuracy is
 always visible in `residuals`).
 """
 
@@ -38,6 +38,8 @@ __all__ = [
 ]
 
 DIM_CAP = 64
+TOL_ACCEPT = 1e-7  # residuals a stalled run must meet to count as optimal
+FRAC_TO_BOUNDARY = 0.98  # share of the step to the cone boundary taken
 
 
 # ---------------------------------------------------------------------------
@@ -107,10 +109,8 @@ class SdpInstance:
 class SdpOptions:
     tol_feas: float = 1e-10
     tol_gap: float = 1e-10
-    tol_accept: float = 1e-7
     max_iters: int = 200
     verbose: bool = False
-    frac_to_boundary: float = 0.98
 
 
 @dataclass
@@ -150,6 +150,8 @@ def _presolve_equalities(mats, rhs):
 
     Returns (kept, dropped, inconsistent): a dependent row whose right-hand
     side disagrees with the implied combination certifies infeasibility.
+    The disagreement is measured relative to the largest right-hand side
+    combined, since rounding in the combination scales with it.
     """
     kept, dropped = [], []
     basis, rhs_basis = [], []
@@ -166,7 +168,8 @@ def _presolve_equalities(mats, rhs):
             rhs_basis.append(rr / nv)
             kept.append(i)
         else:
-            if abs(rr) > 1e-10:
+            scale = max([1.0, abs(r)] + [abs(rhs[k]) for k in kept])
+            if abs(rr) > 1e-10 * scale:
                 return kept, dropped + [i], True
             dropped.append(i)
     return kept, dropped, False
@@ -479,7 +482,7 @@ def solve(instance, options=None):
         dx, dz, dy, ds = _direction(rc, rcs)
         dw = dy[n_eq:]
 
-        f = opts.frac_to_boundary
+        f = FRAC_TO_BOUNDARY
         ap = min(
             1.0,
             f * _max_step_psd(x, dx),
@@ -544,7 +547,7 @@ def solve(instance, options=None):
                 status, certificate = got
         if certificate is None and best is not None:
             x, y, z, s, pin, din, relgap = best
-            if max(pin, din, relgap) <= opts.tol_accept:
+            if max(pin, din, relgap) <= TOL_ACCEPT:
                 status = "optimal"
 
     # ----- unscale and repack

@@ -1,6 +1,5 @@
 """Circuit-model tests: quadrature oracles, matrix validation, file I/O."""
 
-import json
 import math
 
 import numpy as np
@@ -18,7 +17,6 @@ from wptopt.circuit import (
     SchemaError,
     apply_loading,
     build_loop_system,
-    load_geometry_file,
     load_impedance_file,
     loop_resistance,
     loop_self_inductance,
@@ -314,10 +312,3 @@ class TestMatrixIO:
         path.write_text("{not json")
         with pytest.raises(SchemaError, match="JSON"):
             load_impedance_file(path)
-
-    def test_geometry_round_trip(self, tmp_path):
-        geom = GeometrySpec.preset("miso-3c", 0.1 * LAM, 0.1)
-        path = tmp_path / "geom.json"
-        path.write_text(json.dumps(geom.to_json()))
-        back = load_geometry_file(path)
-        assert back == geom

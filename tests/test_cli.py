@@ -91,14 +91,6 @@ class TestExitCodes:
         )
         assert code == 2
 
-    def test_bad_worker_count(self, monkeypatch, tmp_path):
-        monkeypatch.setenv("WPTOPT_WORKERS", "zero")
-        code = cli.main(
-            ["sweep", "--preset", "siso", "--theta-range", "0:10:10",
-             "--out", str(tmp_path)]
-        )
-        assert code == 2
-
 
 class TestSolve:
     def test_siso_summary_reports_figures(self, capsys):
@@ -197,18 +189,25 @@ class TestSweep:
             assert float(row["epsilon"]) <= 1e-8
             assert float(row["delta_eta_db"]) >= 0.0
 
-    def test_byte_identical_across_worker_counts(self, family_file, tmp_path,
-                                                 monkeypatch):
+    def test_byte_identical_across_runs(self, family_file, tmp_path):
         outs = []
-        for workers in ("1", "3"):
-            out = tmp_path / f"w{workers}"
-            monkeypatch.setenv("WPTOPT_WORKERS", workers)
+        for run in ("a", "b"):
+            out = tmp_path / run
             assert cli.main(["sweep", "--matrix", family_file,
                              "--out", str(out)]) == 0
             outs.append(out)
         for name in ("sweep.csv", "sweep.json", "pattern_eta.csv",
                      "pattern_power.csv"):
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+    def test_negative_theta_start_both_spellings(self, tmp_path):
+        for argv, run in ((["--theta-range", "-90:90:30"], "a"),
+                          (["--theta-range=-90:90:30"], "b")):
+            assert cli.main(["sweep", "--preset", "siso", *argv,
+                             "--out", str(tmp_path / run)]) == 0
+        a = (tmp_path / "a" / "sweep.csv").read_bytes()
+        assert a == (tmp_path / "b" / "sweep.csv").read_bytes()
+        assert len(a.splitlines()) == 8
 
     def test_partial_failure_keeps_going(self, tmp_path, capsys):
         geom = GeometrySpec.preset("siso", 0.1 * LAM)
@@ -271,6 +270,13 @@ class TestValidate:
         out = capsys.readouterr().out
         assert "FAIL" not in out
         assert out.count("PASS") >= 20
+
+
+def test_import_leaves_out_scipy_optimize():
+    code = "import sys, wptopt.cli; print('scipy.optimize' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_module_entry_point(tmp_path):

@@ -3,14 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from oracles import brute_force_qcqp, minimize_loss_descent
 from retarded import retarded_loop_system
 from wptopt.circuit import GeometrySpec
 from wptopt.closedform import solve_closed_form, solve_min_loss_qp
-from wptopt.oracle import (
-    brute_force_qcqp,
-    minimize_loss_descent,
-    verify_identities,
-)
+from wptopt.oracle import verify_identities
 from wptopt.pipeline import PipelineOptions, solve_relaxation
 from wptopt.qcqp import build_problem, evaluate
 

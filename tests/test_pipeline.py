@@ -8,6 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
+import wptopt.pipeline
 from retarded import retarded_loop_system
 from wptopt.circuit import GeometrySpec, build_loop_system
 from wptopt.closedform import solve_closed_form, solve_min_loss_qp
@@ -211,6 +212,21 @@ class TestSolveRelaxation:
         assert res.tight and res.epsilon <= 1e-8
         assert res.kkt.max_residual() <= 1e-8
 
+    def test_iterations_count_every_attempt(self, monkeypatch):
+        # the point above retries; the attempt it discards did work too
+        counts = []
+
+        def counted(inst, opts=None):
+            sol = solve(inst, opts)
+            counts.append(sol.iterations)
+            return sol
+
+        monkeypatch.setattr(wptopt.pipeline, "solve", counted)
+        z = retarded_system("miso-2p", theta_deg=68.0)
+        res = solve_relaxation(build_problem(z, solve_closed_form(z).r_load_opt))
+        assert len(counts) == 2
+        assert res.iterations == sum(counts)
+
     def test_polish_restores_binding_powers(self):
         # binding constraint: raw eigenvector extraction leaves the pinned
         # port power microwatts negative, the polish must bring it back
@@ -269,6 +285,15 @@ class TestFullPipeline:
         assert math.isfinite(res.delta_cr_rel)
         assert res.kkt.max_residual() < 1e-8
         assert res.iterations <= 60
+
+    def test_presolve_keeps_feasible_point_near_coupling_null(self):
+        # the received-power row's normalized right-hand side is ~73 here, so
+        # rounding alone leaves a dependent-row residual above 1e-10
+        z = retarded_system("miso-3p", frac=0.10023, theta_deg=-54.387)
+        res = full_pipeline(z)
+        assert res.status == "optimal" and not res.skipped
+        assert res.tight and res.epsilon <= 1e-8
+        assert res.transmit_powers.min() >= -1e-12
 
     def test_tight_objective_consistency(self):
         z = retarded_system("miso-3c", theta_deg=18.0)

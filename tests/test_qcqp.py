@@ -17,8 +17,6 @@ from wptopt.qcqp import (
     build_conic,
     build_problem,
     evaluate,
-    problem_from_json,
-    problem_to_json,
     realify,
 )
 
@@ -202,12 +200,6 @@ class TestProblem:
         with pytest.raises(ValueError, match="per transmitter"):
             build_problem(z, 0.05, power_caps=[1.0])
 
-    def test_redundant_toggle(self):
-        z = build_loop_system(GeometrySpec.preset("siso", 0.1 * LAM))
-        prob = build_problem(z, 0.05, include_redundant=False)
-        assert prob.k_redundant == ()
-
-
 class TestEvaluate:
     def test_reports_on_feasible_and_infeasible_points(self):
         z = build_loop_system(GeometrySpec.preset("miso-3p", 0.1 * LAM, 0.25))
@@ -222,23 +214,6 @@ class TestEvaluate:
         assert np.allclose(rep.tx_powers, sol.p_tx, rtol=1e-9)
         bad = evaluate(prob, np.ones(prob.m))
         assert abs(bad.kvl_residual) > 0.0 and abs(bad.pl_residual) > 0.0
-
-
-class TestJsonRoundTrip:
-    def test_round_trip_exact(self, tmp_path):
-        z = build_loop_system(GeometrySpec.preset("miso-2c", 0.1 * LAM, 0.7))
-        prob = build_problem(z, 0.03, power_caps=[1.5, 2.5])
-        path = tmp_path / "prob.json"
-        problem_to_json(prob, path)
-        back = problem_from_json(path)
-        assert back.m == prob.m and back.r_load == prob.r_load
-        assert np.array_equal(back.q0, prob.q0)
-        assert all(np.array_equal(a, b) for a, b in zip(back.q, prob.q))
-        assert np.array_equal(back.a, prob.a) and np.array_equal(back.b, prob.b)
-        assert np.array_equal(back.k0, prob.k0)
-        assert back.power_caps == prob.power_caps
-        again = problem_from_json(problem_to_json(prob))
-        assert np.array_equal(again.k_redundant[2], prob.k_redundant[2])
 
 
 class TestHarvestingExample:
