@@ -1,5 +1,14 @@
 """Globally optimal operating points for MISO wireless power transfer links."""
 
+import os
+
+# The solvers' matrices have order at most 9, where extra BLAS threads only
+# spin.  Default to one; a value already in the environment wins.  This must
+# run before numpy is first imported, which reads these once.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+del _var
+
 __version__ = "0.1.0"
 
 from .circuit import (

@@ -368,16 +368,7 @@ class ImpedanceMatrix:
     frequency: float
 
     def __post_init__(self):
-        z = np.array(self.entries, dtype=complex)
-        if z.ndim != 2 or z.shape[0] != z.shape[1]:
-            raise SchemaError(f"impedance matrix must be square, got shape {z.shape}")
-        if z.shape[0] < 2:
-            raise SchemaError("need at least 2 ports (one transmitter, one receiver)")
-        if not np.array_equal(z, z.T):
-            raise SchemaError("impedance matrix must be symmetric as stored")
-        if not np.all(np.isfinite(z.view(float))):
-            raise SchemaError("impedance matrix contains non-finite entries")
-        _require_passive(z)
+        z = checked_entries(self.entries)
         z.flags.writeable = False
         object.__setattr__(self, "entries", z)
         object.__setattr__(self, "frequency", float(self.frequency))
@@ -397,14 +388,26 @@ class ImpedanceMatrix:
         return 2.0 * np.pi * self.frequency
 
 
-def _require_passive(z: np.ndarray) -> None:
-    sym = 0.5 * (z + z.T)
-    eigs = np.linalg.eigvalsh(sym.real)
+def checked_entries(entries) -> np.ndarray:
+    """Complex copy of an impedance matrix's entries after the checks every
+    link must pass: square with at least two ports, symmetric as stored,
+    finite and strictly passive.  Raises SchemaError or PassivityError."""
+    z = np.array(entries, dtype=complex)
+    if z.ndim != 2 or z.shape[0] != z.shape[1]:
+        raise SchemaError(f"impedance matrix must be square, got shape {z.shape}")
+    if z.shape[0] < 2:
+        raise SchemaError("need at least 2 ports (one transmitter, one receiver)")
+    if not np.array_equal(z, z.T):
+        raise SchemaError("impedance matrix must be symmetric as stored")
+    if not np.all(np.isfinite(z.view(float))):
+        raise SchemaError("impedance matrix contains non-finite entries")
+    eigs = np.linalg.eigvalsh(z.real)
     if eigs[0] <= 0.0:
         raise PassivityError(
             f"impedance matrix is not strictly passive: Re(Z) has eigenvalue "
             f"{eigs[0]:.6g} <= 0"
         )
+    return z
 
 
 def hash_matrix(h, z: ImpedanceMatrix):

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import ImpedanceMatrix, partition
+from .circuit import ImpedanceMatrix, checked_entries, partition
 from .pims import port_impedance_matrices, port_power
 
 
@@ -33,7 +33,8 @@ class NoCouplingError(ValueError):
 
 
 def _blocks(z):
-    zt, ztr, zr = partition(z)
+    # a plain array gets the checks an ImpedanceMatrix passed on construction
+    zt, ztr, zr = partition(z if isinstance(z, ImpedanceMatrix) else checked_entries(z))
     return np.asarray(zt, dtype=complex), np.asarray(ztr, dtype=complex), complex(zr)
 
 
@@ -164,8 +165,9 @@ def solve_closed_form(
 
     When ``r_load`` is omitted the efficiency-optimal load is used.
     Raises :class:`NoCouplingError` for an isolated receiver.  Accepts a
-    plain complex matrix too; the compensation element values then default
-    to None (no frequency attached).
+    plain complex matrix too, checked as an ImpedanceMatrix is (SchemaError
+    or PassivityError on a bad one); the compensation element values then
+    default to None (no frequency attached).
     """
     zt, ztr, zr = _blocks(z)
     if np.all(ztr == 0.0):

@@ -20,12 +20,24 @@ factorizations overestimates the boundary step. The best iterate seen is
 retained; if progress stalls, the run ends there and is still reported
 optimal when every residual meets `TOL_ACCEPT` (the attained accuracy is
 always visible in `residuals`).
+
+Linear algebra: the iteration calls LAPACK through `scipy.linalg.lapack`
+directly (dpotrf, dtrtrs, dgesdd, dpotrs), not through the validating
+`scipy.linalg` wrappers. At order <= 9 the wrappers' input checks cost more
+than the factorizations. The calls are the ones those wrappers make, with the
+same arguments and workspace, so every iterate is bit-for-bit what the
+wrappers gave. A nonzero `info` raises LinAlgError, which drives the ridge,
+jitter and `failed` paths as before. No finite check runs on the hot path:
+the Schur matrix and every accepted iterate are tested with `np.isfinite`
+before they reach LAPACK. The factorizations stay on scipy's LAPACK, not
+numpy.linalg's, which links another OpenBLAS build and could change bits.
 """
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, cholesky, solve_triangular, svd
+from scipy.linalg.lapack import dgesdd, dgesdd_lwork, dpotrf, dpotrs, dtrtrs
 
 __all__ = [
     "SdpInstance",
@@ -139,10 +151,35 @@ class SdpSolution:
 # ---------------------------------------------------------------------------
 
 
-def _svec(m):
-    d = m.shape[0]
+@lru_cache(maxsize=None)
+def _svec_index(d):
+    """Flat positions and weights of svec at order d: the diagonal, then the
+    strict upper triangle row by row, scaled by sqrt(2). Read-only, since
+    every caller shares them."""
     iu = np.triu_indices(d, 1)
-    return np.concatenate([np.diag(m), np.sqrt(2.0) * m[iu]])
+    flat = np.concatenate([np.arange(d) * (d + 1), iu[0] * d + iu[1]])
+    wts = np.concatenate([np.ones(d), np.full(iu[0].size, np.sqrt(2.0))])
+    flat.flags.writeable = wts.flags.writeable = False
+    return flat, wts
+
+
+def _svec(m):
+    flat, wts = _svec_index(m.shape[0])
+    return m.reshape(-1)[flat] * wts
+
+
+@lru_cache(maxsize=None)
+def _gesdd_lwork(d):
+    """Optimal dgesdd workspace at order d, the size scipy.linalg.svd asks for."""
+    return int(_checked(dgesdd_lwork(d, d), "dgesdd_lwork"))
+
+
+def _checked(out, routine):
+    """The outputs of a raw LAPACK call without its trailing `info`; a
+    nonzero `info` (a failed factorization) raises LinAlgError."""
+    if out[-1]:
+        raise np.linalg.LinAlgError(f"{routine} failed (info {out[-1]})")
+    return out[0] if len(out) == 2 else out[:-1]
 
 
 def _presolve_equalities(mats, rhs):
@@ -181,7 +218,9 @@ def _chol_ridged(m):
     base = max(float(np.trace(m)) / m.shape[0], 1e-300)
     for _ in range(4):
         try:
-            return cholesky(m + ridge * np.eye(m.shape[0]), lower=True)
+            return _checked(
+                dpotrf(m + ridge * np.eye(m.shape[0]), lower=1, clean=1), "dpotrf"
+            )
         except np.linalg.LinAlgError:
             ridge = max(ridge * 1e3, 1e-14 * base)
     raise np.linalg.LinAlgError("matrix not positive definite even with ridge")
@@ -191,7 +230,9 @@ def _nt_scaling(x, z):
     """Scaling R with R^-1 X R^-T = R^T Z R = diag(sig)."""
     lx = _chol_ridged(x)
     lz = _chol_ridged(z)
-    u, sig, vt = svd(lz.T @ lx)
+    u, sig, vt = _checked(
+        dgesdd(lz.T @ lx, lwork=_gesdd_lwork(lx.shape[0])), "dgesdd"
+    )
     sqrt_sig = np.sqrt(sig)
     r = (lx @ vt.T) / sqrt_sig
     rinv = (u / sqrt_sig).T @ lz.T
@@ -200,8 +241,8 @@ def _nt_scaling(x, z):
 
 def _max_step_psd(x, dx):
     l = _chol_ridged(x)
-    w = solve_triangular(l, dx, lower=True)
-    w = solve_triangular(l, w.T, lower=True)
+    w = _checked(dtrtrs(l, dx, lower=1), "dtrtrs")
+    w = _checked(dtrtrs(l, w.T, lower=1), "dtrtrs")
     lam_min = np.linalg.eigvalsh(0.5 * (w + w.T)).min()
     if lam_min >= -1e-16:
         return np.inf
@@ -430,8 +471,8 @@ def solve(instance, options=None):
         cf = None
         for _ in range(6):
             try:
-                cf = cho_factor(
-                    schur + jitter * np.eye(m_all), lower=True, check_finite=False
+                cf = _checked(
+                    dpotrf(schur + jitter * np.eye(m_all), lower=1, clean=0), "dpotrf"
                 )
                 break
             except np.linalg.LinAlgError:
@@ -443,9 +484,9 @@ def solve(instance, options=None):
             break
 
         def _solve_schur(rv):
-            out = cho_solve(cf, rv, check_finite=False)
+            out = _checked(dpotrs(cf, rv, lower=1), "dpotrs")
             # one refinement pass keeps the 1e-10 targets honest
-            out += cho_solve(cf, rv - schur @ out, check_finite=False)
+            out += _checked(dpotrs(cf, rv - schur @ out, lower=1), "dpotrs")
             return out
 
         def _direction(rc_mat, rc_s):

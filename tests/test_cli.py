@@ -279,6 +279,24 @@ def test_import_leaves_out_scipy_optimize():
     assert proc.stdout.strip() == "False"
 
 
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@pytest.mark.parametrize(
+    "preset, expected",
+    [({}, ("1", "1", "1")), ({"OPENBLAS_NUM_THREADS": "2"}, ("2", "1", "1"))],
+)
+def test_import_pins_blas_threads_unless_set(monkeypatch, preset, expected):
+    for var in BLAS_VARS:
+        monkeypatch.delenv(var, raising=False)
+    for var, value in preset.items():
+        monkeypatch.setenv(var, value)
+    code = f"import os, wptopt; print(*(os.environ.get(v) for v in {BLAS_VARS!r}))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert tuple(proc.stdout.split()) == expected
+
+
 def test_module_entry_point(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "wptopt.cli", "gen-matrix", "--preset", "siso",

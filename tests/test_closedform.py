@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
-from wptopt.circuit import GeometrySpec, ImpedanceMatrix, build_loop_system
+from wptopt.circuit import (
+    GeometrySpec,
+    ImpedanceMatrix,
+    PassivityError,
+    SchemaError,
+    build_loop_system,
+)
 from wptopt.closedform import (
     ClosedFormSolution,
     NoCouplingError,
@@ -103,6 +109,26 @@ class TestScalars:
         z = np.array([[1.0, 0.0], [0.0, 1.0]], dtype=complex)
         with pytest.warns(RuntimeWarning, match="no coupling"):
             assert mutual_q(z) == 0.0
+
+
+class TestPlainArrayChecks:
+    """Plain arrays get the checks of ImpedanceMatrix, never a NaN result."""
+
+    def test_non_reciprocal_matrix_rejected(self):
+        z = build_loop_system(GeometrySpec.preset("miso-2p", 0.1 * LAM)).entries.copy()
+        z[0, 1] += 0.05
+        with pytest.raises(SchemaError, match="symmetric"):
+            solve_closed_form(z)
+        with pytest.raises(SchemaError, match="symmetric"):
+            mutual_q(z)
+
+    def test_non_passive_and_non_finite_rejected(self):
+        with pytest.raises(PassivityError):
+            solve_closed_form(siso_matrix(r_t=-1.0))
+        bad = siso_matrix()
+        bad[1, 1] = complex(np.inf, 0.0)
+        with pytest.raises(SchemaError, match="non-finite"):
+            mutual_q(bad)
 
 
 class TestCurrents:

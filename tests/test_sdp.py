@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
+from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
 
+from wptopt import sdp
 from wptopt.circuit import GeometrySpec, build_loop_system
 from wptopt.closedform import solve_closed_form, solve_min_loss_qp
 from wptopt.qcqp import build_problem
@@ -57,6 +60,100 @@ def miso_instance(preset="miso-2p", distance=None, r_load=None):
     )
     inst = SdpInstance(cost=prob.q0, equalities=tuple(eqs), inequalities=ineqs)
     return inst, prob, z, cf
+
+
+def random_spd(rng, d):
+    g = rng.standard_normal((d, d))
+    return g @ g.T + d * np.eye(d)
+
+
+def random_sym(rng, d):
+    g = rng.standard_normal((d, d))
+    return g + g.T
+
+
+def max_step_psd_reference(x, dx):
+    """`_max_step_psd` as written on the validating scipy.linalg wrappers."""
+    l = sla.cholesky(x, lower=True)
+    w = sla.solve_triangular(l, dx, lower=True)
+    w = sla.solve_triangular(l, w.T, lower=True)
+    lam_min = np.linalg.eigvalsh(0.5 * (w + w.T)).min()
+    return np.inf if lam_min >= -1e-16 else -1.0 / lam_min
+
+
+def nt_scaling_reference(x, z):
+    """`_nt_scaling` as written on the validating scipy.linalg wrappers."""
+    lx = sla.cholesky(x, lower=True)
+    lz = sla.cholesky(z, lower=True)
+    u, sig, vt = sla.svd(lz.T @ lx)
+    sqrt_sig = np.sqrt(sig)
+    return (lx @ vt.T) / sqrt_sig, (u / sqrt_sig).T @ lz.T, sig
+
+
+ORDERS = range(1, 10)
+
+
+class TestRawLapack:
+    """The raw LAPACK calls of the IPM give the bits of the scipy.linalg
+    calls they replace, on the orders the solver meets."""
+
+    @pytest.mark.parametrize("d", ORDERS)
+    def test_svec_matches_triu_reference(self, d):
+        m = random_sym(np.random.default_rng(d), d)
+        ref = np.concatenate([np.diag(m), np.sqrt(2.0) * m[np.triu_indices(d, 1)]])
+        assert np.array_equal(sdp._svec(m), ref)
+        assert np.array_equal(sdp._svec(np.asfortranarray(m)), ref)
+
+    @pytest.mark.parametrize("d", ORDERS)
+    def test_cholesky_factor(self, d):
+        a = random_spd(np.random.default_rng(10 + d), d)
+        assert np.array_equal(sdp._chol_ridged(a), sla.cholesky(a, lower=True))
+
+    @pytest.mark.parametrize("d", ORDERS)
+    def test_triangular_solves(self, d):
+        rng = np.random.default_rng(20 + d)
+        l = sla.cholesky(random_spd(rng, d), lower=True)
+        b = random_sym(rng, d)
+        w = sdp._checked(dtrtrs(l, b, lower=1), "dtrtrs")
+        assert np.array_equal(w, sla.solve_triangular(l, b, lower=True))
+        w2 = sdp._checked(dtrtrs(l, w.T, lower=1), "dtrtrs")
+        assert np.array_equal(w2, sla.solve_triangular(l, w.T, lower=True))
+
+    @pytest.mark.parametrize("d", ORDERS)
+    def test_max_step_psd(self, d):
+        rng = np.random.default_rng(30 + d)
+        x, dx = random_spd(rng, d), random_sym(rng, d)
+        assert sdp._max_step_psd(x, dx) == max_step_psd_reference(x, dx)
+
+    @pytest.mark.parametrize("d", ORDERS)
+    def test_svd_triple(self, d):
+        rng = np.random.default_rng(40 + d)
+        x, z = random_spd(rng, d), random_spd(rng, d)
+        for got, ref in zip(sdp._nt_scaling(x, z), nt_scaling_reference(x, z)):
+            assert np.array_equal(got, ref)
+
+    @pytest.mark.parametrize("d", ORDERS)
+    def test_schur_factor_and_solve(self, d):
+        rng = np.random.default_rng(50 + d)
+        a, rv = random_spd(rng, d), rng.standard_normal(d)
+        cf = sdp._checked(dpotrf(a, lower=1, clean=0), "dpotrf")
+        ref = sla.cho_factor(a, lower=True, check_finite=False)
+        assert np.array_equal(cf, ref[0])
+        got = sdp._checked(dpotrs(cf, rv, lower=1), "dpotrs")
+        assert np.array_equal(got, sla.cho_solve(ref, rv, check_finite=False))
+
+    def test_ridge_factors_singular_psd(self):
+        v = np.arange(1.0, 5.0)
+        m = np.outer(v, v)  # rank one: plain Cholesky fails
+        with pytest.raises(np.linalg.LinAlgError):
+            sdp._checked(dpotrf(m, lower=1, clean=1), "dpotrf")
+        l = sdp._chol_ridged(m)
+        assert np.allclose(l @ l.T, m, rtol=0.0, atol=1e-10)
+        assert np.array_equal(l, np.tril(l))
+
+    def test_indefinite_raises(self):
+        with pytest.raises(np.linalg.LinAlgError, match="ridge"):
+            sdp._chol_ridged(np.diag([1.0, -1.0, 2.0]))
 
 
 class TestTrivial:
