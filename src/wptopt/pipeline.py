@@ -246,7 +246,12 @@ def recover_operating_point(c, z: ImpedanceMatrix, r_load: float) -> dict:
     loaded-port voltages, per-transmitter powers and the efficiency.
     Raises ValueError when c violates the current constraints.
     """
-    problem = build_problem(z, r_load)
+    return _recover(c, z, build_problem(z, r_load))
+
+
+def _recover(c, z: ImpedanceMatrix, problem: QcqpProblem) -> dict:
+    """:func:`recover_operating_point` on the QCQP already built for z and
+    its load; the power caps of `problem` play no part."""
     rep = evaluate(problem, c)
     scale = 1.0 + float(np.abs(problem.b).max())
     if abs(rep.kvl_residual) > 1e-6 * scale or abs(rep.pl_residual) > 1e-6:
@@ -263,7 +268,7 @@ def recover_operating_point(c, z: ImpedanceMatrix, r_load: float) -> dict:
     )
     i_t, i_r = i[:-1], i[-1].real
     x_r = -zr.imag - float(np.imag(ztr @ i_t)) / i_r
-    loading = Loading(np.concatenate([np.zeros(len(i_t)), [x_r]]), r_load)
+    loading = Loading(np.concatenate([np.zeros(len(i_t)), [x_r]]), problem.r_load)
     zhat = apply_loading(z, loading)
     voltages = zhat.entries @ i
     eta = 1.0 / (1.0 + rep.objective)
@@ -395,7 +400,7 @@ def full_pipeline(
         )
     problem = build_problem(z, r_load, power_caps=opts.power_caps)
     res = solve_relaxation(problem, opts)
-    op = recover_operating_point(res.cvec, z, r_load)
+    op = _recover(res.cvec, z, problem)
     omega = z.omega
     cr_cf = cap_r(cf.x_r, omega)
     cr_sdr = cap_r(op["x_r"], omega)

@@ -22,7 +22,7 @@ optimal when every residual meets `TOL_ACCEPT` (the attained accuracy is
 always visible in `residuals`).
 
 Linear algebra: the iteration calls LAPACK through `scipy.linalg.lapack`
-directly (dpotrf, dtrtrs, dgesdd, dpotrs), not through the validating
+directly (dpotrf, dtrtrs, dgesdd, dpotrs, dsyevd), not through the validating
 `scipy.linalg` wrappers. At order <= 9 the wrappers' input checks cost more
 than the factorizations. The calls are the ones those wrappers make, with the
 same arguments and workspace, so every iterate is bit-for-bit what the
@@ -31,13 +31,24 @@ jitter and `failed` paths as before. No finite check runs on the hot path:
 the Schur matrix and every accepted iterate are tested with `np.isfinite`
 before they reach LAPACK. The factorizations stay on scipy's LAPACK, not
 numpy.linalg's, which links another OpenBLAS build and could change bits.
+The smallest eigenvalues behind the step lengths and the cone test on a
+trial step come from scipy's dsyevd (`_eig_min`), the routine and arguments
+of `np.linalg.eigvalsh`, with the same bits at these orders and about half
+the cost per call.
+
+Each iterate is Cholesky-factored once per iteration: `_nt_scaling` returns
+the factors of X and Z, and the predictor and corrector step lengths reuse
+them. The Schur matrix comes from one stacked product W A_i W over all rows.
+Its svec rows are gathered in C order (`np.take`): the bits of the gemm
+`svecs @ t_svecs.T` depend on the operand's memory layout, and a
+Fortran-ordered gather rounds the order-7 rows differently.
 """
 
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg.lapack import dgesdd, dgesdd_lwork, dpotrf, dpotrs, dtrtrs
+from scipy.linalg.lapack import dgesdd, dgesdd_lwork, dpotrf, dpotrs, dsyevd, dtrtrs
 
 __all__ = [
     "SdpInstance",
@@ -213,21 +224,28 @@ def _presolve_equalities(mats, rhs):
 
 
 def _chol_ridged(m):
-    """Cholesky with a tiny escalating ridge for boundary iterates."""
+    """Cholesky with a tiny escalating ridge for boundary iterates. The ridge
+    is only formed once the plain factorization has failed."""
     ridge = 0.0
-    base = max(float(np.trace(m)) / m.shape[0], 1e-300)
     for _ in range(4):
         try:
-            return _checked(
-                dpotrf(m + ridge * np.eye(m.shape[0]), lower=1, clean=1), "dpotrf"
-            )
+            ridged = m + ridge * np.eye(m.shape[0]) if ridge else m
+            return _checked(dpotrf(ridged, lower=1, clean=1), "dpotrf")
         except np.linalg.LinAlgError:
+            base = max(float(np.trace(m)) / m.shape[0], 1e-300)
             ridge = max(ridge * 1e3, 1e-14 * base)
     raise np.linalg.LinAlgError("matrix not positive definite even with ridge")
 
 
+def _eig_min(m):
+    """Smallest eigenvalue of a symmetric matrix (lower triangle read);
+    dsyevd returns them in ascending order."""
+    return _checked(dsyevd(m, compute_v=0, lower=1), "dsyevd")[0][0]
+
+
 def _nt_scaling(x, z):
-    """Scaling R with R^-1 X R^-T = R^T Z R = diag(sig)."""
+    """Scaling R with R^-1 X R^-T = R^T Z R = diag(sig), and the Cholesky
+    factors of X and Z it was built from."""
     lx = _chol_ridged(x)
     lz = _chol_ridged(z)
     u, sig, vt = _checked(
@@ -236,14 +254,26 @@ def _nt_scaling(x, z):
     sqrt_sig = np.sqrt(sig)
     r = (lx @ vt.T) / sqrt_sig
     rinv = (u / sqrt_sig).T @ lz.T
-    return r, rinv, sig
+    return r, rinv, sig, lx, lz
 
 
-def _max_step_psd(x, dx):
-    l = _chol_ridged(x)
+def _schur_matrix(svecs, mat_stack, wmat):
+    """M[i, j] = <A_i, W A_j W> for the constraint matrices stacked in
+    `mat_stack`, whose svec rows are `svecs`."""
+    flat, wts = _svec_index(wmat.shape[0])
+    t = wmat @ mat_stack @ wmat
+    t = 0.5 * (t + t.transpose(0, 2, 1))
+    # take() gathers in C order; see the module docstring for why it matters
+    t_svecs = t.reshape(len(t), -1).take(flat, axis=1) * wts
+    schur = svecs @ t_svecs.T
+    return 0.5 * (schur + schur.T)
+
+
+def _max_step_psd(l, dx):
+    """Longest step along dx from the iterate whose Cholesky factor is l."""
     w = _checked(dtrtrs(l, dx, lower=1), "dtrtrs")
     w = _checked(dtrtrs(l, w.T, lower=1), "dtrtrs")
-    lam_min = np.linalg.eigvalsh(0.5 * (w + w.T)).min()
+    lam_min = _eig_min(0.5 * (w + w.T))
     if lam_min >= -1e-16:
         return np.inf
     return -1.0 / lam_min
@@ -251,9 +281,9 @@ def _max_step_psd(x, dx):
 
 def _max_step_pos(v, dv):
     neg = dv < 0
-    if not np.any(neg):
+    if not neg.any():
         return np.inf
-    return float(np.min(-v[neg] / dv[neg]))
+    return float((-v[neg] / dv[neg]).min())
 
 
 # ---------------------------------------------------------------------------
@@ -332,6 +362,7 @@ def solve(instance, options=None):
     n_in = len(in_n)
     m_all = n_eq + n_in
     svecs = np.array([_svec(m) for m in mats])
+    mat_stack = np.array(mats)
 
     def _aop(xm):
         return svecs @ _svec(xm)
@@ -447,20 +478,15 @@ def solve(instance, options=None):
             break  # no factor-2 progress in 15 iterations: stalled
 
         try:
-            r_sc, rinv_sc, sig = _nt_scaling(x, z)
+            r_sc, rinv_sc, sig, lx, lz = _nt_scaling(x, z)
         except np.linalg.LinAlgError:
             status = "failed"
             break
         wmat = r_sc @ r_sc.T
         lyap = np.add.outer(sig, sig)
 
-        # Schur matrix M[i,j] = <A_i, W A_j W> (+ s/w on inequality diagonal)
-        t_svecs = np.empty_like(svecs)
-        for i in range(m_all):
-            t = wmat @ mats[i] @ wmat
-            t_svecs[i] = _svec(0.5 * (t + t.T))
-        schur = svecs @ t_svecs.T
-        schur = 0.5 * (schur + schur.T)
+        # Schur matrix (+ s/w on the inequality diagonal)
+        schur = _schur_matrix(svecs, mat_stack, wmat)
         if n_in:
             idx = np.arange(n_eq, m_all)
             schur[idx, idx] += s / w
@@ -471,9 +497,8 @@ def solve(instance, options=None):
         cf = None
         for _ in range(6):
             try:
-                cf = _checked(
-                    dpotrf(schur + jitter * np.eye(m_all), lower=1, clean=0), "dpotrf"
-                )
+                jittered = schur + jitter * np.eye(m_all) if jitter else schur
+                cf = _checked(dpotrf(jittered, lower=1, clean=0), "dpotrf")
                 break
             except np.linalg.LinAlgError:
                 jitter = max(
@@ -489,9 +514,11 @@ def solve(instance, options=None):
             out += _checked(dpotrs(cf, rv - schur @ out, lower=1), "dpotrs")
             return out
 
+        w_rd_w = wmat @ r_d @ wmat
+
         def _direction(rc_mat, rc_s):
             xc = r_sc @ (2.0 * rc_mat / lyap) @ r_sc.T
-            rhs_y = r_p - _aop(xc - wmat @ r_d @ wmat)
+            rhs_y = r_p - _aop(xc - w_rd_w)
             if n_in:
                 rhs_y[n_eq:] += rc_s / w
             dy = _solve_schur(rhs_y)
@@ -506,8 +533,8 @@ def solve(instance, options=None):
         rcs_aff = -(s * w) if n_in else np.zeros(0)
         dxa, dza, dya, dsa = _direction(rc_aff, rcs_aff)
         dwa = dya[n_eq:]
-        ap = min(1.0, _max_step_psd(x, dxa), _max_step_pos(s, dsa) if n_in else np.inf)
-        ad = min(1.0, _max_step_psd(z, dza), _max_step_pos(w, dwa) if n_in else np.inf)
+        ap = min(1.0, _max_step_psd(lx, dxa), _max_step_pos(s, dsa) if n_in else np.inf)
+        ad = min(1.0, _max_step_psd(lz, dza), _max_step_pos(w, dwa) if n_in else np.inf)
         mu_aff = (
             float(np.sum((x + ap * dxa) * (z + ad * dza)))
             + (float((s + ap * dsa) @ (w + ad * dwa)) if n_in else 0.0)
@@ -526,12 +553,12 @@ def solve(instance, options=None):
         f = FRAC_TO_BOUNDARY
         ap = min(
             1.0,
-            f * _max_step_psd(x, dx),
+            f * _max_step_psd(lx, dx),
             f * _max_step_pos(s, ds) if n_in else np.inf,
         )
         ad = min(
             1.0,
-            f * _max_step_psd(z, dz),
+            f * _max_step_psd(lz, dz),
             f * _max_step_pos(w, dw) if n_in else np.inf,
         )
         # verify the step against the cone before accepting it: the ridged
@@ -557,10 +584,7 @@ def solve(instance, options=None):
                 ap *= 0.5
                 ad *= 0.5
                 continue
-            if (
-                float(np.linalg.eigvalsh(x_new).min()) <= 0.0
-                or float(np.linalg.eigvalsh(z_new).min()) <= 0.0
-            ):
+            if _eig_min(x_new) <= 0.0 or _eig_min(z_new) <= 0.0:
                 ap *= 0.5
                 ad *= 0.5
                 continue

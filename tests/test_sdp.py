@@ -1,13 +1,20 @@
 """Interior-point SDP solver: trivial cases, duality, statuses, KKT audit."""
 
+import math
+from functools import lru_cache
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
 
+from retarded import retarded_loop_system
 from wptopt import sdp
-from wptopt.circuit import GeometrySpec, build_loop_system
+from wptopt.circuit import C0, PRESET_FREQUENCY, GeometrySpec, build_loop_system
 from wptopt.closedform import solve_closed_form, solve_min_loss_qp
+from wptopt.pipeline import build_instance
 from wptopt.qcqp import build_problem
 from wptopt.sdp import (
     DIM_CAP,
@@ -90,6 +97,35 @@ def nt_scaling_reference(x, z):
     return (lx @ vt.T) / sqrt_sig, (u / sqrt_sig).T @ lz.T, sig
 
 
+def schur_reference(mats, wmat):
+    """The Schur matrix filled row by row: svec(sym(W A_i W)) per row."""
+    svecs = np.array([sdp._svec(m) for m in mats])
+    t_svecs = np.empty_like(svecs)
+    for i, m in enumerate(mats):
+        t = wmat @ m @ wmat
+        t_svecs[i] = sdp._svec(0.5 * (t + t.T))
+    schur = svecs @ t_svecs.T
+    return 0.5 * (schur + schur.T)
+
+
+def max_step_pos_reference(v, dv):
+    """`_max_step_pos` as written on the numpy wrappers."""
+    neg = dv < 0
+    if not np.any(neg):
+        return np.inf
+    return float(np.min(-v[neg] / dv[neg]))
+
+
+def constraint_matrices(inst):
+    """The rows `solve` iterates on: normalized, dependent equalities dropped."""
+    eqs = [(m / np.linalg.norm(m), r / np.linalg.norm(m)) for m, r, _ in inst.equalities]
+    kept = sdp._presolve_equalities(*zip(*eqs))[0]
+    mats = [eqs[i][0] for i in kept]
+    for m, sense, _, _ in inst.inequalities:
+        mats.append((m if sense == ">=" else -m) / np.linalg.norm(m))
+    return mats
+
+
 ORDERS = range(1, 10)
 
 
@@ -123,14 +159,18 @@ class TestRawLapack:
     def test_max_step_psd(self, d):
         rng = np.random.default_rng(30 + d)
         x, dx = random_spd(rng, d), random_sym(rng, d)
-        assert sdp._max_step_psd(x, dx) == max_step_psd_reference(x, dx)
+        assert sdp._max_step_psd(sdp._chol_ridged(x), dx) == max_step_psd_reference(x, dx)
 
     @pytest.mark.parametrize("d", ORDERS)
     def test_svd_triple(self, d):
         rng = np.random.default_rng(40 + d)
         x, z = random_spd(rng, d), random_spd(rng, d)
-        for got, ref in zip(sdp._nt_scaling(x, z), nt_scaling_reference(x, z)):
-            assert np.array_equal(got, ref)
+        ref = nt_scaling_reference(x, z)
+        ref += (sla.cholesky(x, lower=True), sla.cholesky(z, lower=True))
+        got = sdp._nt_scaling(x, z)
+        assert len(got) == len(ref) == 5
+        for g, r in zip(got, ref):
+            assert np.array_equal(g, r)
 
     @pytest.mark.parametrize("d", ORDERS)
     def test_schur_factor_and_solve(self, d):
@@ -141,6 +181,43 @@ class TestRawLapack:
         assert np.array_equal(cf, ref[0])
         got = sdp._checked(dpotrs(cf, rv, lower=1), "dpotrs")
         assert np.array_equal(got, sla.cho_solve(ref, rv, check_finite=False))
+
+    @pytest.mark.parametrize("d", ORDERS)
+    @pytest.mark.parametrize("scale", [1.0, 1e-8, 1e8])
+    def test_eig_min(self, d, scale):
+        rng = np.random.default_rng(60 + d)
+        for _ in range(40):
+            m = scale * random_sym(rng, d)
+            assert sdp._eig_min(m) == np.linalg.eigvalsh(m).min()
+
+    @pytest.mark.parametrize(
+        "preset, order, rows", [("miso-2p", 5, 8), ("miso-3p", 7, 11)]
+    )
+    def test_stacked_schur_matches_row_loop(self, preset, order, rows):
+        mats = constraint_matrices(miso_instance(preset)[0])
+        assert (len(mats), mats[0].shape[0]) == (rows, order)
+        svecs = np.array([sdp._svec(m) for m in mats])
+        rng = np.random.default_rng(70 + order)
+        for _ in range(20):
+            wmat = random_spd(rng, order)
+            got = sdp._schur_matrix(svecs, np.array(mats), wmat)
+            assert np.array_equal(got, schur_reference(mats, wmat))
+
+    @pytest.mark.parametrize(
+        "v, dv",
+        [
+            ([1.0, 2.0, 3.0], [0.5, 0.0, 2.0]),
+            ([1.0, 2.0, 3.0, 0.25], [-0.5, 1.0, -4.0, -1e-3]),
+            ([1.0, 2.0, 3.0], [-0.5, np.nan, -4.0]),
+            ([1.0, np.nan, 3.0], [-0.5, -1.0, -4.0]),
+            ([], []),
+        ],
+    )
+    def test_max_step_pos(self, v, dv):
+        v, dv = np.array(v), np.array(dv)
+        got, ref = sdp._max_step_pos(v, dv), max_step_pos_reference(v, dv)
+        assert np.array_equal(got, ref, equal_nan=True)
+        assert type(got) is type(ref)
 
     def test_ridge_factors_singular_psd(self):
         v = np.arange(1.0, 5.0)
@@ -258,6 +335,55 @@ class TestScalingInvariance:
         assert s2.dual_obj == pytest.approx(tau * s1.dual_obj, rel=1e-12)
         # multipliers are invariant under joint (matrix, rhs) scaling
         assert np.allclose(s1.y_eq, s2.y_eq, rtol=1e-12, atol=0)
+
+
+@lru_cache(maxsize=None)
+def binding_instance(preset, theta_deg):
+    """Conic SDR of a retarded point where the closed form would make a
+    transmitter absorb power, solved once."""
+    lam = C0 / PRESET_FREQUENCY
+    geom = GeometrySpec.preset(preset, 0.1 * lam, angle=math.radians(theta_deg))
+    z = retarded_loop_system(geom)
+    cf = solve_closed_form(z)
+    assert cf.p_tx.min() < 0.0
+    inst = build_instance(build_problem(z, cf.r_load), "conic")
+    return inst, solve(inst)
+
+
+BINDING_POINTS = [("miso-2p", 30.0), ("miso-2p", -60.0), ("miso-3p", 20.0), ("miso-3p", -45.0)]
+
+
+class TestRowScalingInvariance:
+    """Scaling the cost and each constraint row (matrix with right-hand side)
+    by its own power of two leaves the iterate path unchanged bit for bit."""
+
+    @settings(max_examples=24, deadline=None)
+    @given(
+        point=st.sampled_from(BINDING_POINTS),
+        exps=st.lists(st.integers(-40, 40), min_size=16, max_size=16),
+    )
+    def test_per_row_power_of_two_scaling(self, point, exps):
+        inst, base = binding_instance(*point)
+        assert base.status == "optimal"
+        scales = [2.0**k for k in exps]
+        n_eq = len(inst.equalities)
+        assert len(scales) > n_eq + len(inst.inequalities)
+        scaled = SdpInstance(
+            cost=scales[0] * inst.cost,
+            equalities=tuple(
+                (t * m, t * r, lbl)
+                for t, (m, r, lbl) in zip(scales[1:], inst.equalities)
+            ),
+            inequalities=tuple(
+                (t * m, sense, t * r, lbl)
+                for t, (m, sense, r, lbl) in zip(scales[1 + n_eq :], inst.inequalities)
+            ),
+        )
+        sol = solve(scaled)
+        assert sol.status == base.status
+        assert sol.iterations == base.iterations
+        assert np.array_equal(sol.x_mat, base.x_mat)
+        assert sol.primal_obj == scales[0] * base.primal_obj
 
 
 class TestStatuses:
