@@ -48,6 +48,7 @@ from .circuit import (
 from .closedform import max_pte, solve_closed_form, solve_min_loss_qp
 from .oracle import verify_identities
 from .pipeline import (
+    FORMS,
     PipelineOptions,
     RelaxationError,
     build_problem,
@@ -194,8 +195,14 @@ def _build_parser() -> argparse.ArgumentParser:
         default=_parse_constraints("nonneg"),
         help="transmit-power constraints: none, nonneg or caps=<w,...>",
     )
-    opts.add_argument("--tol", type=float, default=None, help="solver tolerance")
-    opts.add_argument("--form", choices=("conic", "affine"), default="conic")
+    opts.add_argument("--tol", type=float, default=None, help="SDR solver tolerance")
+    opts.add_argument(
+        "--form",
+        choices=FORMS,
+        default="dual",
+        help="dual (Lagrangian dual, SDR where it does not certify), or the SDR "
+        "in the conic or affine form",
+    )
     opts.add_argument("--out", metavar="DIR", help="output directory")
 
     p_solve = sub.add_parser("solve", parents=[source, opts], help="one operating point")
@@ -299,7 +306,7 @@ def _describe(res, z, source: str, theta_deg: float, d_frac: float, args) -> str
     lines = [
         f"system        : {source}  ({z.n_tx} tx + 1 rx port)",
         f"operating pt  : theta = {_fmt(theta_deg)} deg, d = {_fmt(d_frac)} lambda",
-        f"constraints   : {label}   relaxation form: {args.form}",
+        f"constraints   : {label}   relaxation form: {res.form}",
         f"R_L           : {_fmt(res.r_load)} ohm (policy: {args.rl})",
         f"eta           : {_fmt(res.eta)}   loss at 1 W received: {_fmt(res.p_relax)} W",
         f"x_r           : {_fmt(res.x_r)} ohm   C_r: {_fmt(cap_r(res.x_r, z.omega))} F",
@@ -351,7 +358,7 @@ def cmd_solve(args) -> int:
             "d_frac": d_frac,
             "matrix_sha256": hash_matrix(hashlib.sha256(), z).hexdigest(),
             "constraint_mode": args.constraints[0],
-            "form": args.form,
+            "form": res.form,
             "rl_policy": str(args.rl),
         }
     )
@@ -422,6 +429,7 @@ def _sweep_row(theta_deg, d_frac, z, source, args, opts):
     total = float(np.sum(res.transmit_powers))
     base.update(
         {
+            "form": res.form,
             "r_load_ohm": res.r_load,
             "status": res.status,
             "skipped": res.skipped,

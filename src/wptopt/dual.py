@@ -1,0 +1,264 @@
+"""Lagrangian dual of the minimum-loss QCQP, one multiplier per transmitter.
+
+The QCQP is  min c^T Q0 c  s.t.  A c = b,  s_n (c^T Q_n c - h_n) >= 0,  with
+s_n = +1, h_n = 0 for a nonnegative transmit power and s_n = -1, h_n = cap_n
+for a capped one.  Its Lagrangian dual function is
+
+    g(lam) = min_{A c = b} c^T H(lam) c + sum_n lam_n s_n h_n,
+    H(lam) = Q0 - sum_n lam_n s_n Q_n,
+
+maximized over lam >= 0.  The Shor relaxation's dual is this same problem
+(Vandenberghe & Boyd, SIAM Rev. 1996), so a dual point settles everything
+the SDR would: with V an orthonormal basis of null(A) and c_p a particular
+solution of A c = b,
+
+- H is positive definite on null(A) iff the reduced Hr = V^T H V has a
+  Cholesky factor, and then c(lam) = c_p - V Hr^-1 V^T H c_p is the minimizer;
+- the gradient is  dg/dlam_n = -(s_n (p_n - h_n)),  p_n = c^T Q_n c;
+- the Hessian is  -2 B Hr^-1 B^T  with rows  B_n = s_n V^T Q_n c.
+
+A feasible c(lam) whose multipliers close the duality gap
+(sum_n lam_n s_n (p_n - h_n) = c^T Q0 c - g(lam) = 0) is globally optimal,
+and the relaxation is tight at it: the paper's tightness test, reached
+without a semidefinite program.
+
+The dual Hessian is close to rank one near coupling cancellations (the
+total input power almost fixes p_1 + p_2), where a projected Newton method
+that frees "lam > 0 or gradient > 0" keeps a multiplier that should be zero
+(Bertsekas, SIAM J. Control Optim. 1982).  Each step here instead maximizes
+the quadratic model exactly over lam + d >= 0 by enumerating the faces of
+the orthant (2^k of them for k transmitters), with Levenberg damping until
+the trial point stays in the positive definite domain and either g rises or
+the projected gradient halves.
+
+A certified point also yields the dual slack of the conic relaxation at
+lam, so the relaxation's own KKT audit can check the lift c c^T.  The
+affine form's lift [c; 1][c; 1]^T would not do: that relaxation ties X to
+A c = b only through its border, so its dual slack needs H positive
+semidefinite on the whole space, which fails on many random passive
+systems the dual certifies.
+
+Only numpy and scipy's LAPACK are used; the caller falls back to the
+semidefinite relaxation whenever `certified` is false.
+"""
+
+from dataclasses import dataclass
+from functools import lru_cache
+from itertools import product
+
+import numpy as np
+from scipy.linalg.lapack import dpotrf, dpotrs
+
+__all__ = ["DualPoint", "solve_dual"]
+
+MAX_STEPS = 60  # Newton steps before giving up on a row
+GRAD_TOL = 1e-11  # projected gradient, relative to max(1, c^T Q0 c)
+SLACK_TOL = 1e-9  # constraint violation, relative to max(1, max|p|)
+GAP_TOL = 1e-12  # duality gap, relative to c^T Q0 c
+# lam_n |Q_n| / |Q0| above this: the ascent runs off towards an unbounded
+# dual, which means no feasible point (it stays below 1 on the sweeps)
+LAM_LIMIT = 1e8
+# Levenberg damping, in units of the largest Hessian diagonal entry
+_DAMPING = (0.0,) + tuple(10.0**e for e in range(-12, 4))
+
+
+@dataclass(frozen=True)
+class DualPoint:
+    """Where the dual ascent stopped.
+
+    ``c`` minimizes c^T H(lam) c on A c = b; ``value`` is g(lam), a lower
+    bound on the loss whenever ``lam`` >= 0 and Hr is positive definite;
+    ``objective`` is c^T Q0 c and ``gap`` their difference over the
+    objective.  ``reason`` names the test that failed, empty when c is
+    certified globally optimal within the gap and slack tolerances.
+    ``dual_slack`` is the conic relaxation's dual slack at lam (see
+    `_Reduced.conic_dual_slack`), set on certified points only.
+    """
+
+    reason: str
+    lam: np.ndarray
+    c: np.ndarray
+    value: float
+    objective: float
+    gap: float
+    steps: int
+    dual_slack: np.ndarray | None
+
+    @property
+    def certified(self):
+        return not self.reason
+
+
+class _Reduced:
+    """The QCQP restricted to the affine set A c = b: c = c_p + V y."""
+
+    def __init__(self, problem):
+        a = problem.a
+        # orthonormal bases of range(A^T) and of its complement null(A)
+        q, r = np.linalg.qr(a.T, mode="complete")
+        rank = a.shape[0]
+        self.cp = q[:, :rank] @ np.linalg.solve(r[:rank].T, problem.b)
+        v = q[:, rank:]
+        if problem.power_caps is None:
+            sign = np.ones(problem.n_tx)
+            self.rhs = np.zeros(problem.n_tx)
+        else:
+            sign = -np.ones(problem.n_tx)
+            self.rhs = -np.asarray(problem.power_caps, dtype=float)  # s_n h_n
+        self.q0 = problem.q0
+        self.qs = sign[:, None, None] * np.array(problem.q)  # s_n Q_n
+        self.v = v
+        self.r_mat = problem.r_mat
+        self.k_hat = a[0] / np.linalg.norm(a[0])  # the KVL row
+        self.lam_scale = np.linalg.norm(self.qs, axis=(1, 2)) / np.linalg.norm(self.q0)
+        self.hr0 = v.T @ self.q0 @ v
+        self.hrn = (v.T @ self.qs @ v).reshape(len(self.qs), -1)  # flat rows
+        self.f0 = v.T @ (self.q0 @ self.cp)
+        self.fn = (self.qs @ self.cp) @ v
+
+    def at(self, lam):
+        """Everything the ascent needs at lam, or None outside the PD domain."""
+        hr = self.hr0 - (lam @ self.hrn).reshape(self.hr0.shape)
+        chol, info = dpotrf(hr, lower=1, clean=0)
+        if info:
+            return None
+        rhs = self.f0 - lam @ self.fn
+        y, info = dpotrs(chol, rhs, lower=1)
+        c = self.cp - self.v @ y
+        qc = self.qs @ c
+        slack = qc @ c - self.rhs
+        obj = float(c @ self.q0 @ c)
+        bmat = qc @ self.v
+        x, info = dpotrs(chol, bmat.T, lower=1)
+        return _Point(lam, c, slack, obj, obj - float(lam @ slack), -2.0 * (bmat @ x))
+
+    def conic_dual_slack(self, lam, c):
+        """Dual slack of the conic relaxation (`build_instance(problem)`) at lam.
+
+        With the received-power multiplier c^T H c, S0 = H - (c^T H c) R is
+        positive semidefinite on the KVL row's complement k-perp whenever Hr
+        is positive definite and c is the minimizer, and S0 c is parallel to
+        k.  The redundant KVL rows' multipliers y = S0 k / |k|^2 - beta k,
+        beta = k^T S0 k / (2 |k|^4), and none on the primary KVL row turn it
+        into P S0 P, P the projector onto k-perp: positive semidefinite on
+        the whole space, with c in its null space up to rounding.
+        """
+        h = self.q0 - np.tensordot(lam, self.qs, 1)
+        s0 = h - float(c @ h @ c) * self.r_mat
+        proj = np.eye(c.size) - np.outer(self.k_hat, self.k_hat)
+        return proj @ s0 @ proj
+
+
+@dataclass
+class _Point:
+    lam: np.ndarray
+    c: np.ndarray
+    slack: np.ndarray  # s_n (p_n - h_n), >= 0 when feasible
+    obj: float
+    value: float  # g(lam)
+    hess: np.ndarray
+
+    def pgrad(self):
+        """Largest entry of the projected gradient of g on lam >= 0."""
+        grad = -self.slack
+        return float(np.abs(np.where(self.lam > 0.0, grad, np.maximum(grad, 0.0))).max())
+
+
+@lru_cache(maxsize=None)
+def _faces(k):
+    """(free, fixed) index arrays of the 2^k faces of the orthant in R^k.
+    Read-only, since every caller shares them."""
+    out = []
+    for mask in product((True, False), repeat=k):
+        mask = np.array(mask)
+        free, fixed = np.flatnonzero(mask), np.flatnonzero(~mask)
+        free.flags.writeable = fixed.flags.writeable = False
+        out.append((free, fixed))
+    return tuple(out)
+
+
+def _model_step(lam, grad, neg_hess):
+    """Maximize grad.d - d.neg_hess.d / 2 over lam + d >= 0 exactly.
+
+    Each face fixes a subset of the multipliers at zero and solves the
+    model's stationarity on the rest; the best face optimum that keeps every
+    free multiplier nonnegative is the constrained maximizer.  The model is
+    concave, so a face optimum whose model gradient points out of the
+    orthant on every fixed multiplier is that maximizer at once.  The face
+    the current gradient suggests is tried first.
+    """
+    guess = lam > 0.0
+    guess |= grad > 0.0
+    faces = ((np.flatnonzero(guess), np.flatnonzero(~guess)),) + _faces(lam.size)
+    best, best_val = None, -np.inf
+    for free, fixed in faces:
+        d = -lam
+        if free.size:
+            rows = free[:, None]
+            rhs = grad[free] - neg_hess[rows, fixed] @ d[fixed]
+            chol, info = dpotrf(neg_hess[rows, free], lower=1, clean=0)
+            if info:
+                continue
+            d_free, info = dpotrs(chol, rhs, lower=1)
+            if (lam[free] + d_free < 0.0).any():
+                continue
+            d[free] = d_free
+        model_grad = grad - neg_hess @ d
+        if (model_grad[fixed] <= 0.0).all():
+            return d
+        val = grad @ d - 0.5 * (d @ neg_hess @ d)
+        if val > best_val:
+            best, best_val = d, val
+    return best
+
+
+def solve_dual(problem):
+    """Maximize the Lagrangian dual of a constrained QCQP; see module docs."""
+    red = _Reduced(problem)
+    k = problem.n_tx
+    pt = red.at(np.zeros(k))  # H(0) = Q0 is positive definite
+    steps = 0
+    reason = "step limit"
+    while steps < MAX_STEPS:
+        pg = pt.pgrad()
+        if pg <= GRAD_TOL * max(1.0, pt.obj) and (
+            abs(float(pt.lam @ pt.slack)) <= GAP_TOL * pt.obj
+        ):
+            reason = ""
+            break
+        grad = -pt.slack
+        hess_scale = max(float(np.abs(np.diag(pt.hess)).max()), 1e-300)
+        trial = None
+        for mu in _DAMPING:
+            neg_hess = mu * hess_scale * np.eye(k) - pt.hess
+            d = _model_step(pt.lam, grad, neg_hess)
+            if d is None:
+                continue
+            # multipliers sent to a face land on exact zeros
+            lam_new = np.where(pt.lam + d <= 0.0, 0.0, pt.lam + d)
+            cand = red.at(lam_new)
+            if cand is not None and (cand.value > pt.value or cand.pgrad() <= 0.5 * pg):
+                trial = cand
+                break
+        if trial is None:
+            reason = "no ascent step"
+            break
+        pt = trial
+        steps += 1
+        if (pt.lam * red.lam_scale).max() > LAM_LIMIT:
+            reason = "diverging multipliers"
+            break
+
+    p_scale = max(1.0, float(np.abs(pt.slack + red.rhs).max()))
+    if not reason and pt.slack.min() < -SLACK_TOL * p_scale:
+        reason = "infeasible point"
+    return DualPoint(
+        reason=reason,
+        lam=pt.lam,
+        c=pt.c,
+        value=pt.value,
+        objective=pt.obj,
+        gap=float(pt.lam @ pt.slack) / pt.obj,
+        steps=steps,
+        dual_slack=None if reason else red.conic_dual_slack(pt.lam, pt.c),
+    )

@@ -2,9 +2,14 @@
 
 The closed form is tried first; when it already satisfies the transmit-power
 constraints the pipeline returns it unchanged (skipped=True). Otherwise the
-QCQP is relaxed to a semidefinite program, solved, certified tight via the
-normalized rank-1 error, and the operating point (currents, receiver
-reactance, load voltages, efficiency) is recovered from the extracted vector.
+QCQP's binding row is solved on its Lagrangian dual (`form="dual"`, the
+default; see :mod:`wptopt.dual`): one multiplier per transmitter, certified
+by a positive definite reduced Hessian, a feasible point and a zero duality
+gap, and audited by the KKT check of the conic-form lift. A row the dual
+does not certify, and every row under `form="conic"` or `"affine"`, goes to
+the semidefinite relaxation, certified tight via the normalized rank-1
+error. The operating point (currents, receiver reactance, load voltages,
+efficiency) is then recovered from the solution vector.
 
 An outer golden-section search optimizes the load resistance, falling back
 to a grid scan if the efficiency profile fails the unimodality probe.
@@ -19,8 +24,9 @@ import numpy as np
 
 from .circuit import ImpedanceMatrix, Loading, apply_loading, hash_matrix
 from .closedform import ClosedFormSolution, solve_closed_form
+from .dual import solve_dual
 from .qcqp import QcqpProblem, build_problem, evaluate
-from .sdp import SdpInstance, SdpOptions, check_kkt, solve
+from .sdp import SdpInstance, SdpOptions, SdpSolution, check_kkt, solve
 
 __all__ = [
     "PipelineOptions",
@@ -42,6 +48,7 @@ SKIP_TOLERANCE = -1e-12  # watts; closed-form powers above this mean no SDR run
 TIGHTNESS_THRESHOLD = 1e-8  # epsilon at or below this certifies a tight relaxation
 KKT_THRESHOLD = 1e-8  # worst normalized KKT residual an attempt may leave
 RANK_RATIO_LIMIT = 1e-4  # second/first eigenvalue above this: heuristic extraction
+FORMS = ("dual", "conic", "affine")
 
 
 class RelaxationError(RuntimeError):
@@ -55,14 +62,14 @@ class RelaxationError(RuntimeError):
 
 @dataclass(frozen=True)
 class PipelineOptions:
-    form: str = "conic"
+    form: str = "dual"  # dual with SDR fallback, or the SDR in one form
     power_caps: tuple | None = None
     constrain_powers: bool = True  # off: relax the current equalities only
     sdp: SdpOptions = field(default_factory=SdpOptions)
 
     def __post_init__(self):
-        if self.form not in ("conic", "affine"):
-            raise ValueError(f"form must be 'conic' or 'affine', got {self.form!r}")
+        if self.form not in FORMS:
+            raise ValueError(f"form must be one of {FORMS}, got {self.form!r}")
 
 
 @dataclass
@@ -73,10 +80,13 @@ class SdrResult:
     received power; when ``tight`` the extracted vector attains it.  The
     closed-form reference at the same load rides along for the degradation
     report (``delta_eta_db`` >= 0, dB drop; ``delta_cr_rel`` the relative
-    shift of the receiver compensation capacitance).
+    shift of the receiver compensation capacitance).  ``form`` is the path
+    that produced the row: "dual", or the relaxation form an SDR solve kept
+    ("conic" or "affine"); closed-form rows carry the requested form.
     """
 
     status: str
+    form: str
     skipped: bool
     tight: bool
     epsilon: float
@@ -300,6 +310,7 @@ def solve_relaxation(problem: QcqpProblem, options: PipelineOptions | None = Non
     Constrained solves get a final Newton polish of the extracted vector
     onto the binding power constraints (see :func:`_polish`); the tightness
     certificate ``epsilon`` is always computed from the unpolished vector.
+    This is the SDR alone: ``form="dual"`` starts it in the conic form.
     """
     opts = options or PipelineOptions()
 
@@ -322,23 +333,26 @@ def solve_relaxation(problem: QcqpProblem, options: PipelineOptions | None = Non
             cvec = _polish(problem, cvec, sol.primal_obj)
         return inst, sol, cvec, kkt, eps, score
 
-    inst, sol, cvec, kkt, eps, score = attempt(opts.form)
+    form = "affine" if opts.form == "affine" else "conic"
+    inst, sol, cvec, kkt, eps, score = attempt(form)
     iterations = sol.iterations
     retry = (
         sol.status in ("max_iters", "failed")  # certificates are answers
         or (sol.status == "optimal" and score > 1.0)
     )
     if retry:
-        other = "affine" if opts.form == "conic" else "conic"
+        other = "affine" if form == "conic" else "conic"
         attempt2 = attempt(other)
         iterations += attempt2[1].iterations
         if attempt2[5] < score:
             inst, sol, cvec, kkt, eps, score = attempt2
+            form = other
     if sol.status != "optimal":
         raise RelaxationError(sol.status, sol.residuals)
     rep = evaluate(problem, cvec)
     return SdrResult(
         status=sol.status,
+        form=form,
         skipped=False,
         tight=bool(eps <= TIGHTNESS_THRESHOLD),
         epsilon=eps,
@@ -351,6 +365,57 @@ def solve_relaxation(problem: QcqpProblem, options: PipelineOptions | None = Non
         x_r=float("nan"),
         transmit_powers=rep.tx_powers,
         iterations=iterations,
+        kkt=kkt,
+    )
+
+
+def _solve_dual(problem: QcqpProblem):
+    """The constrained QCQP on its Lagrangian dual, as a raw SdrResult like
+    :func:`solve_relaxation`'s, or None where the dual point does not
+    certify or the KKT audit of its conic-form lift cc^T fails."""
+    dp = solve_dual(problem)
+    if not dp.certified:
+        return None
+    c = dp.c
+    cmat = np.outer(c, c)
+    rep = evaluate(problem, c)
+    caps = problem.power_caps
+    inst = build_instance(problem, "conic")
+    lift = SdpSolution(
+        status="optimal",
+        x_mat=cmat,
+        x_vec=None,
+        y_eq=np.zeros(len(inst.equalities)),
+        y_ineq=dp.lam,
+        slacks=rep.tx_powers if caps is None else np.asarray(caps) - rep.tx_powers,
+        dual_slack=dp.dual_slack,
+        primal_obj=dp.objective,
+        dual_obj=dp.value,
+        gap=dp.objective - dp.value,
+        rel_gap=dp.gap,
+        iterations=dp.steps,
+        residuals={},
+        eq_labels=tuple(label for *_, label in inst.equalities),
+        ineq_labels=tuple(label for *_, label in inst.inequalities),
+    )
+    kkt = check_kkt(inst, lift)
+    if kkt.max_residual() > KKT_THRESHOLD:
+        return None
+    return SdrResult(
+        status="optimal",
+        form="dual",
+        skipped=False,
+        tight=True,
+        epsilon=tightness_error(cmat, c),
+        p_relax=dp.value,
+        eta=1.0 / (1.0 + rep.objective),
+        r_load=problem.r_load,
+        cmat=cmat,
+        cvec=c,
+        currents=problem.current_from_real(c),
+        x_r=float("nan"),
+        transmit_powers=rep.tx_powers,
+        iterations=dp.steps,
         kkt=kkt,
     )
 
@@ -369,7 +434,8 @@ def full_pipeline(
     r_load: float | None = None,
     options: PipelineOptions | None = None,
 ) -> SdrResult:
-    """Closed form first; relaxation only where its power pattern is illegal."""
+    """Closed form first; the dual, then the relaxation, only where its power
+    pattern is illegal (see the module docstring)."""
     opts = options or PipelineOptions()
     cf = solve_closed_form(z, r_load)
     r_load = cf.r_load
@@ -381,6 +447,7 @@ def full_pipeline(
         cvec = _closed_form_vector(cf)
         return SdrResult(
             status="closed-form",
+            form=opts.form,
             skipped=True,
             tight=True,
             epsilon=0.0,
@@ -399,7 +466,11 @@ def full_pipeline(
             closed_form=cf,
         )
     problem = build_problem(z, r_load, power_caps=opts.power_caps)
-    res = solve_relaxation(problem, opts)
+    res = None
+    if opts.form == "dual" and opts.constrain_powers:
+        res = _solve_dual(problem)
+    if res is None:
+        res = solve_relaxation(problem, opts)
     op = _recover(res.cvec, z, problem)
     omega = z.omega
     cr_cf = cap_r(cf.x_r, omega)

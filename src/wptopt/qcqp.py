@@ -52,7 +52,11 @@ def realify(t):
     if herm > 1e-10 * max(1.0, np.abs(t).max()):
         raise ValueError(f"matrix is not Hermitian (deviation {herm:.3e})")
     t = 0.5 * (t + t.conj().T)
-    big = 0.5 * np.block([[t.real, -t.imag], [t.imag, t.real]])
+    re, im = 0.5 * t.real, 0.5 * t.imag
+    big = np.empty((2 * n, 2 * n))
+    big[:n, :n] = big[n:, n:] = re
+    big[:n, n:] = -im
+    big[n:, :n] = im
     return big[: 2 * n - 1, : 2 * n - 1]
 
 

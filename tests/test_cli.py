@@ -175,7 +175,8 @@ class TestSweep:
             assert float(row["r_load_ohm"]) > 0.0
             assert row["constraint_mode"] == "nonneg"
             assert len(row["matrix_sha256"]) == 64
-            assert row["form"] == "conic"
+            # closed-form rows carry the requested form, by default "dual"
+            assert row["form"] == "dual"
 
     def test_family_ingestion_runs_relaxation(self, family_file, tmp_path):
         code = cli.main(["sweep", "--matrix", family_file, "--out", str(tmp_path)])
@@ -188,6 +189,37 @@ class TestSweep:
             assert row["status"] == "optimal"
             assert float(row["epsilon"]) <= 1e-8
             assert float(row["delta_eta_db"]) >= 0.0
+
+    def test_form_column_names_the_path(self, tmp_path):
+        # 68 degrees: the conic form retries and keeps the affine attempt
+        points = []
+        for theta in (0.0, 68.0):
+            geom = GeometrySpec.preset("miso-2p", 0.1 * LAM, angle=math.radians(theta))
+            z = retarded_loop_system(geom)
+            points.append({"theta_deg": theta, "d_frac": 0.1, "matrix": matrix_to_json(z)})
+        family = tmp_path / "family.json"
+        family.write_text(json.dumps({"points": points}))
+        forms = {}
+        for form in ("dual", "conic"):
+            out = tmp_path / form
+            assert cli.main(["sweep", "--matrix", str(family), "--form", form,
+                             "--out", str(out)]) == 0
+            rows = read_rows(out / "sweep.csv")
+            assert rows[0]["status"] == "closed-form"
+            forms[form] = [r["form"] for r in rows]
+            assert json.loads((out / "sweep.json").read_text())["form"] == form
+        assert forms == {"dual": ["dual", "dual"], "conic": ["conic", "affine"]}
+
+    def test_solve_reports_the_form_used(self, tmp_path, capsys):
+        geom = GeometrySpec.preset("miso-2p", 0.1 * LAM, angle=math.radians(68.0))
+        path = tmp_path / "m.json"
+        save_impedance_file(retarded_loop_system(geom), path)
+        for form, used in (("dual", "dual"), ("conic", "affine")):
+            assert cli.main(["solve", "--matrix", str(path), "--form", form,
+                             "--out", str(tmp_path / form)]) == 0
+            assert f"relaxation form: {used}" in capsys.readouterr().out
+            record = json.loads((tmp_path / form / "solve.json").read_text())
+            assert record["form"] == used
 
     def test_byte_identical_across_runs(self, family_file, tmp_path):
         outs = []

@@ -1,0 +1,229 @@
+"""Lagrangian dual path: its derivatives, its certificate on the retarded
+sweeps, its agreement with the semidefinite relaxation, and the fallback
+to the relaxation where it does not certify."""
+
+import math
+from dataclasses import fields, is_dataclass
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from retarded import retarded_loop_system
+from wptopt import dual
+from wptopt.circuit import GeometrySpec, ImpedanceMatrix
+from wptopt.closedform import NoCouplingError, solve_closed_form
+from wptopt.pipeline import (
+    PipelineOptions,
+    RelaxationError,
+    full_pipeline,
+    solve_relaxation,
+)
+from wptopt.qcqp import build_problem, evaluate
+
+CONIC = PipelineOptions(form="conic")
+MISO_PRESETS = ("miso-2p", "miso-3p", "miso-2c", "miso-3c")
+SWEEP_THETAS = tuple(float(t) for t in range(-90, 91, 2))
+
+
+def retarded_system(preset, frac, theta_deg):
+    lam = GeometrySpec.preset(preset, 1.0).wavelength
+    geom = GeometrySpec.preset(preset, frac * lam, math.radians(theta_deg))
+    return retarded_loop_system(geom)
+
+
+def random_system(seed, n):
+    """Passive n-port: Gram real part plus a symmetric imaginary part."""
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((n, n - 1))
+    im = rng.standard_normal((n, n)) * 3.0
+    return ImpedanceMatrix(g @ g.T + 0.05 * np.eye(n) + 1j * 0.5 * (im + im.T), 1e7)
+
+
+def same(a, b):
+    """Field-by-field equality, arrays bit for bit, NaN equal to NaN."""
+    if is_dataclass(a):
+        return type(a) is type(b) and all(
+            same(getattr(a, f.name), getattr(b, f.name)) for f in fields(a)
+        )
+    if a is None or isinstance(a, (str, bool)):
+        return a == b
+    return np.array_equal(np.asarray(a), np.asarray(b), equal_nan=True)
+
+
+class TestDerivatives:
+    def test_gradient_and_hessian_match_differences(self):
+        z = retarded_system("miso-3p", 0.1, -40.0)
+        problem = build_problem(z, solve_closed_form(z).r_load)
+        red = dual._Reduced(problem)
+        # inside the positive definite domain, which is convex and holds 0
+        lam = 0.5 * dual.solve_dual(problem).lam + 1e-3
+        pt = red.at(lam)
+        h = 1e-6
+        for j in range(lam.size):
+            step = h * np.eye(lam.size)[j]
+            up, down = red.at(lam + step), red.at(lam - step)
+            grad = (up.value - down.value) / (2.0 * h)
+            assert grad == pytest.approx(-pt.slack[j], rel=1e-6, abs=1e-9)
+            col = (up.slack - down.slack) / (2.0 * h)  # d(-grad)/dlam_j
+            assert np.allclose(-col, pt.hess[:, j], rtol=1e-5, atol=1e-8)
+
+    def test_model_step_is_the_orthant_maximizer(self):
+        rng = np.random.default_rng(5)
+        for _ in range(50):
+            k = 3
+            b = rng.standard_normal((k, k))
+            neg_hess = b @ b.T + 1e-3 * np.eye(k)
+            grad = rng.standard_normal(k)
+            lam = np.where(rng.random(k) < 0.5, 0.0, rng.random(k))
+            d = dual._model_step(lam, grad, neg_hess)
+            assert (lam + d >= 0.0).all()
+
+            def model(step):
+                return grad @ step - 0.5 * step @ neg_hess @ step
+
+            trials = rng.standard_normal((400, k))
+            trials = np.maximum(lam + trials, 0.0) - lam
+            assert model(d) >= max(model(t) for t in trials) - 1e-12
+
+
+@pytest.fixture(scope="module")
+def binding_rows():
+    """(label, z, default row, conic row) on every binding point of the 2-degree
+    retarded sweeps at d = 0.1 lambda and of a jittered second set."""
+    rng = np.random.default_rng(22)
+    points = [(p, 0.1, t) for p in MISO_PRESETS for t in SWEEP_THETAS]
+    points += [
+        (p, 0.1 * (1.0 + rng.uniform(-0.02, 0.02)), t + rng.uniform(-0.5, 0.5))
+        for p in MISO_PRESETS
+        for t in SWEEP_THETAS
+    ]
+    rows = []
+    for preset, frac, theta in points:
+        z = retarded_system(preset, frac, theta)
+        res = full_pipeline(z)
+        if not res.skipped:
+            ref = full_pipeline(z, None, CONIC)
+            rows.append((f"{preset} d={frac} theta={theta}", z, res, ref))
+    return rows
+
+
+class TestRetardedSweeps:
+    def test_every_binding_row_certifies_on_the_dual(self, binding_rows):
+        assert len(binding_rows) > 500
+        assert [label for label, _, res, _ in binding_rows if res.form != "dual"] == []
+
+    def test_rows_match_the_relaxation(self, binding_rows):
+        for label, _, res, ref in binding_rows:
+            assert ref.form in ("conic", "affine"), label
+            assert abs(res.eta - ref.eta) <= 1e-10 * ref.eta, label
+            assert res.r_load == ref.r_load, label
+
+    def test_rows_are_feasible_and_balanced(self, binding_rows):
+        for label, _, res, _ in binding_rows:
+            assert res.transmit_powers.min() >= -1e-9, label
+            balance = float(np.sum(res.transmit_powers)) * res.eta - 1.0
+            assert abs(balance) <= 1e-10, label
+            assert res.tight and res.epsilon == 0.0, label
+
+    def test_rows_carry_their_certificate(self, binding_rows):
+        for label, z, res, _ in binding_rows:
+            assert res.kkt.max_residual() <= 1e-8, label
+            obj = evaluate(build_problem(z, res.r_load), res.cvec).objective
+            assert abs(obj - res.p_relax) <= 1e-12 * obj, label
+            assert 0 < res.iterations <= dual.MAX_STEPS, label
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.sampled_from((3, 4)),
+    perm_seed=st.integers(0, 2**32 - 1),
+)
+def test_dual_on_random_passive_systems(seed, n, perm_seed):
+    """Wherever the dual certifies, it is no worse than the relaxation, no
+    better than the unconstrained closed form, and blind to port order."""
+    z = random_system(seed, n)
+    try:
+        cf = solve_closed_form(z)
+    except NoCouplingError:
+        return
+    if cf.p_tx.min() >= 0.0 or not dual.solve_dual(build_problem(z, cf.r_load)).certified:
+        return  # nothing binds, or the relaxation answers (see TestFallback)
+    res = full_pipeline(z)
+    assert res.form == "dual"
+    assert res.eta <= res.closed_form.eta * (1.0 + 1e-12)
+    try:
+        ref = full_pipeline(z, None, CONIC)
+    except RelaxationError:
+        ref = None
+    if ref is not None:
+        assert res.eta >= ref.eta * (1.0 - 1e-10)
+    order = np.random.default_rng(perm_seed).permutation(n - 1)
+    perm = np.append(order, n - 1)
+    permuted = full_pipeline(ImpedanceMatrix(z.entries[np.ix_(perm, perm)], z.frequency))
+    assert permuted.eta == pytest.approx(res.eta, rel=1e-10)
+    scale = max(1.0, float(np.abs(res.transmit_powers).max()))
+    assert np.allclose(permuted.transmit_powers, res.transmit_powers[order], atol=1e-9 * scale)
+
+
+# a 4-port whose relaxation is not tight (epsilon 0.6): no rank-one point
+# attains the dual bound, so the dual cannot certify it
+NOT_TIGHT_RE = [
+    [3.325325870713726, -3.703799806305429, -1.3721379722916085, 2.0790416178862077],
+    [-3.703799806305429, 5.0591085967335205, 3.478152039719312, -0.6515559816876827],
+    [-1.3721379722916085, 3.478152039719312, 5.355274793340325, 3.087449938903672],
+    [2.0790416178862077, -0.6515559816876827, 3.087449938903672, 4.8929553282408245],
+]
+NOT_TIGHT_IM = [
+    [-1.6940890994487985, 1.0789581788220495, -2.8065761960256586, 3.3783436787582324],
+    [1.0789581788220495, -0.8671572233842473, -0.15191499881357462, 0.5165593499044709],
+    [-2.8065761960256586, -0.15191499881357462, 0.5002435881771534, -0.9908904831806127],
+    [3.3783436787582324, 0.5165593499044709, -0.9908904831806127, -0.8032798153453761],
+]
+
+
+class TestFallback:
+    def test_uncertified_row_is_the_relaxation(self):
+        z = ImpedanceMatrix(np.array(NOT_TIGHT_RE) + 1j * np.array(NOT_TIGHT_IM), 1e7)
+        problem = build_problem(z, solve_closed_form(z).r_load)
+        assert not dual.solve_dual(problem).certified
+        with pytest.warns(RuntimeWarning, match="heuristic"):
+            res = full_pipeline(z)
+            ref = full_pipeline(z, None, CONIC)
+            raw = solve_relaxation(problem)
+        assert res.form in ("conic", "affine") and not res.tight
+        assert same(res, ref)
+        for name in ("status", "form", "tight", "epsilon", "p_relax", "r_load",
+                     "cmat", "cvec", "iterations", "kkt"):
+            assert same(getattr(res, name), getattr(raw, name)), name
+
+    def test_capped_retarded_point_matches_the_relaxation(self):
+        z = retarded_system("miso-2p", 0.1, 0.0)
+        cf = solve_closed_form(z)
+        caps = (0.8 * cf.p_tx[0], 10.0 * cf.p_tx[1])
+        res = full_pipeline(z, cf.r_load, PipelineOptions(power_caps=caps))
+        ref = full_pipeline(z, cf.r_load, PipelineOptions(form="conic", power_caps=caps))
+        assert res.form == "dual" and not res.skipped
+        assert abs(res.eta - ref.eta) <= 1e-10 * ref.eta
+        assert np.all(res.transmit_powers <= np.asarray(caps) + 1e-9)
+        assert res.transmit_powers[0] == pytest.approx(caps[0], rel=1e-10)
+        assert res.kkt.max_residual() <= 1e-8
+
+    def test_infeasible_caps_leave_the_dual(self):
+        z = retarded_system("miso-2p", 0.1, 0.0)
+        cf = solve_closed_form(z)
+        problem = build_problem(z, cf.r_load, power_caps=(0.2, 0.2))
+        point = dual.solve_dual(problem)
+        assert not point.certified and point.reason == "diverging multipliers"
+        with pytest.raises(RelaxationError) as err:
+            full_pipeline(z, cf.r_load, PipelineOptions(power_caps=(0.2, 0.2)))
+        assert err.value.status == "infeasible"
+
+    def test_unconstrained_rows_stay_on_the_relaxation(self):
+        z = retarded_system("miso-3c", 0.1, 18.0)
+        opts = PipelineOptions(constrain_powers=False)
+        res = full_pipeline(z, None, opts)
+        assert res.form == "conic"
+        assert same(res, full_pipeline(z, None, PipelineOptions(form="conic", constrain_powers=False)))

@@ -227,6 +227,18 @@ class TestSolveRelaxation:
         assert len(counts) == 2
         assert res.iterations == sum(counts)
 
+    def test_form_reports_the_attempt_kept(self):
+        # conic retries here and keeps the affine attempt; the row says so
+        z = retarded_system("miso-2p", theta_deg=68.0)
+        prob = build_problem(z, solve_closed_form(z).r_load_opt)
+        assert solve_relaxation(prob, PipelineOptions(form="conic")).form == "affine"
+        assert solve_relaxation(prob, PipelineOptions(form="affine")).form == "affine"
+        # the relaxation alone starts a "dual" request in the conic form
+        assert solve_relaxation(prob).form == "affine"
+        z = retarded_system("miso-2p", theta_deg=20.0)
+        prob = build_problem(z, solve_closed_form(z).r_load_opt)
+        assert solve_relaxation(prob).form == "conic"
+
     def test_polish_restores_binding_powers(self):
         # binding constraint: raw eigenvector extraction leaves the pinned
         # port power microwatts negative, the polish must bring it back
@@ -318,6 +330,12 @@ class TestFullPipeline:
         assert res.tight
         assert np.all(res.transmit_powers <= np.asarray(caps) + 1e-9)
         assert res.eta <= base.eta + 1e-12
+
+    def test_form_of_each_path(self):
+        assert full_pipeline(retarded_system("miso-2p", theta_deg=68.0)).form == "dual"
+        quasi = quasi_system("miso-2p")
+        assert full_pipeline(quasi).form == "dual"  # closed form: the request
+        assert full_pipeline(quasi, None, PipelineOptions(form="affine")).form == "affine"
 
     def test_explicit_load_is_respected(self):
         z = quasi_system("miso-2p")
