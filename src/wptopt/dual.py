@@ -29,7 +29,15 @@ that frees "lam > 0 or gradient > 0" keeps a multiplier that should be zero
 the quadratic model exactly over lam + d >= 0 by enumerating the faces of
 the orthant (2^k of them for k transmitters), with Levenberg damping until
 the trial point stays in the positive definite domain and either g rises or
-the projected gradient halves.
+the projected gradient halves.  Like the relaxation's interior-point loop,
+the ascent gives up as "stalled" after 15 steps without the projected
+gradient halving: a row whose relaxation is not tight has no certificate to
+reach, and further steps only delay its fallback.
+
+The ascent starts at lam = 0, where H = Q0, or at a given lam such as the
+relaxation's own multipliers on the power rows, from which a tight
+relaxation's rank-one point is a step or two away.  A start outside the
+positive definite domain returns uncertified at once.
 
 A certified point also yields the dual slack of the conic relaxation at
 lam, so the relaxation's own KKT audit can check the lift c c^T.  The
@@ -52,6 +60,7 @@ from scipy.linalg.lapack import dpotrf, dpotrs
 __all__ = ["DualPoint", "solve_dual"]
 
 MAX_STEPS = 60  # Newton steps before giving up on a row
+STALL_STEPS = 15  # steps without the projected gradient halving: stalled
 GRAD_TOL = 1e-11  # projected gradient, relative to max(1, c^T Q0 c)
 SLACK_TOL = 1e-9  # constraint violation, relative to max(1, max|p|)
 GAP_TOL = 1e-12  # duality gap, relative to c^T Q0 c
@@ -69,8 +78,10 @@ class DualPoint:
     ``c`` minimizes c^T H(lam) c on A c = b; ``value`` is g(lam), a lower
     bound on the loss whenever ``lam`` >= 0 and Hr is positive definite;
     ``objective`` is c^T Q0 c and ``gap`` their difference over the
-    objective.  ``reason`` names the test that failed, empty when c is
-    certified globally optimal within the gap and slack tolerances.
+    objective.  A start outside the positive definite domain leaves ``c``
+    None and the numbers NaN.  ``reason`` names why the ascent stopped,
+    empty when c is certified globally optimal within the gap and slack
+    tolerances.
     ``dual_slack`` is the conic relaxation's dual slack at lam (see
     `_Reduced.conic_dual_slack`), set on certified points only.
     """
@@ -212,19 +223,30 @@ def _model_step(lam, grad, neg_hess):
     return best
 
 
-def solve_dual(problem):
-    """Maximize the Lagrangian dual of a constrained QCQP; see module docs."""
+def solve_dual(problem, lam=None):
+    """Maximize the Lagrangian dual of a constrained QCQP from lam, clipped
+    to lam >= 0 (default 0, where H = Q0 is positive definite); see module
+    docs."""
     red = _Reduced(problem)
     k = problem.n_tx
-    pt = red.at(np.zeros(k))  # H(0) = Q0 is positive definite
+    pt = red.at(np.zeros(k) if lam is None else np.maximum(lam, 0.0))
+    if pt is None:
+        nan = float("nan")
+        return DualPoint("start outside the domain", lam, None, nan, nan, nan, 0, None)
     steps = 0
     reason = "step limit"
+    ref_pg, ref_step = np.inf, 0  # last projected gradient that halved
     while steps < MAX_STEPS:
         pg = pt.pgrad()
+        if pg <= 0.5 * ref_pg:
+            ref_pg, ref_step = pg, steps
         if pg <= GRAD_TOL * max(1.0, pt.obj) and (
             abs(float(pt.lam @ pt.slack)) <= GAP_TOL * pt.obj
         ):
             reason = ""
+            break
+        if steps - ref_step >= STALL_STEPS:
+            reason = "stalled"
             break
         grad = -pt.slack
         hess_scale = max(float(np.abs(np.diag(pt.hess)).max()), 1e-300)
@@ -250,7 +272,14 @@ def solve_dual(problem):
             break
 
     p_scale = max(1.0, float(np.abs(pt.slack + red.rhs).max()))
-    if not reason and pt.slack.min() < -SLACK_TOL * p_scale:
+    gap = float(pt.lam @ pt.slack) / pt.obj
+    # g(lam) bounds the loss from below at any lam >= 0 in the domain, so a
+    # feasible c that closes the gap is optimal however the ascent ended:
+    # near-singular rows can stall with the gap closed but the projected
+    # gradient held above GRAD_TOL by rounding
+    if pt.slack.min() >= -SLACK_TOL * p_scale and abs(gap) <= GAP_TOL:
+        reason = ""
+    elif not reason:
         reason = "infeasible point"
     return DualPoint(
         reason=reason,
@@ -258,7 +287,7 @@ def solve_dual(problem):
         c=pt.c,
         value=pt.value,
         objective=pt.obj,
-        gap=float(pt.lam @ pt.slack) / pt.obj,
+        gap=gap,
         steps=steps,
         dual_slack=None if reason else red.conic_dual_slack(pt.lam, pt.c),
     )

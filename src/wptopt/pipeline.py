@@ -1,15 +1,18 @@
 """End-to-end constrained optimization of a transfer link.
 
 The closed form is tried first; when it already satisfies the transmit-power
-constraints the pipeline returns it unchanged (skipped=True). Otherwise the
-QCQP's binding row is solved on its Lagrangian dual (`form="dual"`, the
-default; see :mod:`wptopt.dual`): one multiplier per transmitter, certified
-by a positive definite reduced Hessian, a feasible point and a zero duality
-gap, and audited by the KKT check of the conic-form lift. A row the dual
-does not certify, and every row under `form="conic"` or `"affine"`, goes to
-the semidefinite relaxation, certified tight via the normalized rank-1
-error. The operating point (currents, receiver reactance, load voltages,
-efficiency) is then recovered from the solution vector.
+constraints, or there are none (`constrain_powers=False`), the pipeline
+returns it unchanged (skipped=True). Otherwise the QCQP's binding row is
+solved on its Lagrangian dual (`form="dual"`, the default; see
+:mod:`wptopt.dual`): one multiplier per transmitter, certified by a positive
+definite reduced Hessian, a feasible point and a zero duality gap, and
+audited by the KKT check of the conic-form lift. A row the dual does not
+certify, and every row under `form="conic"` or `"affine"`, goes to the
+semidefinite relaxation, certified tight via the normalized rank-1 error;
+its extracted vector is then finished on the dual, started from the
+relaxation's multipliers. The operating point (currents, receiver
+reactance, load voltages, efficiency) is then recovered from the solution
+vector.
 
 An outer golden-section search optimizes the load resistance, falling back
 to a grid scan if the efficiency profile fails the unimodality probe.
@@ -174,94 +177,15 @@ def extract_solution(cmat, problem):
     return c
 
 
-def _polish(problem, cvec, p_relax):
-    """Newton-refine an extracted point onto its active-set manifold.
-
-    Rank-one extraction inherits the lifted matrix's O(sqrt(eps))
-    eigenvector error, enough to leave a binding transmit power a few
-    microwatts negative at large current scales.  The relaxation already
-    identified which powers bind, so a few Newton steps on the matching
-    equality-constrained KKT system (stationarity, the affine rows, pinned
-    port powers) restore feasibility to machine precision.  Returns the
-    input unchanged if nothing is near-binding or any sanity check fails.
-    """
-    c0 = np.asarray(cvec, dtype=float)
-    rep0 = evaluate(problem, c0)
-    scale = max(1.0, float(np.abs(rep0.tx_powers).max()))
-    caps = problem.power_caps
-    pinned = []
-    for k, p in enumerate(rep0.tx_powers):
-        if p < 1e-3 * scale:
-            pinned.append((k, 0.0))
-        elif caps is not None and caps[k] - p < 1e-3 * scale:
-            pinned.append((k, float(caps[k])))
-    if not pinned:
-        return cvec
-    m = problem.m
-    amat = problem.a
-    ne = amat.shape[0]
-    na = len(pinned)
-    qs = [problem.q[k] for k, _ in pinned]
-    tgt = np.array([t for _, t in pinned])
-    x = c0.copy()
-    nu = np.zeros(ne)
-    mu = np.zeros(na)
-    bscale = max(1.0, float(np.abs(problem.b).max()))
-    gscale = max(1.0, float(np.linalg.norm(2.0 * (problem.q0 @ x))))
-    converged = False
-    for _ in range(10):
-        qx = np.array([qk @ x for qk in qs])
-        grad = 2.0 * (problem.q0 @ x) - amat.T @ nu - 2.0 * (mu @ qx)
-        feq = amat @ x - problem.b
-        fpin = qx @ x - tgt
-        if (
-            np.abs(grad).max() <= 1e-12 * gscale
-            and np.abs(feq).max() <= 1e-12 * bscale
-            and np.abs(fpin).max() <= 1e-12 * scale
-        ):
-            converged = True
-            break
-        hess = 2.0 * problem.q0 - 2.0 * sum(mk * qk for mk, qk in zip(mu, qs))
-        jac = np.vstack(
-            [
-                np.hstack([hess, -amat.T, -2.0 * qx.T]),
-                np.hstack([amat, np.zeros((ne, ne + na))]),
-                np.hstack([2.0 * qx, np.zeros((na, ne + na))]),
-            ]
-        )
-        step, *_ = np.linalg.lstsq(jac, -np.concatenate([grad, feq, fpin]), rcond=None)
-        x += step[:m]
-        nu += step[m : m + ne]
-        mu += step[m + ne :]
-    if not converged:
-        return cvec
-    rep = evaluate(problem, x)
-    ok = float(rep.tx_powers.min()) >= -1e-12 * scale
-    if caps is not None:
-        ok = ok and all(
-            p <= cap + 1e-10 * max(1.0, cap) for p, cap in zip(rep.tx_powers, caps)
-        )
-    # a polished point is feasible, so it cannot beat the certified bound,
-    # and a large objective jump means the active set was misread
-    ok = ok and rep.objective >= p_relax - 1e-6 * max(1.0, abs(p_relax))
-    ok = ok and rep.objective <= rep0.objective + 1e-3 * max(1.0, abs(rep0.objective))
-    return x if ok else cvec
-
-
-def recover_operating_point(c, z: ImpedanceMatrix, r_load: float) -> dict:
+def recover_operating_point(c, z: ImpedanceMatrix, problem: QcqpProblem) -> dict:
     """Physical operating point for a feasible real solution vector.
 
     Rebuilds complex currents (receiver current real), picks the receiver
     compensation reactance that nulls the receiver voltage, and reports the
     loaded-port voltages, per-transmitter powers and the efficiency.
+    `problem` is the QCQP of z at its load; its power caps play no part.
     Raises ValueError when c violates the current constraints.
     """
-    return _recover(c, z, build_problem(z, r_load))
-
-
-def _recover(c, z: ImpedanceMatrix, problem: QcqpProblem) -> dict:
-    """:func:`recover_operating_point` on the QCQP already built for z and
-    its load; the power caps of `problem` play no part."""
     rep = evaluate(problem, c)
     scale = 1.0 + float(np.abs(problem.b).max())
     if abs(rep.kvl_residual) > 1e-6 * scale or abs(rep.pl_residual) > 1e-6:
@@ -307,10 +231,15 @@ def solve_relaxation(problem: QcqpProblem, options: PipelineOptions | None = Non
     always reproducible from the problem and options alone.  ``iterations``
     counts the interior-point iterations of every attempt, kept or not.
 
-    Constrained solves get a final Newton polish of the extracted vector
-    onto the binding power constraints (see :func:`_polish`); the tightness
-    certificate ``epsilon`` is always computed from the unpolished vector.
-    This is the SDR alone: ``form="dual"`` starts it in the conic form.
+    Constrained attempts then finish the extracted vector on the Lagrangian
+    dual (:func:`wptopt.dual.solve_dual`), started from the relaxation's
+    multipliers on the power rows: eigenvector extraction inherits the
+    lifted matrix's O(sqrt(eps)) error, enough to leave a binding power a
+    few microwatts negative, and a certified dual point is feasible and
+    globally optimal.  An uncertified finish keeps the extracted vector.
+    ``epsilon``, ``p_relax``, ``kkt`` and the retry choice always come from
+    the raw relaxation.  This is the SDR alone: ``form="dual"`` starts it in
+    the conic form.
     """
     opts = options or PipelineOptions()
 
@@ -325,12 +254,14 @@ def solve_relaxation(problem: QcqpProblem, options: PipelineOptions | None = Non
             cvec = extract_solution(sol.x_mat, problem)
         kkt = check_kkt(inst, sol)
         # eps certifies the relaxation with the raw extracted vector; the
-        # reported point is then polished back onto the binding constraints
+        # reported point is then finished on the dual
         eps = tightness_error(sol.x_mat, cvec)
         # worst threshold-normalized defect; > 1 means the attempt missed one
         score = max(eps / TIGHTNESS_THRESHOLD, kkt.max_residual() / KKT_THRESHOLD)
         if opts.constrain_powers:
-            cvec = _polish(problem, cvec, sol.primal_obj)
+            finish = solve_dual(problem, sol.y_ineq)
+            if finish.certified:
+                cvec = finish.c
         return inst, sol, cvec, kkt, eps, score
 
     form = "affine" if opts.form == "affine" else "conic"
@@ -443,7 +374,8 @@ def full_pipeline(
     if opts.power_caps is not None:
         caps = np.asarray(opts.power_caps, dtype=float)
         ok = ok and bool(np.all(cf.p_tx <= caps - SKIP_TOLERANCE))
-    if ok:
+    # without power constraints the min-loss QP is the closed form itself
+    if ok or not opts.constrain_powers:
         cvec = _closed_form_vector(cf)
         return SdrResult(
             status="closed-form",
@@ -467,11 +399,11 @@ def full_pipeline(
         )
     problem = build_problem(z, r_load, power_caps=opts.power_caps)
     res = None
-    if opts.form == "dual" and opts.constrain_powers:
+    if opts.form == "dual":
         res = _solve_dual(problem)
     if res is None:
         res = solve_relaxation(problem, opts)
-    op = _recover(res.cvec, z, problem)
+    op = recover_operating_point(res.cvec, z, problem)
     omega = z.omega
     cr_cf = cap_r(cf.x_r, omega)
     cr_sdr = cap_r(op["x_r"], omega)
@@ -524,7 +456,10 @@ def optimize_load(
     def eta_at(rl):
         if rl not in cache:
             cache[rl] = full_pipeline(z, rl, opts)
-        return cache[rl].eta
+        res = cache[rl]
+        # a row whose relaxation is not tight may carry an infeasible point
+        # that beats every feasible one: rank it by its certified bound
+        return res.eta if res.tight else 1.0 / (1.0 + res.p_relax)
 
     mid = math.sqrt(lo * hi)
     if eta_at(mid) < min(eta_at(lo), eta_at(hi)):

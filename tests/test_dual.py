@@ -221,9 +221,43 @@ class TestFallback:
             full_pipeline(z, cf.r_load, PipelineOptions(power_caps=(0.2, 0.2)))
         assert err.value.status == "infeasible"
 
-    def test_unconstrained_rows_stay_on_the_relaxation(self):
+    def test_unconstrained_rows_are_the_closed_form(self):
         z = retarded_system("miso-3c", 0.1, 18.0)
-        opts = PipelineOptions(constrain_powers=False)
-        res = full_pipeline(z, None, opts)
-        assert res.form == "conic"
-        assert same(res, full_pipeline(z, None, PipelineOptions(form="conic", constrain_powers=False)))
+        cf = solve_closed_form(z)
+        assert cf.p_tx.min() < 0.0
+        for form in ("dual", "conic", "affine"):
+            opts = PipelineOptions(form=form, constrain_powers=False)
+            res = full_pipeline(z, None, opts)
+            assert res.skipped and res.status == "closed-form", form
+            assert res.eta == cf.eta and res.iterations == 0, form
+
+
+class TestWarmStartAndStall:
+    def test_start_outside_the_domain_returns_at_once(self):
+        z = retarded_system("miso-3p", 0.1, -40.0)
+        problem = build_problem(z, solve_closed_form(z).r_load)
+        point = dual.solve_dual(problem, np.full(problem.n_tx, 1e6))
+        assert not point.certified and point.steps == 0 and point.c is None
+
+    def test_non_tight_row_stalls(self):
+        z = ImpedanceMatrix(np.array(NOT_TIGHT_RE) + 1j * np.array(NOT_TIGHT_IM), 1e7)
+        point = dual.solve_dual(build_problem(z, solve_closed_form(z).r_load))
+        assert point.reason == "stalled" and point.steps < dual.MAX_STEPS
+
+
+class TestRelaxationFinish:
+    """Relaxation rows are finished on the dual from the SDR's multipliers."""
+
+    def test_row_missing_tightness_is_made_feasible(self):
+        # the kept attempt's extraction leaves a binding power about -0.01 W
+        res = full_pipeline(retarded_system("miso-3p", 0.1311, -55.63), None, CONIC)
+        assert res.form in ("conic", "affine") and res.epsilon > 1e-8
+        assert res.transmit_powers.min() >= -1e-9
+
+    def test_closed_gap_certifies_a_stuck_ascent(self):
+        # near a coupling null the warm ascent closes the gap, but rounding
+        # holds its projected gradient above GRAD_TOL; the extraction alone
+        # leaves a power at -7e-6 W
+        res = full_pipeline(retarded_system("miso-3p", 0.1, -54.0), 0.0674, CONIC)
+        assert res.form in ("conic", "affine") and res.tight
+        assert res.transmit_powers.min() >= -1e-9

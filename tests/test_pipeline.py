@@ -256,7 +256,7 @@ class TestRecoverOperatingPoint:
         z = quasi_system("miso-3p")
         cf = solve_closed_form(z)
         c = np.concatenate([cf.i_t.real, [cf.i_r], cf.i_t.imag])
-        op = recover_operating_point(c, z, cf.r_load)
+        op = recover_operating_point(c, z, build_problem(z, cf.r_load))
         assert op["x_r"] == pytest.approx(cf.x_r, abs=1e-9 * max(1.0, abs(cf.x_r)))
         assert op["eta"] == pytest.approx(cf.eta, rel=1e-10)
         i = op["currents"]
@@ -269,7 +269,7 @@ class TestRecoverOperatingPoint:
         prob = build_problem(z, 10.0)
         c = np.ones(prob.m)
         with pytest.raises(ValueError, match="residual"):
-            recover_operating_point(c, z, 10.0)
+            recover_operating_point(c, z, prob)
 
 
 class TestFullPipeline:
@@ -367,6 +367,16 @@ class TestOptimizeLoad:
         search = optimize_load(z)
         assert search.result.eta >= at_guess.eta - 1e-12
 
+    def test_non_tight_probe_is_ranked_by_its_bound(self):
+        # near R_L = 0.0679 ohm the relaxation is not tight: its extracted
+        # point has a power of about -17 W and an efficiency above every
+        # feasible point of this bracket, and must not win the search
+        z = retarded_system("miso-3p", theta_deg=-54.0)
+        with pytest.warns(RuntimeWarning, match="heuristic"):
+            search = optimize_load(z, bounds=(0.0655, 0.0694))
+        assert search.result.tight
+        assert search.result.transmit_powers.min() >= -1e-9
+
     def test_grid_fallback_on_non_unimodal_profile(self, monkeypatch):
         import wptopt.pipeline as pl
 
@@ -375,6 +385,7 @@ class TestOptimizeLoad:
             def __init__(self, rl):
                 self.eta = 0.1 + 0.1 * (math.log(rl) - math.log(10.0)) ** 2
                 self.r_load = rl
+                self.tight = True
 
         monkeypatch.setattr(pl, "full_pipeline", lambda z, rl, opts: Fake(rl))
         with pytest.warns(RuntimeWarning, match="unimodality"):
