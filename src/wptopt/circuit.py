@@ -10,8 +10,11 @@ Loop parameters come from standard thin-wire formulas (self-inductance,
 skin-effect and radiation resistance); mutual inductances are Neumann
 line integrals evaluated with the azimuthal integration done in closed
 form (loop vector potential, complete elliptic integrals) and the
-remaining integral by adaptive Gauss-Legendre panels.  Matrices can also
-be ingested from JSON files, e.g. when they come from a full-wave solver.
+remaining integral by adaptive Gauss-Legendre panels.  Each refinement
+stage of that quadrature is one vectorized integrand call over all its
+panels; the panel sums stay separate dot products, so M is bit for bit
+what a panel-at-a-time loop gives.  Matrices can also be ingested from
+JSON files, e.g. when they come from a full-wave solver.
 """
 
 from __future__ import annotations
@@ -239,14 +242,14 @@ def _w_over_m(m: np.ndarray, one_minus_m: np.ndarray) -> np.ndarray:
     """
     out = np.empty_like(m)
     small = m < 0.05
-    if np.any(small):
+    if small.any():
         ms = m[small]
         acc = np.zeros_like(ms)
         for k in range(len(_WM_SERIES) - 1, 1, -1):
             acc = acc * ms + _WM_SERIES[k]
         out[small] = 0.5 * np.pi * acc
     big = ~small
-    if np.any(big):
+    if big.any():
         mb = m[big]
         p = np.maximum(one_minus_m[big], 5e-324)
         out[big] = ((2.0 - mb) * ellipkm1(p) - 2.0 * ellipe(mb)) / (mb * mb)
@@ -271,24 +274,40 @@ def _neumann_reduced(psi, ra, rb, rho, h):
 
 
 def _adaptive_gauss(f, x0, x1, rtol, atol, n_lo=12, n_hi=24, max_panels=4000):
-    """Globally adaptive Gauss-Legendre panels with embedded error estimate."""
+    """Globally adaptive Gauss-Legendre panels with embedded error estimate.
 
-    def one(a, b, n):
-        x, w = _gl_nodes(n)
+    Each refinement stage (the 8 initial panels, then the two halves of
+    every split) is one call of ``f`` on the nodes of all its panels, both
+    rules.  Each panel's sum is still its own dot product over a contiguous
+    slice of the values, taken in the same order as panel by panel: a
+    single matrix-vector product could sum in another order and move the
+    last bit of M.
+    """
+    x_lo, w_lo = _gl_nodes(n_lo)
+    x_hi, w_hi = _gl_nodes(n_hi)
+    x = np.concatenate([x_lo, x_hi])
+    n = n_lo + n_hi
+
+    def stage(a, b):
+        # (lo, hi) of every panel [a[i], b[i]], from one integrand call
         xm, xr = 0.5 * (a + b), 0.5 * (b - a)
-        return xr * float(np.dot(w, f(xm + xr * x)))
+        vals = f((xm[:, None] + xr[:, None] * x).ravel())
+        return [
+            (xr[i] * float(np.dot(w_lo, vals[i * n:i * n + n_lo])),
+             xr[i] * float(np.dot(w_hi, vals[i * n + n_lo:(i + 1) * n])))
+            for i in range(len(a))
+        ]
 
     heap = []
     uid = 0
     total = err = 0.0
     edges = np.linspace(x0, x1, 9)
-    for i in range(8):
-        a, b = edges[i], edges[i + 1]
-        lo, hi = one(a, b, n_lo), one(a, b, n_hi)
+    a, b = edges[:-1], edges[1:]
+    for i, (lo, hi) in enumerate(stage(a, b)):
         total += hi
         e = abs(hi - lo)
         err += e
-        heapq.heappush(heap, (-e, uid, (a, b, hi, e)))
+        heapq.heappush(heap, (-e, uid, (a[i], b[i], hi, e)))
         uid += 1
     panels = 8
     while err > max(rtol * abs(total), atol) and panels < max_panels and heap:
@@ -296,8 +315,9 @@ def _adaptive_gauss(f, x0, x1, rtol, atol, n_lo=12, n_hi=24, max_panels=4000):
         total -= hi
         err -= e
         mid = 0.5 * (a + b)
-        for (s, t) in ((a, mid), (mid, b)):
-            lo2, hi2 = one(s, t, n_lo), one(s, t, n_hi)
+        halves = ((a, mid), (mid, b))
+        sums = stage(np.array([a, mid]), np.array([mid, b]))
+        for (s, t), (lo2, hi2) in zip(halves, sums):
             total += hi2
             e2 = abs(hi2 - lo2)
             err += e2

@@ -38,11 +38,25 @@ def _blocks(z):
     return np.asarray(zt, dtype=complex), np.asarray(ztr, dtype=complex), complex(zr)
 
 
+def _zo_u(zt, ztr, zr):
+    """(z_o, U) from the partitioned blocks, one solve each."""
+    z_o = zr - ztr @ np.linalg.solve(zt.real, ztr.real)
+    u_sq = float(np.real(ztr.conj() @ np.linalg.solve(zt.real, ztr))) / z_o.real
+    return z_o, float(np.sqrt(u_sq))
+
+
+def _currents(zt, ztr, z_o, u, r_load):
+    """Closed-form optimal (i_t, i_r) given the link's z_o and U."""
+    i_r = receiver_current(r_load)
+    ro = z_o.real
+    weight = (ro + r_load) / (ro * u * u)
+    i_t = -np.linalg.solve(zt.real, ztr.real + weight * ztr.conj()) * i_r
+    return i_t, i_r
+
+
 def output_impedance(z) -> complex:
     """Impedance seen at the receiver with loss-minimizing transmit drive."""
-    zt, ztr, zr = _blocks(z)
-    g = np.linalg.solve(zt.real, ztr.real)
-    return zr - ztr @ g
+    return _zo_u(*_blocks(z))[0]
 
 
 def mutual_q(z) -> float:
@@ -52,9 +66,7 @@ def mutual_q(z) -> float:
         warnings.warn("receiver has no coupling to any transmitter (U = 0)",
                       RuntimeWarning, stacklevel=2)
         return 0.0
-    z_o_re = output_impedance(z).real
-    u_sq = float(np.real(ztr.conj() @ np.linalg.solve(zt.real, ztr))) / z_o_re
-    return float(np.sqrt(u_sq))
+    return _zo_u(zt, ztr, zr)[1]
 
 
 def max_pte(u: float) -> float:
@@ -89,13 +101,7 @@ def optimal_currents(z, r_load: float):
     zt, ztr, zr = _blocks(z)
     if np.all(ztr == 0.0):
         raise NoCouplingError("receiver is uncoupled; optimal currents undefined")
-    i_r = receiver_current(r_load)
-    z_o = output_impedance(z)
-    ro = z_o.real
-    u = mutual_q(z)
-    weight = (ro + r_load) / (ro * u * u)
-    i_t = -np.linalg.solve(zt.real, ztr.real + weight * ztr.conj()) * i_r
-    return i_t, i_r
+    return _currents(zt, ztr, *_zo_u(zt, ztr, zr), r_load)
 
 
 def solve_min_loss_qp(z, r_load: float):
@@ -172,12 +178,11 @@ def solve_closed_form(
     zt, ztr, zr = _blocks(z)
     if np.all(ztr == 0.0):
         raise NoCouplingError("receiver is uncoupled from every transmitter")
-    z_o = output_impedance(z)
-    u = mutual_q(z)
+    z_o, u = _zo_u(zt, ztr, zr)
     r_opt = optimal_load(z_o, u)
     if r_load is None:
         r_load = r_opt
-    i_t, i_r = optimal_currents(z, r_load)
+    i_t, i_r = _currents(zt, ztr, z_o, u, r_load)
     x_r = -z_o.imag
     eta = resonant_pte(z_o, u, r_load)
     ro = z_o.real

@@ -7,10 +7,16 @@ penalty-polished (:func:`brute_force_qcqp`, constrained instances) or handed
 to a multistart quasi-Newton descent (:func:`minimize_loss_descent`,
 unconstrained instances).  They live beside the tests because nothing in the
 package calls them, and they are the only users of ``scipy.optimize``.
+
+:func:`panelwise_gauss` is the reference for the mutual-inductance
+quadrature: the same adaptive Gauss-Legendre rule, one integrand call per
+panel and rule, which the stage-at-a-time loop in :mod:`wptopt.circuit` must
+match bit for bit.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 import numpy as np
@@ -240,3 +246,43 @@ def minimize_loss_descent(problem, n_starts=8, seed=0, candidate=None):
         agreement_gap=_gap(best_obj, candidate),
         max_violation=max(affine_res, spread),
     )
+
+
+def panelwise_gauss(f, x0, x1, rtol, atol, n_lo=12, n_hi=24, max_panels=4000):
+    """Globally adaptive Gauss-Legendre panels, evaluated one panel and rule
+    at a time; drop-in for ``wptopt.circuit._adaptive_gauss``."""
+
+    rules = {n: np.polynomial.legendre.leggauss(n) for n in (n_lo, n_hi)}
+
+    def one(a, b, n):
+        x, w = rules[n]
+        xm, xr = 0.5 * (a + b), 0.5 * (b - a)
+        return xr * float(np.dot(w, f(xm + xr * x)))
+
+    heap = []
+    uid = 0
+    total = err = 0.0
+    edges = np.linspace(x0, x1, 9)
+    for i in range(8):
+        a, b = edges[i], edges[i + 1]
+        lo, hi = one(a, b, n_lo), one(a, b, n_hi)
+        total += hi
+        e = abs(hi - lo)
+        err += e
+        heapq.heappush(heap, (-e, uid, (a, b, hi, e)))
+        uid += 1
+    panels = 8
+    while err > max(rtol * abs(total), atol) and panels < max_panels and heap:
+        _, _, (a, b, hi, e) = heapq.heappop(heap)
+        total -= hi
+        err -= e
+        mid = 0.5 * (a + b)
+        for (s, t) in ((a, mid), (mid, b)):
+            lo2, hi2 = one(s, t, n_lo), one(s, t, n_hi)
+            total += hi2
+            e2 = abs(hi2 - lo2)
+            err += e2
+            heapq.heappush(heap, (-e2, uid, (s, t, hi2, e2)))
+            uid += 1
+        panels += 1
+    return total, err

@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from oracles import panelwise_gauss
 from scipy.special import ellipe, ellipk
 
+from wptopt import circuit
 from wptopt.circuit import (
     MU0,
     GeometryError,
@@ -121,6 +123,79 @@ class TestMutualInductance:
             abs(mutual_inductance(make_loop(), make_loop(z=d))) for d in dists
         ]
         assert all(x > y for x, y in zip(values, values[1:]))
+
+
+def preset_pair_keys(distances):
+    """Distinct ``_mutual_cached`` arguments (without rtol) of every preset
+    on a 2-degree slice at the given receiver distances (fractions of
+    lambda)."""
+    keys = set()
+    for name in circuit.PRESETS:
+        for frac in distances:
+            for theta in range(-90, 91, 2):
+                loops = GeometrySpec.preset(name, frac * LAM, math.radians(theta)).loops
+                for i, a in enumerate(loops):
+                    for b in loops[i + 1:]:
+                        dx, dy, dz = (p - q for p, q in zip(a.center, b.center))
+                        keys.add((*sorted((a.radius, b.radius)), math.hypot(dx, dy), abs(dz)))
+    return sorted(keys)
+
+
+class TestQuadratureBits:
+    """The stage-at-a-time quadrature returns exactly the panel-at-a-time
+    reference in ``tests/oracles.py``."""
+
+    def evaluate(self, monkeypatch, gauss, key, rtol):
+        calls = []
+        integrand = circuit._neumann_reduced
+
+        def counted(psi, *args):
+            calls.append(len(psi))
+            return integrand(psi, *args)
+
+        with monkeypatch.context() as m:
+            m.setattr(circuit, "_neumann_reduced", counted)
+            m.setattr(circuit, "_adaptive_gauss", gauss)
+            value = circuit._mutual_cached.__wrapped__(*key, rtol)
+        return value, len(calls)
+
+    def test_every_key_matches_the_reference_bit_for_bit(self, monkeypatch):
+        r = R_LOOP
+        null = math.acos(1.0 / math.sqrt(3.0))  # dipole-dipole coupling null
+        cases = [
+            ((r, r, 2 * r, 0.0), 1e-10),  # planar-tangent pair
+            ((r, r, 2 * r, 0.0), 1e-14),
+            ((r, 1.5 * r, 0.5 * r, 0.0), 1e-10),  # nested-tangent pair
+            ((r, r, 0.5 * r, 1e-6 * r), 1e-10),  # near-crossing pair
+            ((r, r, 30 * r * math.sin(null), 30 * r * math.cos(null)), 1e-10),
+            # unequal radii, offset: summing the two halves of a split in
+            # the other order moves the last bit
+            ((0.041241185300068796, 0.19408453046371485, 0.19641560503416555,
+              0.009065789171255067), 1e-12),
+        ]
+        cases += [(key, 1e-10) for key in preset_pair_keys((0.05, 0.3))]
+        assert len(cases) > 500
+        ref_calls = {}
+        for key, rtol in cases:
+            got, _ = self.evaluate(monkeypatch, circuit._adaptive_gauss, key, rtol)
+            want, n_ref = self.evaluate(monkeypatch, panelwise_gauss, key, rtol)
+            assert np.float64(got).tobytes() == np.float64(want).tobytes(), (key, rtol)
+            assert type(got) is type(want)
+            ref_calls[key, rtol] = n_ref
+        assert ref_calls[(r, r, 2 * r, 0.0), 1e-10] == 32
+        assert ref_calls[(r, r, 2 * r, 0.0), 1e-14] == 44
+        assert ref_calls[(r, r, 0.5 * r, 1e-6 * r), 1e-10] == 76
+        # 16 calls per integration range means no panel was split; the split
+        # keys above exercise the heap branch
+        assert sum(n > 32 for n in ref_calls.values()) >= 2
+
+    def test_a_stage_is_one_integrand_call(self, monkeypatch):
+        key = (R_LOOP, R_LOOP, 0.5 * R_LOOP, 1e-6 * R_LOOP)
+        _, n_ref = self.evaluate(monkeypatch, panelwise_gauss, key, 1e-10)
+        _, n_new = self.evaluate(monkeypatch, circuit._adaptive_gauss, key, 1e-10)
+        # the reference makes 8 panels x 2 rules, then 2 halves x 2 rules per
+        # split
+        assert n_new == 1 + (n_ref - 16) // 4
 
 
 class TestLoopParameters:

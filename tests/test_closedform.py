@@ -348,3 +348,29 @@ class TestSolutionRecord:
         off = solve_closed_form(z, r_load=2.0 * peak.r_load_opt)
         assert off.eta < peak.eta
         assert off.eta_max == pytest.approx(peak.eta, rel=1e-12)
+
+    def test_fused_solution_matches_the_public_helpers_bit_for_bit(self):
+        from retarded import retarded_loop_system
+
+        links = [
+            build_loop_system(GeometrySpec.preset(name, frac * LAM, np.deg2rad(theta)))
+            for name in PRESET_NAMES
+            for frac, theta in ((0.05, -62.0), (0.1, 0.0), (0.3, 38.0))
+        ]
+        # a binding point: the closed form drives two of three ports negative
+        binding = retarded_loop_system(
+            GeometrySpec.preset("miso-3p", 0.1 * LAM, np.deg2rad(-54.0))
+        )
+        assert solve_closed_form(binding).p_tx.min() < 0.0
+        links.append(binding)
+        for link in links:
+            for z in (link, np.array(link.entries)):
+                sol = solve_closed_form(z)
+                z_o = output_impedance(z)
+                i_t, i_r = optimal_currents(z, sol.r_load)
+                assert np.array_equal(sol.z_o, z_o)
+                assert np.array_equal(sol.u, mutual_q(z))
+                assert np.array_equal(sol.i_t, i_t)
+                zhat = loaded_matrix(z, -z_o.imag, sol.r_load)
+                p_tx = transmit_powers(np.append(i_t, i_r), port_impedance_matrices(zhat))
+                assert np.array_equal(sol.p_tx, p_tx[:-1])
