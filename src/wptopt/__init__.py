@@ -54,7 +54,7 @@ from .pipeline import (
     solve_relaxation,
 )
 from .qcqp import QcqpProblem, build_problem, evaluate, realify
-from .sdp import KktReport, SdpInstance, SdpOptions, SdpSolution, check_kkt, solve
+from .sdp import KktReport, SdpInstance, SdpSolution, check_kkt, solve
 
 __all__ = [
     "C0",
@@ -77,7 +77,6 @@ __all__ = [
     "RelaxationError",
     "SchemaError",
     "SdpInstance",
-    "SdpOptions",
     "SdpSolution",
     "SdrResult",
     "apply_loading",

@@ -82,6 +82,8 @@ class Loop:
         if len(self.center) != 3:
             raise GeometryError("loop center must be a 3-vector")
         object.__setattr__(self, "center", tuple(float(v) for v in self.center))
+        if not all(math.isfinite(v) for v in self.center):
+            raise GeometryError(f"loop center must be finite, got {self.center}")
         if not (self.radius > 0.0 and math.isfinite(self.radius)):
             raise GeometryError(f"loop radius must be positive, got {self.radius}")
         if not (0.0 < self.wire_radius < self.radius):
@@ -159,8 +161,12 @@ class GeometrySpec:
         }
         if name not in centers:
             raise GeometryError(f"unknown preset {name!r}; choose from {PRESETS}")
-        if not (distance > 0.0):
-            raise GeometryError("receiver distance must be positive")
+        if not (0.0 < distance < math.inf):
+            raise GeometryError(
+                f"receiver distance must be positive and finite, got {distance}"
+            )
+        if not math.isfinite(angle):
+            raise GeometryError(f"receiver angle must be finite, got {angle}")
         rx = (distance * math.sin(angle), 0.0, distance * math.cos(angle))
         loops = [Loop(c, r_loop, a) for c in centers[name]] + [Loop(rx, r_loop, a)]
         return cls(tuple(loops), frequency)

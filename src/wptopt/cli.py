@@ -48,7 +48,6 @@ from .circuit import (
 from .closedform import max_pte, solve_closed_form, solve_min_loss_qp
 from .oracle import verify_identities
 from .pipeline import (
-    FORMS,
     PipelineOptions,
     RelaxationError,
     build_problem,
@@ -58,7 +57,6 @@ from .pipeline import (
     result_record,
     solve_relaxation,
 )
-from .sdp import SdpOptions
 
 __all__ = ["main"]
 
@@ -135,6 +133,8 @@ def _parse_constraints(text: str):
             )
         if not caps:
             raise argparse.ArgumentTypeError("caps list is empty")
+        if not all(math.isfinite(cap) for cap in caps):
+            raise argparse.ArgumentTypeError(f"caps must be finite, got {text!r}")
         return text, True, caps
     raise argparse.ArgumentTypeError(
         f"--constraints takes none, nonneg or caps=<w,...>, got {text!r}"
@@ -194,14 +194,6 @@ def _build_parser() -> argparse.ArgumentParser:
         type=_parse_constraints,
         default=_parse_constraints("nonneg"),
         help="transmit-power constraints: none, nonneg or caps=<w,...>",
-    )
-    opts.add_argument("--tol", type=float, default=None, help="SDR solver tolerance")
-    opts.add_argument(
-        "--form",
-        choices=FORMS,
-        default="dual",
-        help="dual (Lagrangian dual, SDR where it does not certify), or the SDR "
-        "in the conic or affine form",
     )
     opts.add_argument("--out", metavar="DIR", help="output directory")
 
@@ -263,12 +255,7 @@ def _load_family(path):
 
 def _pipeline_options(args) -> PipelineOptions:
     _, constrain, caps = args.constraints
-    sdp = SdpOptions()
-    if args.tol is not None:
-        sdp = SdpOptions(tol_gap=args.tol, tol_feas=args.tol)
-    return PipelineOptions(
-        form=args.form, power_caps=caps, constrain_powers=constrain, sdp=sdp
-    )
+    return PipelineOptions(power_caps=caps, constrain_powers=constrain)
 
 
 def _check_caps(caps, n_tx: int):
@@ -306,7 +293,7 @@ def _describe(res, z, source: str, theta_deg: float, d_frac: float, args) -> str
     lines = [
         f"system        : {source}  ({z.n_tx} tx + 1 rx port)",
         f"operating pt  : theta = {_fmt(theta_deg)} deg, d = {_fmt(d_frac)} lambda",
-        f"constraints   : {label}   relaxation form: {res.form}",
+        f"constraints   : {label}   path: {res.form}",
         f"R_L           : {_fmt(res.r_load)} ohm (policy: {args.rl})",
         f"eta           : {_fmt(res.eta)}   loss at 1 W received: {_fmt(res.p_relax)} W",
         f"x_r           : {_fmt(res.x_r)} ohm   C_r: {_fmt(cap_r(res.x_r, z.omega))} F",
@@ -416,7 +403,7 @@ def _sweep_row(theta_deg, d_frac, z, source, args, opts):
         "source": source,
         "matrix_sha256": hash_matrix(hashlib.sha256(), z).hexdigest(),
         "constraint_mode": args.constraints[0],
-        "form": args.form,
+        "form": "",
     }
     try:
         res = _solve_point(z, args.rl, opts)
@@ -492,12 +479,10 @@ def cmd_sweep(args) -> int:
     provenance = {
         "columns": list(SWEEP_COLUMNS + power_cols),
         "constraint_mode": mode_label,
-        "form": args.form,
         "inputs_sha256": _sweep_hash(points, args),
         "n_rows": len(outcomes),
         "rl_policy": str(args.rl),
         "source": source,
-        "tol": args.tol,
         "version": _version(),
     }
     _write_text(
@@ -542,7 +527,7 @@ def _sweep_hash(points, args) -> str:
         h.update(np.float64(theta).tobytes())
         h.update(np.float64(d).tobytes())
         hash_matrix(h, z)
-    h.update(repr((args.constraints[0], str(args.rl), args.form, args.tol)).encode())
+    h.update(repr((args.constraints[0], str(args.rl))).encode())
     return h.hexdigest()
 
 
@@ -581,9 +566,8 @@ def cmd_validate(args) -> int:
         rel = abs(cf.p_loss - p_qp) / abs(p_qp)
         _check(checks, f"{name}:qp-agreement", rel <= 1e-9, f"rel={rel:.3e}")
         problem = build_problem(z, cf.r_load)
-        opts = PipelineOptions(constrain_powers=False)
         try:
-            res = solve_relaxation(problem, opts)
+            res = solve_relaxation(problem, constrain_powers=False)
             rel = abs(res.p_relax - p_qp) / abs(p_qp)
             ok = rel <= 1e-6 and res.tight and res.kkt.max_residual() <= 1e-8
             detail = f"rel={rel:.3e} eps={res.epsilon:.3e} kkt={res.kkt.max_residual():.3e}"

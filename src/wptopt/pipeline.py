@@ -1,27 +1,29 @@
 """End-to-end constrained optimization of a transfer link.
 
-The closed form is tried first; when it already satisfies the transmit-power
-constraints, or there are none (`constrain_powers=False`), the pipeline
-returns it unchanged (skipped=True). Otherwise the QCQP's binding row is
-solved on its Lagrangian dual (`form="dual"`, the default; see
-:mod:`wptopt.dual`): one multiplier per transmitter, certified by a positive
-definite reduced Hessian, a feasible point and a zero duality gap, and
-audited by the KKT check of the conic-form lift. A row the dual does not
-certify, and every row under `form="conic"` or `"affine"`, goes to the
-semidefinite relaxation, certified tight via the normalized rank-1 error;
-its extracted vector is then finished on the dual, started from the
-relaxation's multipliers. The operating point (currents, receiver
-reactance, load voltages, efficiency) is then recovered from the solution
-vector.
+Every row takes one path, named by its ``form``. The closed form is tried
+first; when it already satisfies the transmit-power constraints, or there
+are none (`constrain_powers=False`), it is returned unchanged ("closed-form",
+skipped=True). Otherwise the QCQP's binding row is solved on its Lagrangian
+dual ("dual"; see :mod:`wptopt.dual`): one multiplier per transmitter,
+certified by a positive definite reduced Hessian, a feasible point and a
+zero duality gap, and audited by the KKT check of the conic-form lift. A row
+the dual does not certify goes to the semidefinite relaxation ("conic", or
+"affine" when the affine retry was kept), certified tight via the normalized
+rank-1 error, and its extracted vector is finished on the dual. A relaxation
+whose error exceeds `TIGHTNESS_THRESHOLD` gives status "not-tight": its
+point is not certified and may break the power constraints. The operating
+point (currents, receiver reactance, load voltages, efficiency) is then
+recovered from the solution vector.
 
-An outer golden-section search optimizes the load resistance, falling back
-to a grid scan if the efficiency profile fails the unimodality probe.
+An outer golden-section search optimizes the load resistance to the relative
+bracket width `LOAD_REL_TOL`, falling back to a grid scan if the efficiency
+profile fails the unimodality probe.
 """
 
 import hashlib
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -29,7 +31,7 @@ from .circuit import ImpedanceMatrix, Loading, apply_loading, hash_matrix
 from .closedform import ClosedFormSolution, solve_closed_form
 from .dual import solve_dual
 from .qcqp import QcqpProblem, build_problem, evaluate
-from .sdp import SdpInstance, SdpOptions, SdpSolution, check_kkt, solve
+from .sdp import SdpInstance, SdpSolution, check_kkt, solve
 
 __all__ = [
     "PipelineOptions",
@@ -51,7 +53,7 @@ SKIP_TOLERANCE = -1e-12  # watts; closed-form powers above this mean no SDR run
 TIGHTNESS_THRESHOLD = 1e-8  # epsilon at or below this certifies a tight relaxation
 KKT_THRESHOLD = 1e-8  # worst normalized KKT residual an attempt may leave
 RANK_RATIO_LIMIT = 1e-4  # second/first eigenvalue above this: heuristic extraction
-FORMS = ("dual", "conic", "affine")
+LOAD_REL_TOL = 1e-4  # golden-section bracket width, relative to its upper end
 
 
 class RelaxationError(RuntimeError):
@@ -65,14 +67,14 @@ class RelaxationError(RuntimeError):
 
 @dataclass(frozen=True)
 class PipelineOptions:
-    form: str = "dual"  # dual with SDR fallback, or the SDR in one form
     power_caps: tuple | None = None
     constrain_powers: bool = True  # off: relax the current equalities only
-    sdp: SdpOptions = field(default_factory=SdpOptions)
 
     def __post_init__(self):
-        if self.form not in FORMS:
-            raise ValueError(f"form must be one of {FORMS}, got {self.form!r}")
+        if self.power_caps is not None and not all(
+            math.isfinite(cap) for cap in self.power_caps
+        ):
+            raise ValueError(f"power caps must be finite, got {tuple(self.power_caps)}")
 
 
 @dataclass
@@ -84,8 +86,9 @@ class SdrResult:
     closed-form reference at the same load rides along for the degradation
     report (``delta_eta_db`` >= 0, dB drop; ``delta_cr_rel`` the relative
     shift of the receiver compensation capacitance).  ``form`` is the path
-    that produced the row: "dual", or the relaxation form an SDR solve kept
-    ("conic" or "affine"); closed-form rows carry the requested form.
+    that produced the row: "closed-form", "dual", or the relaxation form an
+    SDR solve kept ("conic" or "affine").  ``status`` is "closed-form",
+    "optimal", or "not-tight" for a relaxation that is not tight.
     """
 
     status: str
@@ -215,21 +218,22 @@ def recover_operating_point(c, z: ImpedanceMatrix, problem: QcqpProblem) -> dict
     }
 
 
-def solve_relaxation(problem: QcqpProblem, options: PipelineOptions | None = None):
+def solve_relaxation(problem: QcqpProblem, constrain_powers: bool = True):
     """Solve the semidefinite relaxation and certify tightness.
 
     Returns a raw SdrResult: extraction and efficiency are filled in, the
     receiver reactance and closed-form comparisons are left to
     :func:`full_pipeline` (they need the impedance matrix).
 
-    If the requested form stalls without an infeasibility or unboundedness
-    certificate, or converges but misses the tightness or KKT-residual
-    threshold, the other form is tried and the better result kept: near
-    coupling cancellations the optimal currents sit orders of magnitude
-    above the constraint scale and the two forms hit their conditioning
-    limits at different points.  The retry is deterministic, so a result is
-    always reproducible from the problem and options alone.  ``iterations``
-    counts the interior-point iterations of every attempt, kept or not.
+    The conic form runs first. If it stalls without an infeasibility or
+    unboundedness certificate, or converges but misses the tightness or
+    KKT-residual threshold, the affine form is tried and the better result
+    kept: near coupling cancellations the optimal currents sit orders of
+    magnitude above the constraint scale and the two forms hit their
+    conditioning limits at different points.  The retry is deterministic,
+    so a result is always reproducible from the problem alone.
+    ``iterations`` counts the interior-point iterations of every attempt,
+    kept or not.
 
     Constrained attempts then finish the extracted vector on the Lagrangian
     dual (:func:`wptopt.dual.solve_dual`), started from the relaxation's
@@ -238,14 +242,13 @@ def solve_relaxation(problem: QcqpProblem, options: PipelineOptions | None = Non
     few microwatts negative, and a certified dual point is feasible and
     globally optimal.  An uncertified finish keeps the extracted vector.
     ``epsilon``, ``p_relax``, ``kkt`` and the retry choice always come from
-    the raw relaxation.  This is the SDR alone: ``form="dual"`` starts it in
-    the conic form.
+    the raw relaxation.  An epsilon above ``TIGHTNESS_THRESHOLD`` gives
+    status "not-tight".
     """
-    opts = options or PipelineOptions()
 
     def attempt(form):
-        inst = build_instance(problem, form, opts.constrain_powers)
-        sol = solve(inst, opts.sdp)
+        inst = build_instance(problem, form, constrain_powers)
+        sol = solve(inst)
         if sol.status != "optimal":
             return inst, sol, None, None, np.inf, np.inf
         if form == "affine":
@@ -258,34 +261,34 @@ def solve_relaxation(problem: QcqpProblem, options: PipelineOptions | None = Non
         eps = tightness_error(sol.x_mat, cvec)
         # worst threshold-normalized defect; > 1 means the attempt missed one
         score = max(eps / TIGHTNESS_THRESHOLD, kkt.max_residual() / KKT_THRESHOLD)
-        if opts.constrain_powers:
+        if constrain_powers:
             finish = solve_dual(problem, sol.y_ineq)
             if finish.certified:
                 cvec = finish.c
         return inst, sol, cvec, kkt, eps, score
 
-    form = "affine" if opts.form == "affine" else "conic"
-    inst, sol, cvec, kkt, eps, score = attempt(form)
+    form = "conic"
+    inst, sol, cvec, kkt, eps, score = attempt("conic")
     iterations = sol.iterations
     retry = (
         sol.status in ("max_iters", "failed")  # certificates are answers
         or (sol.status == "optimal" and score > 1.0)
     )
     if retry:
-        other = "affine" if form == "conic" else "conic"
-        attempt2 = attempt(other)
+        attempt2 = attempt("affine")
         iterations += attempt2[1].iterations
         if attempt2[5] < score:
             inst, sol, cvec, kkt, eps, score = attempt2
-            form = other
+            form = "affine"
     if sol.status != "optimal":
         raise RelaxationError(sol.status, sol.residuals)
     rep = evaluate(problem, cvec)
+    tight = bool(eps <= TIGHTNESS_THRESHOLD)
     return SdrResult(
-        status=sol.status,
+        status="optimal" if tight else "not-tight",
         form=form,
         skipped=False,
-        tight=bool(eps <= TIGHTNESS_THRESHOLD),
+        tight=tight,
         epsilon=eps,
         p_relax=float(sol.primal_obj),
         eta=1.0 / (1.0 + rep.objective),
@@ -379,7 +382,7 @@ def full_pipeline(
         cvec = _closed_form_vector(cf)
         return SdrResult(
             status="closed-form",
-            form=opts.form,
+            form="closed-form",
             skipped=True,
             tight=True,
             epsilon=0.0,
@@ -398,11 +401,9 @@ def full_pipeline(
             closed_form=cf,
         )
     problem = build_problem(z, r_load, power_caps=opts.power_caps)
-    res = None
-    if opts.form == "dual":
-        res = _solve_dual(problem)
+    res = _solve_dual(problem)
     if res is None:
-        res = solve_relaxation(problem, opts)
+        res = solve_relaxation(problem)
     op = recover_operating_point(res.cvec, z, problem)
     omega = z.omega
     cr_cf = cap_r(cf.x_r, omega)
@@ -434,7 +435,6 @@ def optimize_load(
     z: ImpedanceMatrix,
     bounds: tuple | None = None,
     options: PipelineOptions | None = None,
-    rel_tol: float = 1e-4,
 ) -> LoadSearch:
     """Outer load-resistance search wrapping the full pipeline.
 
@@ -476,7 +476,7 @@ def optimize_load(
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
     fc, fd = eta_at(c), eta_at(d)
-    while (b - a) > rel_tol * b:
+    while (b - a) > LOAD_REL_TOL * b:
         if fc >= fd:
             b, d, fd = d, c, fc
             c = b - _INVPHI * (b - a)

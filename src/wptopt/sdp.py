@@ -11,6 +11,11 @@ equations. Constraint matrices are normalized to unit Frobenius norm up
 front, which conditions the Schur system and makes the iterate path exactly
 invariant under power-of-two data scalings.
 
+The tolerances are fixed: a run is optimal once the normalized primal and
+dual infeasibilities meet `TOL_FEAS` and the relative gap meets `TOL_GAP`
+(both 1e-10), and it stops after `MAX_ITERS` = 200 iterations. Every
+iteration's residuals and objectives are recorded in `SdpSolution.trace`.
+
 Equality rows that are linear combinations of earlier rows are dropped in
 presolve (their multipliers are reported as zero); if the combination is
 inconsistent the instance is certified infeasible before any iteration.
@@ -52,7 +57,6 @@ from scipy.linalg.lapack import dgesdd, dgesdd_lwork, dpotrf, dpotrs, dsyevd, dt
 
 __all__ = [
     "SdpInstance",
-    "SdpOptions",
     "SdpSolution",
     "KktReport",
     "solve",
@@ -61,12 +65,15 @@ __all__ = [
 ]
 
 DIM_CAP = 64
+TOL_FEAS = 1e-10  # normalized primal and dual infeasibility at optimality
+TOL_GAP = 1e-10  # relative duality gap at optimality
+MAX_ITERS = 200
 TOL_ACCEPT = 1e-7  # residuals a stalled run must meet to count as optimal
 FRAC_TO_BOUNDARY = 0.98  # share of the step to the cone boundary taken
 
 
 # ---------------------------------------------------------------------------
-# instance / options / solution records
+# instance / solution records
 # ---------------------------------------------------------------------------
 
 
@@ -126,14 +133,6 @@ class SdpInstance:
     @property
     def dim(self):
         return self.cost.shape[0]
-
-
-@dataclass(frozen=True)
-class SdpOptions:
-    tol_feas: float = 1e-10
-    tol_gap: float = 1e-10
-    max_iters: int = 200
-    verbose: bool = False
 
 
 @dataclass
@@ -291,9 +290,8 @@ def _max_step_pos(v, dv):
 # ---------------------------------------------------------------------------
 
 
-def solve(instance, options=None):
+def solve(instance):
     """Run the interior-point method; see module docstring."""
-    opts = options or SdpOptions()
 
     # ----- optional bordered embedding of the affine block
     d0 = instance.dim
@@ -425,7 +423,7 @@ def solve(instance, options=None):
                     return "unbounded", xc
         return None
 
-    for it in range(1, opts.max_iters + 1):
+    for it in range(1, MAX_ITERS + 1):
         w = y[n_eq:]
         ax = _aop(x)
         r_p = rhs - ax
@@ -438,19 +436,18 @@ def solve(instance, options=None):
         dobj = float(rhs @ y)
         relgap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
         mu = (float(np.sum(x * z)) + (float(s @ w) if n_in else 0.0)) / nu
-        if opts.verbose:
-            trace.append(
-                {
-                    "iter": it,
-                    "mu": mu,
-                    "pinf": pin,
-                    "dinf": din,
-                    "relgap": relgap,
-                    "pobj": pobj,
-                    "dobj": dobj,
-                    "gap": pobj - dobj,
-                }
-            )
+        trace.append(
+            {
+                "iter": it,
+                "mu": mu,
+                "pinf": pin,
+                "dinf": din,
+                "relgap": relgap,
+                "pobj": pobj,
+                "dobj": dobj,
+                "gap": pobj - dobj,
+            }
+        )
 
         merit = max(pin, din, relgap)
         if merit < best_merit:
@@ -461,7 +458,7 @@ def solve(instance, options=None):
             ref_merit = prog
             ref_it = it
 
-        if pin <= opts.tol_feas and din <= opts.tol_feas and relgap <= opts.tol_gap:
+        if pin <= TOL_FEAS and din <= TOL_FEAS and relgap <= TOL_GAP:
             status = "optimal"
             break
 
@@ -592,7 +589,7 @@ def solve(instance, options=None):
                 float(np.sum(x_new * z_new))
                 + (float(s_new @ w_new) if n_in else 0.0)
             ) / nu
-            if near and mu_new > 10.0 * mu + opts.tol_gap:
+            if near and mu_new > 10.0 * mu + TOL_GAP:
                 ap *= 0.5
                 ad *= 0.5
                 continue

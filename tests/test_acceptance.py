@@ -38,7 +38,6 @@ from wptopt.closedform import (
 )
 from wptopt.pims import pim_eigensystem, pim_split, port_impedance_matrices
 from wptopt.pipeline import (
-    PipelineOptions,
     build_instance,
     full_pipeline,
     optimize_load,
@@ -71,28 +70,26 @@ def retarded_system(name, d_frac, theta_deg):
     return matrix_from_json(matrix_to_json(retarded_loop_system(geom)))
 
 
-# criteria 3 and 7 measure the SDR's epsilon, KKT and iterations, so the
-# sweeps run the relaxation on every binding row instead of the dual path
-SDR_OPTIONS = PipelineOptions(form="conic")
-
-
-def _sweep(build):
+def _sweep(build, relaxation_only):
+    # criteria 3 and 7 measure the SDR's epsilon, KKT and iterations, so the
+    # sweeps run the relaxation on every binding row instead of the dual path
     rows = {}
-    for name in PRESETS:
-        points = []
-        for theta in SWEEP_THETAS:
-            try:
-                z = build(name, 0.1, theta)
-                points.append((theta, full_pipeline(z, None, SDR_OPTIONS)))
-            except NoCouplingError:
-                continue
-        rows[name] = points
+    with relaxation_only():
+        for name in PRESETS:
+            points = []
+            for theta in SWEEP_THETAS:
+                try:
+                    z = build(name, 0.1, theta)
+                    points.append((theta, full_pipeline(z)))
+                except NoCouplingError:
+                    continue
+            rows[name] = points
     return rows
 
 
 @pytest.fixture(scope="module")
-def quasi_sweeps():
-    return _sweep(preset_system)
+def quasi_sweeps(relaxation_only):
+    return _sweep(preset_system, relaxation_only)
 
 
 @pytest.fixture(scope="module")
@@ -102,15 +99,15 @@ def sdp_iterations():
 
 
 @pytest.fixture(scope="module")
-def retarded_sweeps(sdp_iterations):
-    def counted(instance, options=None):
-        sol = sdp_solve(instance, options)
+def retarded_sweeps(sdp_iterations, relaxation_only):
+    def counted(instance):
+        sol = sdp_solve(instance)
         sdp_iterations.append(sol.iterations)
         return sol
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(wptopt.pipeline, "solve", counted)
-        return _sweep(retarded_system)
+        return _sweep(retarded_system, relaxation_only)
 
 
 def test_criterion_1_siso_collapse():
@@ -143,7 +140,6 @@ def test_criterion_1_siso_collapse():
 def test_criterion_2_convex_chain():
     """Analytic QP = unconstrained SDR = oracle on every preset point."""
     worst = 0.0
-    opts = PipelineOptions(constrain_powers=False)
     for name in PRESETS:
         for d in (0.05, 0.1, 0.2):
             for theta in (0.0, 18.0, 60.0):
@@ -151,7 +147,7 @@ def test_criterion_2_convex_chain():
                 cf = solve_closed_form(z)
                 _, p_qp, _ = solve_min_loss_qp(z, cf.r_load_opt)
                 problem = build_problem(z, cf.r_load_opt)
-                res = solve_relaxation(problem, opts)
+                res = solve_relaxation(problem, constrain_powers=False)
                 desc = minimize_loss_descent(problem, candidate=p_qp)
                 gaps = [abs(res.p_relax - p_qp), abs(desc.objective - p_qp)]
                 if z.n_ports <= 3:

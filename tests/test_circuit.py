@@ -279,6 +279,11 @@ class TestGeometryValidation:
         with pytest.raises(GeometryError):
             Loop((0, 0, 0), R_LOOP, R_LOOP)
 
+    def test_center_must_be_finite(self):
+        for bad in (math.inf, math.nan):
+            with pytest.raises(GeometryError, match=f"center must be finite.*{bad}"):
+                Loop((0.0, bad, 0.0), R_LOOP, 0.1 * R_LOOP)
+
     def test_preset_rejects_bad_distance(self):
         with pytest.raises(GeometryError):
             GeometrySpec.preset("siso", -1.0)

@@ -82,6 +82,31 @@ class TestExitCodes:
         assert code == 2
         assert "transmitters" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("caps", ["caps=nan,1", "caps=inf,1"])
+    def test_non_finite_caps_are_argparse_errors(self, caps, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["solve", "--preset", "miso-2p", "--theta", "30",
+                      "--constraints", caps])
+        assert exc.value.code == 2
+        assert "caps must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [(["--theta", "inf"], "angle must be finite, got inf"),
+         (["--theta", "nan"], "angle must be finite, got nan"),
+         (["--d", "inf"], "distance must be positive and finite, got inf")],
+    )
+    def test_non_finite_geometry(self, flags, message, capsys):
+        assert cli.main(["solve", "--preset", "miso-2p", *flags]) == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("flag", [["--form", "conic"], ["--tol", "1e-8"]])
+    def test_solver_knobs_are_gone(self, flag):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["sweep", "--preset", "siso", "--theta-range", "0:10:10", *flag])
+        assert exc.value.code == 2
+
     def test_sweep_needs_theta_range(self):
         assert cli.main(["sweep", "--preset", "siso"]) == 2
 
@@ -175,8 +200,7 @@ class TestSweep:
             assert float(row["r_load_ohm"]) > 0.0
             assert row["constraint_mode"] == "nonneg"
             assert len(row["matrix_sha256"]) == 64
-            # closed-form rows carry the requested form, by default "dual"
-            assert row["form"] == "dual"
+            assert row["form"] == "closed-form"
 
     def test_family_ingestion_runs_relaxation(self, family_file, tmp_path):
         code = cli.main(["sweep", "--matrix", family_file, "--out", str(tmp_path)])
@@ -190,7 +214,7 @@ class TestSweep:
             assert float(row["epsilon"]) <= 1e-8
             assert float(row["delta_eta_db"]) >= 0.0
 
-    def test_form_column_names_the_path(self, tmp_path):
+    def test_form_column_names_the_path(self, tmp_path, relaxation_only):
         # 68 degrees: the conic form retries and keeps the affine attempt
         points = []
         for theta in (0.0, 68.0):
@@ -199,27 +223,33 @@ class TestSweep:
             points.append({"theta_deg": theta, "d_frac": 0.1, "matrix": matrix_to_json(z)})
         family = tmp_path / "family.json"
         family.write_text(json.dumps({"points": points}))
-        forms = {}
-        for form in ("dual", "conic"):
-            out = tmp_path / form
-            assert cli.main(["sweep", "--matrix", str(family), "--form", form,
-                             "--out", str(out)]) == 0
+
+        def forms(out):
+            assert cli.main(["sweep", "--matrix", str(family), "--out", str(out)]) == 0
             rows = read_rows(out / "sweep.csv")
             assert rows[0]["status"] == "closed-form"
-            forms[form] = [r["form"] for r in rows]
-            assert json.loads((out / "sweep.json").read_text())["form"] == form
-        assert forms == {"dual": ["dual", "dual"], "conic": ["conic", "affine"]}
+            provenance = json.loads((out / "sweep.json").read_text())
+            assert "form" not in provenance and "tol" not in provenance
+            return [r["form"] for r in rows]
 
-    def test_solve_reports_the_form_used(self, tmp_path, capsys):
+        assert forms(tmp_path / "dual") == ["closed-form", "dual"]
+        with relaxation_only():
+            assert forms(tmp_path / "sdr") == ["closed-form", "affine"]
+
+    def test_solve_reports_the_form_used(self, tmp_path, capsys, relaxation_only):
         geom = GeometrySpec.preset("miso-2p", 0.1 * LAM, angle=math.radians(68.0))
         path = tmp_path / "m.json"
         save_impedance_file(retarded_loop_system(geom), path)
-        for form, used in (("dual", "dual"), ("conic", "affine")):
-            assert cli.main(["solve", "--matrix", str(path), "--form", form,
-                             "--out", str(tmp_path / form)]) == 0
-            assert f"relaxation form: {used}" in capsys.readouterr().out
-            record = json.loads((tmp_path / form / "solve.json").read_text())
-            assert record["form"] == used
+
+        def used(out):
+            assert cli.main(["solve", "--matrix", str(path), "--out", str(out)]) == 0
+            record = json.loads((out / "solve.json").read_text())
+            assert f"path: {record['form']}" in capsys.readouterr().out
+            return record["form"]
+
+        assert used(tmp_path / "dual") == "dual"
+        with relaxation_only():
+            assert used(tmp_path / "sdr") == "affine"
 
     def test_byte_identical_across_runs(self, family_file, tmp_path):
         outs = []
@@ -261,6 +291,7 @@ class TestSweep:
         assert rows[0]["status"] == "closed-form"
         assert rows[1]["status"].startswith("error:")
         assert rows[1]["eta"] == "nan"
+        assert [r["form"] for r in rows] == ["closed-form", ""]
         assert "theta=10.0" in capsys.readouterr().err
 
     def test_pattern_split_per_distance(self, tmp_path):

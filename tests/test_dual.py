@@ -2,6 +2,8 @@
 sweeps, its agreement with the semidefinite relaxation, and the fallback
 to the relaxation where it does not certify."""
 
+import csv
+import json
 import math
 from dataclasses import fields, is_dataclass
 
@@ -11,8 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from retarded import retarded_loop_system
-from wptopt import dual
-from wptopt.circuit import GeometrySpec, ImpedanceMatrix
+from wptopt import cli, dual
+from wptopt.circuit import GeometrySpec, ImpedanceMatrix, matrix_to_json
 from wptopt.closedform import NoCouplingError, solve_closed_form
 from wptopt.pipeline import (
     PipelineOptions,
@@ -22,7 +24,6 @@ from wptopt.pipeline import (
 )
 from wptopt.qcqp import build_problem, evaluate
 
-CONIC = PipelineOptions(form="conic")
 MISO_PRESETS = ("miso-2p", "miso-3p", "miso-2c", "miso-3c")
 SWEEP_THETAS = tuple(float(t) for t in range(-90, 91, 2))
 
@@ -89,9 +90,9 @@ class TestDerivatives:
 
 
 @pytest.fixture(scope="module")
-def binding_rows():
-    """(label, z, default row, conic row) on every binding point of the 2-degree
-    retarded sweeps at d = 0.1 lambda and of a jittered second set."""
+def binding_rows(relaxation_only):
+    """(label, z, default row, relaxation row) on every binding point of the
+    2-degree retarded sweeps at d = 0.1 lambda and of a jittered second set."""
     rng = np.random.default_rng(22)
     points = [(p, 0.1, t) for p in MISO_PRESETS for t in SWEEP_THETAS]
     points += [
@@ -104,7 +105,8 @@ def binding_rows():
         z = retarded_system(preset, frac, theta)
         res = full_pipeline(z)
         if not res.skipped:
-            ref = full_pipeline(z, None, CONIC)
+            with relaxation_only():
+                ref = full_pipeline(z)
             rows.append((f"{preset} d={frac} theta={theta}", z, res, ref))
     return rows
 
@@ -141,7 +143,7 @@ class TestRetardedSweeps:
     n=st.sampled_from((3, 4)),
     perm_seed=st.integers(0, 2**32 - 1),
 )
-def test_dual_on_random_passive_systems(seed, n, perm_seed):
+def test_dual_on_random_passive_systems(relaxation_only, seed, n, perm_seed):
     """Wherever the dual certifies, it is no worse than the relaxation, no
     better than the unconstrained closed form, and blind to port order."""
     z = random_system(seed, n)
@@ -155,7 +157,8 @@ def test_dual_on_random_passive_systems(seed, n, perm_seed):
     assert res.form == "dual"
     assert res.eta <= res.closed_form.eta * (1.0 + 1e-12)
     try:
-        ref = full_pipeline(z, None, CONIC)
+        with relaxation_only():
+            ref = full_pipeline(z)
     except RelaxationError:
         ref = None
     if ref is not None:
@@ -185,13 +188,14 @@ NOT_TIGHT_IM = [
 
 
 class TestFallback:
-    def test_uncertified_row_is_the_relaxation(self):
+    def test_uncertified_row_is_the_relaxation(self, relaxation_only):
         z = ImpedanceMatrix(np.array(NOT_TIGHT_RE) + 1j * np.array(NOT_TIGHT_IM), 1e7)
         problem = build_problem(z, solve_closed_form(z).r_load)
         assert not dual.solve_dual(problem).certified
         with pytest.warns(RuntimeWarning, match="heuristic"):
             res = full_pipeline(z)
-            ref = full_pipeline(z, None, CONIC)
+            with relaxation_only():
+                ref = full_pipeline(z)
             raw = solve_relaxation(problem)
         assert res.form in ("conic", "affine") and not res.tight
         assert same(res, ref)
@@ -199,12 +203,27 @@ class TestFallback:
                      "cmat", "cvec", "iterations", "kkt"):
             assert same(getattr(res, name), getattr(raw, name)), name
 
-    def test_capped_retarded_point_matches_the_relaxation(self):
+    def test_non_tight_row_reports_its_status(self, tmp_path):
+        # its extracted point is not certified, so it is no "optimal" row
+        z = ImpedanceMatrix(np.array(NOT_TIGHT_RE) + 1j * np.array(NOT_TIGHT_IM), 1e7)
+        with pytest.warns(RuntimeWarning, match="heuristic"):
+            res = full_pipeline(z)
+        assert res.status == "not-tight" and not res.tight
+        family = tmp_path / "family.json"
+        family.write_text(json.dumps([{"theta_deg": 0.0, "matrix": matrix_to_json(z)}]))
+        with pytest.warns(RuntimeWarning, match="heuristic"):
+            assert cli.main(["sweep", "--matrix", str(family), "--out", str(tmp_path)]) == 0
+        with open(tmp_path / "sweep.csv", newline="") as fh:
+            (row,) = csv.DictReader(fh)
+        assert (row["status"], row["tight"], row["form"]) == ("not-tight", "false", res.form)
+
+    def test_capped_retarded_point_matches_the_relaxation(self, relaxation_only):
         z = retarded_system("miso-2p", 0.1, 0.0)
         cf = solve_closed_form(z)
         caps = (0.8 * cf.p_tx[0], 10.0 * cf.p_tx[1])
         res = full_pipeline(z, cf.r_load, PipelineOptions(power_caps=caps))
-        ref = full_pipeline(z, cf.r_load, PipelineOptions(form="conic", power_caps=caps))
+        with relaxation_only():
+            ref = full_pipeline(z, cf.r_load, PipelineOptions(power_caps=caps))
         assert res.form == "dual" and not res.skipped
         assert abs(res.eta - ref.eta) <= 1e-10 * ref.eta
         assert np.all(res.transmit_powers <= np.asarray(caps) + 1e-9)
@@ -221,15 +240,17 @@ class TestFallback:
             full_pipeline(z, cf.r_load, PipelineOptions(power_caps=(0.2, 0.2)))
         assert err.value.status == "infeasible"
 
-    def test_unconstrained_rows_are_the_closed_form(self):
+    def test_unconstrained_rows_are_the_closed_form(self, relaxation_only):
         z = retarded_system("miso-3c", 0.1, 18.0)
         cf = solve_closed_form(z)
         assert cf.p_tx.min() < 0.0
-        for form in ("dual", "conic", "affine"):
-            opts = PipelineOptions(form=form, constrain_powers=False)
-            res = full_pipeline(z, None, opts)
-            assert res.skipped and res.status == "closed-form", form
-            assert res.eta == cf.eta and res.iterations == 0, form
+        opts = PipelineOptions(constrain_powers=False)
+        with relaxation_only():
+            ref = full_pipeline(z, None, opts)
+        for res in (full_pipeline(z, None, opts), ref):
+            assert res.skipped and res.status == "closed-form"
+            assert res.form == "closed-form"
+            assert res.eta == cf.eta and res.iterations == 0
 
 
 class TestWarmStartAndStall:
@@ -248,16 +269,19 @@ class TestWarmStartAndStall:
 class TestRelaxationFinish:
     """Relaxation rows are finished on the dual from the SDR's multipliers."""
 
-    def test_row_missing_tightness_is_made_feasible(self):
+    def test_row_missing_tightness_is_made_feasible(self, relaxation_only):
         # the kept attempt's extraction leaves a binding power about -0.01 W
-        res = full_pipeline(retarded_system("miso-3p", 0.1311, -55.63), None, CONIC)
+        with relaxation_only():
+            res = full_pipeline(retarded_system("miso-3p", 0.1311, -55.63))
         assert res.form in ("conic", "affine") and res.epsilon > 1e-8
+        assert res.status == "not-tight" and not res.tight
         assert res.transmit_powers.min() >= -1e-9
 
-    def test_closed_gap_certifies_a_stuck_ascent(self):
+    def test_closed_gap_certifies_a_stuck_ascent(self, relaxation_only):
         # near a coupling null the warm ascent closes the gap, but rounding
         # holds its projected gradient above GRAD_TOL; the extraction alone
         # leaves a power at -7e-6 W
-        res = full_pipeline(retarded_system("miso-3p", 0.1, -54.0), 0.0674, CONIC)
+        with relaxation_only():
+            res = full_pipeline(retarded_system("miso-3p", 0.1, -54.0), 0.0674)
         assert res.form in ("conic", "affine") and res.tight
         assert res.transmit_powers.min() >= -1e-9

@@ -8,7 +8,7 @@ from retarded import retarded_loop_system
 from wptopt.circuit import GeometrySpec
 from wptopt.closedform import solve_closed_form, solve_min_loss_qp
 from wptopt.oracle import verify_identities
-from wptopt.pipeline import PipelineOptions, solve_relaxation
+from wptopt.pipeline import solve_relaxation
 from wptopt.qcqp import build_problem, evaluate
 
 
@@ -44,7 +44,7 @@ class TestBruteForce:
         cf = solve_closed_form(z)
         assert cf.p_tx.min() < 0  # the constraint genuinely binds here
         prob = build_problem(z, cf.r_load)
-        res = solve_relaxation(prob, PipelineOptions())
+        res = solve_relaxation(prob)
         rep = brute_force_qcqp(prob, candidate=res.p_relax)
         assert rep.agreement_gap < 1e-4
         assert rep.objective >= res.p_relax - 1e-6 * abs(res.p_relax)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import wptopt.pipeline
+import wptopt.sdp
 from retarded import retarded_loop_system
 from wptopt.circuit import GeometrySpec, build_loop_system
 from wptopt.closedform import solve_closed_form, solve_min_loss_qp
@@ -27,7 +28,7 @@ from wptopt.pipeline import (
     tightness_error,
 )
 from wptopt.qcqp import build_problem, evaluate
-from wptopt.sdp import SdpOptions, solve
+from wptopt.sdp import check_kkt, solve
 
 
 def quasi_system(preset="miso-2p", frac=0.1, theta_deg=0.0):
@@ -160,7 +161,7 @@ class TestSolveRelaxation:
         z = quasi_system("miso-3p")
         r_load = solve_closed_form(z).r_load
         prob = build_problem(z, r_load)
-        res = solve_relaxation(prob, PipelineOptions(constrain_powers=False))
+        res = solve_relaxation(prob, constrain_powers=False)
         _, p_loss, _ = solve_min_loss_qp(z, r_load)
         assert res.p_relax == pytest.approx(p_loss, rel=1e-8)
         assert res.tight
@@ -186,22 +187,23 @@ class TestSolveRelaxation:
             assert rep.tx_powers.min() >= -1e-12
             assert res.p_relax <= rep.objective + 1e-9
 
-    def test_non_optimal_status_raises(self):
+    def test_non_optimal_status_raises(self, monkeypatch):
         z = quasi_system("miso-2p")
         prob = build_problem(z, 10.0)
-        opts = PipelineOptions(sdp=SdpOptions(max_iters=1))
+        monkeypatch.setattr(wptopt.sdp, "MAX_ITERS", 1)
         with pytest.raises(RelaxationError) as err:
-            solve_relaxation(prob, opts)
+            solve_relaxation(prob)
         assert err.value.status == "max_iters"
 
     def test_affine_and_conic_agree(self):
         z = retarded_system("miso-2c", theta_deg=40.0)
         r_load = solve_closed_form(z).r_load
         prob = build_problem(z, r_load)
-        con = solve_relaxation(prob, PipelineOptions(form="conic"))
-        aff = solve_relaxation(prob, PipelineOptions(form="affine"))
-        assert aff.p_relax == pytest.approx(con.p_relax, rel=1e-6)
-        assert np.allclose(aff.cvec, con.cvec, atol=1e-5 * np.abs(con.cvec).max())
+        con = solve_relaxation(prob)
+        aff = solve(build_instance(prob, "affine"))
+        assert con.form == "conic" and aff.status == "optimal"
+        assert aff.primal_obj == pytest.approx(con.p_relax, rel=1e-6)
+        assert np.allclose(aff.x_vec, con.cvec, atol=1e-5 * np.abs(con.cvec).max())
 
     def test_form_fallback_near_coupling_cancellation(self):
         # at this angle the conic form stalls against its conditioning wall;
@@ -216,8 +218,8 @@ class TestSolveRelaxation:
         # the point above retries; the attempt it discards did work too
         counts = []
 
-        def counted(inst, opts=None):
-            sol = solve(inst, opts)
+        def counted(inst):
+            sol = solve(inst)
             counts.append(sol.iterations)
             return sol
 
@@ -231,10 +233,13 @@ class TestSolveRelaxation:
         # conic retries here and keeps the affine attempt; the row says so
         z = retarded_system("miso-2p", theta_deg=68.0)
         prob = build_problem(z, solve_closed_form(z).r_load_opt)
-        assert solve_relaxation(prob, PipelineOptions(form="conic")).form == "affine"
-        assert solve_relaxation(prob, PipelineOptions(form="affine")).form == "affine"
-        # the relaxation alone starts a "dual" request in the conic form
         assert solve_relaxation(prob).form == "affine"
+        # the affine form alone certifies this point
+        inst = build_instance(prob, "affine")
+        sol = solve(inst)
+        assert sol.status == "optimal"
+        assert tightness_error(sol.x_mat, sol.x_vec) <= 1e-8
+        assert check_kkt(inst, sol).max_residual() <= 1e-8
         z = retarded_system("miso-2p", theta_deg=20.0)
         prob = build_problem(z, solve_closed_form(z).r_load_opt)
         assert solve_relaxation(prob).form == "conic"
@@ -331,11 +336,21 @@ class TestFullPipeline:
         assert np.all(res.transmit_powers <= np.asarray(caps) + 1e-9)
         assert res.eta <= base.eta + 1e-12
 
-    def test_form_of_each_path(self):
-        assert full_pipeline(retarded_system("miso-2p", theta_deg=68.0)).form == "dual"
+    def test_non_finite_caps_rejected(self):
+        for caps in ((math.nan, 1.0), (1.0, math.inf)):
+            with pytest.raises(ValueError, match="finite"):
+                PipelineOptions(power_caps=caps)
+        # a negative cap stays legal: such a row is certified infeasible
+        assert PipelineOptions(power_caps=(-1.0, 1.0)).power_caps == (-1.0, 1.0)
+
+    def test_form_of_each_path(self, relaxation_only):
+        binding = retarded_system("miso-2p", theta_deg=68.0)
+        assert full_pipeline(binding).form == "dual"
         quasi = quasi_system("miso-2p")
-        assert full_pipeline(quasi).form == "dual"  # closed form: the request
-        assert full_pipeline(quasi, None, PipelineOptions(form="affine")).form == "affine"
+        assert full_pipeline(quasi).form == "closed-form"
+        with relaxation_only():
+            assert full_pipeline(quasi).form == "closed-form"
+            assert full_pipeline(binding).form == "affine"
 
     def test_explicit_load_is_respected(self):
         z = quasi_system("miso-2p")

@@ -20,7 +20,6 @@ from wptopt.sdp import (
     DIM_CAP,
     KktReport,
     SdpInstance,
-    SdpOptions,
     SdpSolution,
     check_kkt,
     solve,
@@ -290,7 +289,7 @@ class TestStrongDuality:
 
     def test_weak_duality_near_feasible_iterates(self):
         inst = random_strong_duality_instance(seed=1)
-        sol = solve(inst, SdpOptions(verbose=True))
+        sol = solve(inst)
         assert sol.status == "optimal"
         assert len(sol.trace) == sol.iterations
         for rec in sol.trace:
@@ -432,9 +431,10 @@ class TestStatuses:
         assert ray is not None
         assert float(np.sum(np.diag([-1.0, 1.0]) * ray)) < 0
 
-    def test_max_iters_reports_best_iterate(self):
+    def test_max_iters_reports_best_iterate(self, monkeypatch):
         inst = random_strong_duality_instance(seed=5)
-        sol = solve(inst, SdpOptions(max_iters=2))
+        monkeypatch.setattr(sdp, "MAX_ITERS", 2)
+        sol = solve(inst)
         assert sol.status == "max_iters"
         assert sol.iterations == 2
         assert np.isfinite(sol.residuals["primal"])
