@@ -266,10 +266,12 @@ def _check_caps(caps, n_tx: int):
 
 
 def _solve_point(z, rl_policy, opts: PipelineOptions):
+    """Return (result, LoadSearch or None); the search only for 'optimize'."""
     if rl_policy == "optimize":
-        return optimize_load(z, options=opts).result
+        search = optimize_load(z, options=opts)
+        return search.result, search
     r_load = None if rl_policy == "auto" else float(rl_policy)
-    return full_pipeline(z, r_load, opts)
+    return full_pipeline(z, r_load, opts), None
 
 
 def _ensure_out(path):
@@ -287,7 +289,9 @@ def _write_text(path, lines):
 # ---------------------------------------------------------------- solve
 
 
-def _describe(res, z, source: str, theta_deg: float, d_frac: float, args) -> str:
+def _describe(
+    res, search, z, source: str, theta_deg: float, d_frac: float, args
+) -> str:
     cf = res.closed_form
     label, _, _ = args.constraints
     lines = [
@@ -295,6 +299,12 @@ def _describe(res, z, source: str, theta_deg: float, d_frac: float, args) -> str
         f"operating pt  : theta = {_fmt(theta_deg)} deg, d = {_fmt(d_frac)} lambda",
         f"constraints   : {label}   path: {res.form}",
         f"R_L           : {_fmt(res.r_load)} ohm (policy: {args.rl})",
+    ]
+    if search is not None:
+        lines.append(
+            f"load search   : {search.method}, {search.evaluations} evaluations"
+        )
+    lines += [
         f"eta           : {_fmt(res.eta)}   loss at 1 W received: {_fmt(res.p_relax)} W",
         f"x_r           : {_fmt(res.x_r)} ohm   C_r: {_fmt(cap_r(res.x_r, z.omega))} F",
         "tx powers [W] : " + " ".join(_fmt(float(p)) for p in res.transmit_powers),
@@ -335,8 +345,8 @@ def cmd_solve(args) -> int:
     _, _, caps = args.constraints
     _check_caps(caps, z.n_tx)
     opts = _pipeline_options(args)
-    res = _solve_point(z, args.rl, opts)
-    print(_describe(res, z, source, theta_deg, d_frac, args))
+    res, search = _solve_point(z, args.rl, opts)
+    print(_describe(res, search, z, source, theta_deg, d_frac, args))
     record = result_record(res, z)
     record.update(
         {
@@ -349,6 +359,9 @@ def cmd_solve(args) -> int:
             "rl_policy": str(args.rl),
         }
     )
+    if search is not None:
+        record["load_search_method"] = search.method
+        record["load_search_evaluations"] = search.evaluations
     text = json.dumps(record, indent=2, sort_keys=True)
     if args.out:
         path = os.path.join(_ensure_out(args.out), "solve.json")
@@ -406,7 +419,7 @@ def _sweep_row(theta_deg, d_frac, z, source, args, opts):
         "form": "",
     }
     try:
-        res = _solve_point(z, args.rl, opts)
+        res, _ = _solve_point(z, args.rl, opts)
     except RelaxationError as exc:
         row = _failed_row(base, f"error:{exc.status}")
         return row, None, None, str(exc), [nan] * z.n_tx

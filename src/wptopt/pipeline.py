@@ -15,9 +15,11 @@ point is not certified and may break the power constraints. The operating
 point (currents, receiver reactance, load voltages, efficiency) is then
 recovered from the solution vector.
 
-An outer golden-section search optimizes the load resistance to the relative
-bracket width `LOAD_REL_TOL`, falling back to a grid scan if the efficiency
-profile fails the unimodality probe.
+`optimize_load` searches the load resistance. When the closed form at the
+unconstrained optimal load R* is feasible it is the answer in one
+evaluation. Otherwise Brent's parabolic search in ln R_L narrows the bracket
+to the relative width `LOAD_REL_TOL`, falling back to a grid scan if the
+efficiency profile fails the unimodality probe.
 """
 
 import hashlib
@@ -53,7 +55,7 @@ SKIP_TOLERANCE = -1e-12  # watts; closed-form powers above this mean no SDR run
 TIGHTNESS_THRESHOLD = 1e-8  # epsilon at or below this certifies a tight relaxation
 KKT_THRESHOLD = 1e-8  # worst normalized KKT residual an attempt may leave
 RANK_RATIO_LIMIT = 1e-4  # second/first eigenvalue above this: heuristic extraction
-LOAD_REL_TOL = 1e-4  # golden-section bracket width, relative to its upper end
+LOAD_REL_TOL = 1e-4  # final load-search bracket width, relative
 
 
 class RelaxationError(RuntimeError):
@@ -428,7 +430,7 @@ class LoadSearch:
     method: str
 
 
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+_CGOLD = (3.0 - math.sqrt(5.0)) / 2.0
 
 
 def optimize_load(
@@ -438,19 +440,21 @@ def optimize_load(
 ) -> LoadSearch:
     """Outer load-resistance search wrapping the full pipeline.
 
-    Golden-section maximization of the efficiency over the bracket
-    (default: a decade either side of the unconstrained optimal load).
-    A failed unimodality probe (interior no better than the edges) drops
-    to a logarithmic grid scan with a warning.
+    With the default bracket (a decade either side of the unconstrained
+    optimal load R*) the first evaluation is at R*.  A row there that
+    skips the relaxation meets every constraint while reaching the
+    unconstrained optimum of currents and load together, so it is the exact
+    maximum of the efficiency over all loads ("closed-form", one
+    evaluation).  Otherwise, after a unimodality probe (the bracket's
+    geometric midpoint against its edges), Brent's safeguarded parabolic
+    search (Brent, *Algorithms for Minimization without Derivatives*, 1973,
+    ch. 5) maximizes the efficiency in ln R_L until the bracket is within
+    ``LOAD_REL_TOL`` relative ("brent").  A failed probe (interior no better
+    than the edges) drops to a logarithmic grid scan with a warning
+    ("grid").  A row whose relaxation is not tight is ranked by its
+    certified bound, and the best evaluated row is returned.
     """
     opts = options or PipelineOptions()
-    if bounds is None:
-        cf = solve_closed_form(z)
-        bounds = (cf.r_load_opt / 10.0, cf.r_load_opt * 10.0)
-    lo, hi = float(bounds[0]), float(bounds[1])
-    if not (0.0 < lo < hi):
-        raise ValueError(f"bad load bounds {bounds}")
-
     cache = {}
 
     def eta_at(rl):
@@ -461,7 +465,19 @@ def optimize_load(
         # that beats every feasible one: rank it by its certified bound
         return res.eta if res.tight else 1.0 / (1.0 + res.p_relax)
 
-    mid = math.sqrt(lo * hi)
+    if bounds is not None:
+        lo, hi = float(bounds[0]), float(bounds[1])
+        if not (0.0 < lo < hi < math.inf):
+            raise ValueError(f"bad load bounds {bounds}")
+        mid = math.sqrt(lo * hi)
+    else:
+        first = full_pipeline(z, None, opts)  # at R*
+        if first.skipped:
+            return LoadSearch(first.r_load, first, 1, "closed-form")
+        mid = first.r_load
+        cache[mid] = first
+        lo, hi = mid / 10.0, mid * 10.0
+
     if eta_at(mid) < min(eta_at(lo), eta_at(hi)):
         warnings.warn(
             "efficiency profile failed the unimodality probe; using grid scan",
@@ -472,21 +488,53 @@ def optimize_load(
         best = max(grid, key=eta_at)
         return LoadSearch(float(best), cache[best], len(cache), "grid")
 
-    a, b = lo, hi
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = eta_at(c), eta_at(d)
-    while (b - a) > LOAD_REL_TOL * b:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = eta_at(c)
+    # Brent's minimization of -eta over u = ln R_L; stops once the bracket
+    # [a, b] is at most 4 tol = LOAD_REL_TOL wide
+    tol = LOAD_REL_TOL / 4.0
+    a, b = math.log(lo), math.log(hi)
+    x = w = v = math.log(mid)
+    fx = fw = fv = -eta_at(mid)
+    d = e = 0.0
+    while True:
+        m = 0.5 * (a + b)
+        if abs(x - m) <= 2.0 * tol - 0.5 * (b - a):
+            break
+        p = q = r = 0.0
+        if abs(e) > tol:  # fit a parabola through x, w and v
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r, e = e, d
+        if abs(p) < abs(0.5 * q * r) and q * (a - x) < p < q * (b - x):
+            d = p / q  # parabolic step
+            if (x + d - a) < 2.0 * tol or (b - x - d) < 2.0 * tol:
+                d = tol if x <= m else -tol
+        else:  # golden-section step into the larger part
+            e = (b if x < m else a) - x
+            d = _CGOLD * e
+        u = x + (d if abs(d) >= tol else math.copysign(tol, d))
+        fu = -eta_at(math.exp(u))
+        if fu <= fx:
+            if u < x:
+                b = x
+            else:
+                a = x
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
         else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = eta_at(d)
-    best = c if fc >= fd else d
-    return LoadSearch(float(best), cache[best], len(cache), "golden")
+            if u < x:
+                a = u
+            else:
+                b = u
+            if fu <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
+    best = max(cache, key=eta_at)
+    return LoadSearch(float(best), cache[best], len(cache), "brent")
 
 
 def result_record(result: SdrResult, z: ImpedanceMatrix) -> dict:

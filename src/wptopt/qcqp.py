@@ -11,6 +11,7 @@ Two encodings of the receiver-side equalities are provided: an affine block
 relaxation, where redundant rank-two equalities sharpen the lifted problem.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -176,6 +177,8 @@ def build_problem(z, r_load, power_caps=None):
         caps = tuple(float(v) for v in power_caps)
         if len(caps) != n - 1:
             raise ValueError("one power cap per transmitter required")
+        if not all(math.isfinite(v) for v in caps):
+            raise ValueError(f"power caps must be finite, got {caps}")
     return QcqpProblem(
         m=2 * n - 1,
         n_tx=n - 1,

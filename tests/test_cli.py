@@ -16,9 +16,11 @@ from wptopt.circuit import (
     PRESET_FREQUENCY,
     GeometrySpec,
     load_impedance_file,
+    matrix_from_json,
     matrix_to_json,
     save_impedance_file,
 )
+from wptopt.pipeline import optimize_load
 
 LAM = C0 / PRESET_FREQUENCY
 
@@ -160,6 +162,30 @@ class TestSolve:
         for key in set(a) - skip:
             assert a[key] == b[key], key
 
+    @pytest.mark.parametrize("theta, method", [(0.0, "closed-form"), (45.0, "brent")])
+    def test_optimize_reports_the_load_search(self, theta, method, tmp_path, capsys):
+        # quasi-static presets are closed-form feasible; a retarded matrix binds
+        if method == "closed-form":
+            source = ["--preset", "miso-2p", "--theta", str(theta)]
+        else:
+            geom = GeometrySpec.preset("miso-2p", 0.1 * LAM, angle=math.radians(theta))
+            save_impedance_file(retarded_loop_system(geom), tmp_path / "m.json")
+            source = ["--matrix", str(tmp_path / "m.json")]
+        argv = ["solve", *source, "--rl", "optimize", "--out", str(tmp_path / "out")]
+        assert cli.main(argv) == 0
+        rec = json.loads((tmp_path / "out" / "solve.json").read_text())
+        assert rec["load_search_method"] == method
+        n = rec["load_search_evaluations"]
+        assert (n == 1) if method == "closed-form" else (1 < n <= 29)
+        out = capsys.readouterr().out
+        assert f"load search   : {method}, {n} evaluations" in out
+
+    def test_fixed_load_has_no_load_search(self, tmp_path, capsys):
+        assert cli.main(["solve", "--preset", "siso", "--out", str(tmp_path)]) == 0
+        rec = json.loads((tmp_path / "solve.json").read_text())
+        assert not any(key.startswith("load_search") for key in rec)
+        assert "load search" not in capsys.readouterr().out
+
 
 class TestGenMatrix:
     def test_port_count(self, tmp_path, capsys):
@@ -213,6 +239,21 @@ class TestSweep:
             assert row["status"] == "optimal"
             assert float(row["epsilon"]) <= 1e-8
             assert float(row["delta_eta_db"]) >= 0.0
+
+    def test_optimize_rows_match_the_library(self, family_file, tmp_path):
+        code = cli.main(
+            ["sweep", "--matrix", family_file, "--rl", "optimize", "--out", str(tmp_path)]
+        )
+        assert code == 0
+        rows = read_rows(tmp_path / "sweep.csv")
+        assert list(rows[0]) == list(cli.SWEEP_COLUMNS) + ["p_t_1_w", "p_t_2_w"]
+        with open(family_file) as fh:
+            points = json.load(fh)["points"]
+        assert len(rows) == len(points)
+        for row, point in zip(rows, points):
+            assert row["tight"] == "true"
+            search = optimize_load(matrix_from_json(point["matrix"]))
+            assert float(row["r_load_ohm"]) == search.r_load
 
     def test_form_column_names_the_path(self, tmp_path, relaxation_only):
         # 68 degrees: the conic form retries and keeps the affine attempt

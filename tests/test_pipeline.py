@@ -7,6 +7,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import wptopt.pipeline
 import wptopt.sdp
@@ -14,6 +16,7 @@ from retarded import retarded_loop_system
 from wptopt.circuit import GeometrySpec, build_loop_system
 from wptopt.closedform import solve_closed_form, solve_min_loss_qp
 from wptopt.pipeline import (
+    LOAD_REL_TOL,
     LoadSearch,
     PipelineOptions,
     RelaxationError,
@@ -358,14 +361,37 @@ class TestFullPipeline:
         assert res.r_load == 17.0
 
 
+class FakeRow:
+    """Stand-in pipeline row whose efficiency is a given function of ln R_L."""
+
+    def __init__(self, rl, eta, tight=True, bound=None):
+        self.r_load = rl
+        self.eta = eta
+        self.tight = tight
+        self.p_relax = 1.0 / (eta if bound is None else bound) - 1.0
+
+
+def fake_pipeline(monkeypatch, row_at):
+    """Route optimize_load's evaluations to row_at(rl); returns the log."""
+    calls = []
+
+    def fake(z, rl, opts):
+        calls.append(rl)
+        return row_at(rl)
+
+    monkeypatch.setattr(wptopt.pipeline, "full_pipeline", fake)
+    return calls
+
+
 class TestOptimizeLoad:
     def test_recovers_unconstrained_optimum(self):
         z = quasi_system("miso-2p")
         cf = solve_closed_form(z)
         search = optimize_load(z)
-        assert search.method == "golden"
-        assert search.r_load == pytest.approx(cf.r_load_opt, rel=1e-3)
-        assert search.result.eta == pytest.approx(cf.eta_max, rel=1e-6)
+        assert search.method == "closed-form"
+        assert search.evaluations == 1
+        assert search.r_load == cf.r_load_opt
+        assert search.result.eta == pytest.approx(cf.eta_max, rel=1e-12)
 
     def test_flat_maximum(self):
         z = quasi_system("miso-2p")
@@ -382,15 +408,77 @@ class TestOptimizeLoad:
         search = optimize_load(z)
         assert search.result.eta >= at_guess.eta - 1e-12
 
-    def test_non_tight_probe_is_ranked_by_its_bound(self):
-        # near R_L = 0.0679 ohm the relaxation is not tight: its extracted
-        # point has a power of about -17 W and an efficiency above every
-        # feasible point of this bracket, and must not win the search
+    def test_binding_point_is_a_local_maximum(self):
+        z = retarded_system("miso-2p", theta_deg=45.0)
+        search = optimize_load(z)
+        assert search.method == "brent"
+        assert search.evaluations <= 15
+        assert not search.result.skipped and search.result.tight
+        for fac in (1.0 - 1e-3, 1.0 + 1e-3):
+            assert full_pipeline(z, fac * search.r_load).eta <= search.result.eta
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        peak=st.floats(0.02, 0.98),
+        skew=st.sampled_from([0.0, -3.0, -1.0, 0.5, 2.0]),
+        lo=st.floats(1e-3, 10.0),
+        decades=st.floats(0.5, 3.0),
+    )
+    def test_smooth_unimodal_profiles(self, peak, skew, lo, decades):
+        # 1/eta - 2 is v^2 or, skewed, the convex linex e^{sv} - sv - 1 in
+        # v = ln R_L - ln R_peak, so the peak is the unique maximum
+        hi = lo * 10.0**decades
+        u_peak = math.log(lo) + peak * math.log(hi / lo)
+
+        def row_at(rl):
+            v = math.log(rl) - u_peak
+            dist = v * v if skew == 0.0 else math.expm1(skew * v) - skew * v
+            return FakeRow(rl, 1.0 / (2.0 + dist))
+
+        with pytest.MonkeyPatch.context() as mp:
+            fake_pipeline(mp, row_at)
+            search = wptopt.pipeline.optimize_load(None, bounds=(lo, hi))
+        assert search.method == "brent"
+        assert search.evaluations <= 29
+        r_peak = math.exp(u_peak)
+        assert abs(search.r_load - r_peak) <= LOAD_REL_TOL * r_peak
+
+    def test_non_tight_probe_is_ranked_by_its_bound(self, monkeypatch):
+        # on this bracket the dual stalls and some relaxations are not tight
+        # (near R_L = 0.0679 ohm the extracted point has a power of about
+        # -17 W); a non-tight row must not win the search
         z = retarded_system("miso-3p", theta_deg=-54.0)
-        with pytest.warns(RuntimeWarning, match="heuristic"):
+        rows = []
+
+        def spy(*args):
+            rows.append(full_pipeline(*args))
+            return rows[-1]
+
+        monkeypatch.setattr(wptopt.pipeline, "full_pipeline", spy)
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "second eigenvalue", RuntimeWarning)
             search = optimize_load(z, bounds=(0.0655, 0.0694))
         assert search.result.tight
         assert search.result.transmit_powers.min() >= -1e-9
+        assert any(not r.tight and r is not search.result for r in rows)
+
+    def test_non_tight_start_loses_to_its_bound(self, monkeypatch):
+        # the start point's extracted efficiency tops the profile, but its
+        # certified bound sits below the tight rows around it
+        u_peak = math.log(3.0)
+
+        def row_at(rl):
+            eta = math.exp(-1.0 - (math.log(rl) - u_peak) ** 2)
+            if rl == 10.0:
+                return FakeRow(rl, 0.9, tight=False, bound=0.5 * eta)
+            return FakeRow(rl, eta)
+
+        calls = fake_pipeline(monkeypatch, row_at)
+        search = wptopt.pipeline.optimize_load(None, bounds=(1.0, 100.0))
+        assert calls[0] == 10.0
+        assert search.method == "brent"
+        assert search.result.tight
+        assert search.r_load == pytest.approx(3.0, rel=LOAD_REL_TOL)
 
     def test_grid_fallback_on_non_unimodal_profile(self, monkeypatch):
         import wptopt.pipeline as pl
@@ -411,6 +499,12 @@ class TestOptimizeLoad:
     def test_bad_bounds_rejected(self):
         with pytest.raises(ValueError, match="bounds"):
             optimize_load(None, bounds=(5.0, 1.0))
+
+    @pytest.mark.parametrize("bounds", [(1.0, math.inf), (math.nan, 2.0)])
+    def test_non_finite_bounds_rejected(self, bounds):
+        # (1, inf) used to pass and end in a LAPACK LinAlgError
+        with pytest.raises(ValueError, match="bad load bounds"):
+            optimize_load(None, bounds=bounds)
 
 
 class TestResultRecord:

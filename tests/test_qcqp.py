@@ -1,5 +1,7 @@
 """QCQP assembly tests: realification, constraint encodings, identities."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -199,6 +201,14 @@ class TestProblem:
         assert prob.power_caps == (2.0, 3.0)
         with pytest.raises(ValueError, match="per transmitter"):
             build_problem(z, 0.05, power_caps=[1.0])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_power_caps_rejected(self, bad):
+        # they used to reach LAPACK inside the relaxation (dsyevd failed)
+        z = build_loop_system(GeometrySpec.preset("miso-2p", 0.1 * LAM, 0.5))
+        with pytest.raises(ValueError, match="power caps must be finite"):
+            build_problem(z, 10.0, power_caps=(bad, 1.0))
+
 
 class TestEvaluate:
     def test_reports_on_feasible_and_infeasible_points(self):
