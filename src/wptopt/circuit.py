@@ -10,11 +10,14 @@ Loop parameters come from standard thin-wire formulas (self-inductance,
 skin-effect and radiation resistance); mutual inductances are Neumann
 line integrals evaluated with the azimuthal integration done in closed
 form (loop vector potential, complete elliptic integrals) and the
-remaining integral by adaptive Gauss-Legendre panels.  Each refinement
-stage of that quadrature is one vectorized integrand call over all its
-panels; the panel sums stay separate dot products, so M is bit for bit
-what a panel-at-a-time loop gives.  Matrices can also be ingested from
-JSON files, e.g. when they come from a full-wave solver.
+remaining integral by adaptive Gauss-Legendre panels.  The elliptic
+integrals enter through one kernel, evaluated from a power series at small
+parameter and a fitted log-polynomial form elsewhere (`tools/fit_wm.py`),
+so numpy is the only dependency.  Each refinement stage of that quadrature
+is one vectorized integrand call over all its panels; the panel sums stay
+separate dot products, so M is bit for bit what a panel-at-a-time loop
+gives.  Matrices can also be ingested from JSON files, e.g. when they come
+from a full-wave solver.
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ellipe, ellipkm1
 
 MU0 = 4.0e-7 * np.pi
 C0 = 299792458.0
@@ -239,27 +241,75 @@ def _series_coeffs(kmax: int = 14) -> np.ndarray:
 _WM_SERIES = _series_coeffs()
 
 
+# [(2-m)K - 2E]/m**2 = A(p) - log(p) B(p) on p = 1 - m in [0, 0.95]: the Cody
+# form of K and E (Math. Comp. 19, 1965; Cephes ellpk/ellpe) fitted to the
+# quotient itself, which avoids the cancellation of (2-m)K - 2E at small m.
+# Coefficients in increasing powers of p, from `tools/fit_wm.py` (relative
+# error 5e-17; 1e-14 after rounding, against 1.7e-12 for scipy's K and E).
+_WM_A = (
+    -0.613705638880109,
+    -0.6308376874179643,
+    -0.6341212911478412,
+    -0.6352218809791073,
+    -0.6342066384692662,
+    -0.5996288530510945,
+    -0.2923564739913972,
+    0.7540007833980616,
+    1.825991753237785,
+    1.3300750948390956,
+    0.31100127202560424,
+    0.015359101285591892,
+)
+_WM_B = (
+    0.5,
+    1.124999999993098,
+    1.7578124854255652,
+    2.3925735243880792,
+    3.027710938365374,
+    3.651781952834638,
+    4.141429222867191,
+    3.9762677112002214,
+    2.604107819636519,
+    0.8925036996794604,
+    0.11663769365176387,
+    0.003159729501600177,
+)
+_WM_AB = np.array([_WM_A, _WM_B])
+
+
 def _w_over_m(m: np.ndarray, one_minus_m: np.ndarray) -> np.ndarray:
     """[(2-m)K(m) - 2E(m)] / m**2, stable at both ends of m in [0, 1].
 
     The direct expression cancels catastrophically for small m and K(m)
     needs the complementary parameter near m = 1; both regimes matter
-    (far pairs, tangent pairs).
+    (far pairs, tangent pairs).  Small m takes the power series, the rest
+    the fitted log-polynomial form.  The fitted form runs on the whole
+    array and is then overwritten where m is small, which spares the
+    masked copies whenever no m is.
     """
-    out = np.empty_like(m)
     small = m < 0.05
+    if small.all():
+        return _wm_series(m)
+    p = np.maximum(one_minus_m, 5e-324)
+    # rows p**0 .. p**11, then A and B in one matrix product
+    powers = np.empty((_WM_AB.shape[1], p.size))
+    powers[0] = 1.0
+    powers[1] = p
+    for k in range(2, len(powers)):
+        np.multiply(powers[k - 1], p, out=powers[k])
+    a, b = _WM_AB @ powers
+    out = a - np.log(p) * b
     if small.any():
-        ms = m[small]
-        acc = np.zeros_like(ms)
-        for k in range(len(_WM_SERIES) - 1, 1, -1):
-            acc = acc * ms + _WM_SERIES[k]
-        out[small] = 0.5 * np.pi * acc
-    big = ~small
-    if big.any():
-        mb = m[big]
-        p = np.maximum(one_minus_m[big], 5e-324)
-        out[big] = ((2.0 - mb) * ellipkm1(p) - 2.0 * ellipe(mb)) / (mb * mb)
+        out[small] = _wm_series(m[small])
     return out
+
+
+def _wm_series(m):
+    """The small-m branch: (pi/2) sum_k d_k m^(k-2) by Horner's rule."""
+    acc = np.zeros_like(m)
+    for k in range(len(_WM_SERIES) - 1, 1, -1):
+        acc = acc * m + _WM_SERIES[k]
+    return 0.5 * np.pi * acc
 
 
 def _neumann_reduced(psi, ra, rb, rho, h):

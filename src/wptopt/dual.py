@@ -46,16 +46,18 @@ A c = b only through its border, so its dual slack needs H positive
 semidefinite on the whole space, which fails on many random passive
 systems the dual certifies.
 
-Only numpy and scipy's LAPACK are used; the caller falls back to the
+Only numpy is used: `np.linalg.cholesky` is the positive-definite test of
+Hr and of each face system, which are then solved through that factor
+(face systems of order 1 and 2 inline).  The caller falls back to the
 semidefinite relaxation whenever `certified` is false.
 """
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs
 
 __all__ = ["DualPoint", "solve_dual"]
 
@@ -130,18 +132,15 @@ class _Reduced:
     def at(self, lam):
         """Everything the ascent needs at lam, or None outside the PD domain."""
         hr = self.hr0 - (lam @ self.hrn).reshape(self.hr0.shape)
-        chol, info = dpotrf(hr, lower=1, clean=0)
-        if info:
+        linv = _inverse_cholesky_factor(hr)
+        if linv is None:
             return None
-        rhs = self.f0 - lam @ self.fn
-        y, info = dpotrs(chol, rhs, lower=1)
-        c = self.cp - self.v @ y
+        c = self.cp - self.v @ (linv.T @ (linv @ (self.f0 - lam @ self.fn)))
         qc = self.qs @ c
         slack = qc @ c - self.rhs
         obj = float(c @ self.q0 @ c)
-        bmat = qc @ self.v
-        x, info = dpotrs(chol, bmat.T, lower=1)
-        return _Point(lam, c, slack, obj, obj - float(lam @ slack), -2.0 * (bmat @ x))
+        g = qc @ self.v @ linv.T  # B L^-T, so B Hr^-1 B^T = g g^T
+        return _Point(lam, c, slack, obj, obj - float(lam @ slack), -2.0 * (g @ g.T))
 
     def conic_dual_slack(self, lam, c):
         """Dual slack of the conic relaxation (`build_instance(problem)`) at lam.
@@ -173,6 +172,43 @@ class _Point:
         """Largest entry of the projected gradient of g on lam >= 0."""
         grad = -self.slack
         return float(np.abs(np.where(self.lam > 0.0, grad, np.maximum(grad, 0.0))).max())
+
+
+def _inverse_cholesky_factor(mat):
+    """L^-1 for the Cholesky factor L of a symmetric matrix, so that
+    mat^-1 = L^-T L^-1; None when the matrix fails the Cholesky test.
+
+    Solving through the factor that passed the test keeps a nearly singular
+    but positive definite system solvable, where an LU solve may meet an
+    exactly zero pivot."""
+    try:
+        return np.linalg.inv(np.linalg.cholesky(mat))
+    except np.linalg.LinAlgError:
+        return None
+
+
+def _cholesky_solve(mat, rhs):
+    """mat^-1 rhs through the Cholesky factor of a symmetric matrix, or None
+    when the matrix fails the Cholesky test.  Orders 1 and 2, most of the
+    face systems, are factored inline with LAPACK's arithmetic: a call
+    through numpy.linalg costs more than the whole solve at that size."""
+    if len(rhs) > 2:
+        linv = _inverse_cholesky_factor(mat)
+        return None if linv is None else linv.T @ (linv @ rhs)
+    a = float(mat[0, 0])
+    if not a > 0.0:
+        return None
+    l11 = math.sqrt(a)
+    y0 = float(rhs[0]) / l11
+    if len(rhs) == 1:
+        return np.array([y0 / l11])
+    l21 = float(mat[1, 0]) / l11
+    t = float(mat[1, 1]) - l21 * l21
+    if not t > 0.0:
+        return None
+    l22 = math.sqrt(t)
+    x1 = (float(rhs[1]) - l21 * y0) / l22 / l22
+    return np.array([(y0 - l21 * x1) / l11, x1])
 
 
 @lru_cache(maxsize=None)
@@ -207,10 +243,9 @@ def _model_step(lam, grad, neg_hess):
         if free.size:
             rows = free[:, None]
             rhs = grad[free] - neg_hess[rows, fixed] @ d[fixed]
-            chol, info = dpotrf(neg_hess[rows, free], lower=1, clean=0)
-            if info:
+            d_free = _cholesky_solve(neg_hess[rows, free], rhs)
+            if d_free is None:
                 continue
-            d_free, info = dpotrs(chol, rhs, lower=1)
             if (lam[free] + d_free < 0.0).any():
                 continue
             d[free] = d_free

@@ -33,7 +33,7 @@ from .circuit import ImpedanceMatrix, Loading, apply_loading, hash_matrix
 from .closedform import ClosedFormSolution, solve_closed_form
 from .dual import solve_dual
 from .qcqp import QcqpProblem, build_problem, evaluate
-from .sdp import SdpInstance, SdpSolution, check_kkt, solve
+from .sdp import SdpInstance, check_kkt, kkt_residuals, solve
 
 __all__ = [
     "PipelineOptions",
@@ -54,7 +54,6 @@ __all__ = [
 SKIP_TOLERANCE = -1e-12  # watts; closed-form powers above this mean no SDR run
 TIGHTNESS_THRESHOLD = 1e-8  # epsilon at or below this certifies a tight relaxation
 KKT_THRESHOLD = 1e-8  # worst normalized KKT residual an attempt may leave
-RANK_RATIO_LIMIT = 1e-4  # second/first eigenvalue above this: heuristic extraction
 LOAD_REL_TOL = 1e-4  # final load-search bracket width, relative
 
 
@@ -155,23 +154,15 @@ def extract_solution(cmat, problem):
     """Dominant-eigenvector extraction with the sign and scale conventions.
 
     The sign makes the receiver-current coordinate positive; the scale puts
-    the vector exactly on the unit-received-power surface.  A second
-    eigenvalue above ``RANK_RATIO_LIMIT`` times the first flags a clearly
-    rank-deficient relaxation; the vector is still returned as a heuristic.
+    the vector exactly on the unit-received-power surface.  A matrix of rank
+    above one still gives its dominant eigenvector: the tightness error,
+    not this function, decides whether the row is certified ("not-tight").
     """
     sym = 0.5 * (cmat + cmat.T)
     w, v = np.linalg.eigh(sym)
     mu1 = float(w[-1])
     if mu1 <= 0.0:
         raise ValueError("matrix optimum has no positive eigenvalue")
-    ratio = float(max(w[-2], 0.0)) / mu1 if w.size > 1 else 0.0
-    if ratio > RANK_RATIO_LIMIT:
-        warnings.warn(
-            f"second eigenvalue ratio {ratio:.2e} exceeds {RANK_RATIO_LIMIT:.0e}; "
-            "extraction is heuristic",
-            RuntimeWarning,
-            stacklevel=2,
-        )
     c = math.sqrt(mu1) * v[:, -1]
     ir_index = problem.n_tx
     if c[ir_index] < 0.0:
@@ -315,26 +306,20 @@ def _solve_dual(problem: QcqpProblem):
     c = dp.c
     cmat = np.outer(c, c)
     rep = evaluate(problem, c)
-    caps = problem.power_caps
-    inst = build_instance(problem, "conic")
-    lift = SdpSolution(
-        status="optimal",
-        x_mat=cmat,
-        x_vec=None,
-        y_eq=np.zeros(len(inst.equalities)),
-        y_ineq=dp.lam,
-        slacks=rep.tx_powers if caps is None else np.asarray(caps) - rep.tx_powers,
-        dual_slack=dp.dual_slack,
-        primal_obj=dp.objective,
-        dual_obj=dp.value,
-        gap=dp.objective - dp.value,
-        rel_gap=dp.gap,
-        iterations=dp.steps,
-        residuals={},
-        eq_labels=tuple(label for *_, label in inst.equalities),
-        ineq_labels=tuple(label for *_, label in inst.inequalities),
+    # the rows of `build_instance(problem)`, stacked: received power first,
+    # then the KVL rows; each power row as <G, X> >= h
+    eqs = np.array((problem.r_mat, problem.k0) + problem.k_redundant)
+    eq_rhs = np.zeros(len(eqs))
+    eq_rhs[0] = 1.0
+    if problem.power_caps is None:
+        ineqs, ineq_rhs = np.array(problem.q), np.zeros(problem.n_tx)
+    else:
+        ineqs, ineq_rhs = -np.array(problem.q), -np.array(problem.power_caps)
+    kkt = kkt_residuals(
+        cmat, dp.lam, dp.dual_slack, dp.objective,
+        eq_mats=eqs, eq_rhs=eq_rhs, received=np.arange(len(eqs)) == 0,
+        ineq_mats=ineqs, ineq_rhs=ineq_rhs,
     )
-    kkt = check_kkt(inst, lift)
     if kkt.max_residual() > KKT_THRESHOLD:
         return None
     return SdrResult(

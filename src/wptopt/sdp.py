@@ -26,34 +26,27 @@ retained; if progress stalls, the run ends there and is still reported
 optimal when every residual meets `TOL_ACCEPT` (the attained accuracy is
 always visible in `residuals`).
 
-Linear algebra: the iteration calls LAPACK through `scipy.linalg.lapack`
-directly (dpotrf, dtrtrs, dgesdd, dpotrs, dsyevd), not through the validating
-`scipy.linalg` wrappers. At order <= 9 the wrappers' input checks cost more
-than the factorizations. The calls are the ones those wrappers make, with the
-same arguments and workspace, so every iterate is bit-for-bit what the
-wrappers gave. A nonzero `info` raises LinAlgError, which drives the ridge,
-jitter and `failed` paths as before. No finite check runs on the hot path:
-the Schur matrix and every accepted iterate are tested with `np.isfinite`
-before they reach LAPACK. The factorizations stay on scipy's LAPACK, not
-numpy.linalg's, which links another OpenBLAS build and could change bits.
-The smallest eigenvalues behind the step lengths and the cone test on a
-trial step come from scipy's dsyevd (`_eig_min`), the routine and arguments
-of `np.linalg.eigvalsh`, with the same bits at these orders and about half
-the cost per call.
+Linear algebra is numpy.linalg's. `cholesky` is the positive-definite test
+of the iterates (with a ridge on failure) and of the Schur matrix (with a
+jitter); the Schur system is then solved by `solve`, with one refinement
+pass, since products with an inverse lose accuracy there. `_nt_scaling`
+factors X and Z once per iteration and returns the inverses of their
+factors, which serve the predictor's and the corrector's step lengths; the
+eigenvalues behind the step lengths and the cone test of a trial step come
+from one stacked `eigvalsh` call for X and Z together. The Schur matrix
+comes from one stacked product W A_i W over all rows, its svec rows
+gathered with `np.take`. The Schur matrix and every accepted iterate are
+tested with `np.isfinite` before they are factored.
 
-Each iterate is Cholesky-factored once per iteration: `_nt_scaling` returns
-the factors of X and Z, and the predictor and corrector step lengths reuse
-them. The Schur matrix comes from one stacked product W A_i W over all rows.
-Its svec rows are gathered in C order (`np.take`): the bits of the gemm
-`svecs @ t_svecs.T` depend on the operand's memory layout, and a
-Fortran-ordered gather rounds the order-7 rows differently.
+`check_kkt` audits a solution from the instance data alone; `kkt_residuals`
+is the same audit on stacked constraint matrices, for callers that hold
+them without an instance.
 """
 
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg.lapack import dgesdd, dgesdd_lwork, dpotrf, dpotrs, dsyevd, dtrtrs
 
 __all__ = [
     "SdpInstance",
@@ -61,6 +54,7 @@ __all__ = [
     "KktReport",
     "solve",
     "check_kkt",
+    "kkt_residuals",
     "DIM_CAP",
 ]
 
@@ -178,20 +172,6 @@ def _svec(m):
     return m.reshape(-1)[flat] * wts
 
 
-@lru_cache(maxsize=None)
-def _gesdd_lwork(d):
-    """Optimal dgesdd workspace at order d, the size scipy.linalg.svd asks for."""
-    return int(_checked(dgesdd_lwork(d, d), "dgesdd_lwork"))
-
-
-def _checked(out, routine):
-    """The outputs of a raw LAPACK call without its trailing `info`; a
-    nonzero `info` (a failed factorization) raises LinAlgError."""
-    if out[-1]:
-        raise np.linalg.LinAlgError(f"{routine} failed (info {out[-1]})")
-    return out[0] if len(out) == 2 else out[:-1]
-
-
 def _presolve_equalities(mats, rhs):
     """Gram-Schmidt rank screen in svec space.
 
@@ -228,8 +208,7 @@ def _chol_ridged(m):
     ridge = 0.0
     for _ in range(4):
         try:
-            ridged = m + ridge * np.eye(m.shape[0]) if ridge else m
-            return _checked(dpotrf(ridged, lower=1, clean=1), "dpotrf")
+            return np.linalg.cholesky(m + ridge * np.eye(m.shape[0]) if ridge else m)
         except np.linalg.LinAlgError:
             base = max(float(np.trace(m)) / m.shape[0], 1e-300)
             ridge = max(ridge * 1e3, 1e-14 * base)
@@ -237,23 +216,21 @@ def _chol_ridged(m):
 
 
 def _eig_min(m):
-    """Smallest eigenvalue of a symmetric matrix (lower triangle read);
-    dsyevd returns them in ascending order."""
-    return _checked(dsyevd(m, compute_v=0, lower=1), "dsyevd")[0][0]
+    """Smallest eigenvalue of a symmetric matrix, or of each in a stack
+    (lower triangles read)."""
+    return np.linalg.eigvalsh(m)[..., 0]
 
 
 def _nt_scaling(x, z):
-    """Scaling R with R^-1 X R^-T = R^T Z R = diag(sig), and the Cholesky
-    factors of X and Z it was built from."""
+    """Scaling R with R^-1 X R^-T = R^T Z R = diag(sig), and the inverses of
+    the Cholesky factors of X and Z it was built from, stacked."""
     lx = _chol_ridged(x)
     lz = _chol_ridged(z)
-    u, sig, vt = _checked(
-        dgesdd(lz.T @ lx, lwork=_gesdd_lwork(lx.shape[0])), "dgesdd"
-    )
+    u, sig, vt = np.linalg.svd(lz.T @ lx)
     sqrt_sig = np.sqrt(sig)
     r = (lx @ vt.T) / sqrt_sig
     rinv = (u / sqrt_sig).T @ lz.T
-    return r, rinv, sig, lx, lz
+    return r, rinv, sig, np.linalg.inv(np.stack([lx, lz]))
 
 
 def _schur_matrix(svecs, mat_stack, wmat):
@@ -268,14 +245,36 @@ def _schur_matrix(svecs, mat_stack, wmat):
     return 0.5 * (schur + schur.T)
 
 
-def _max_step_psd(l, dx):
-    """Longest step along dx from the iterate whose Cholesky factor is l."""
-    w = _checked(dtrtrs(l, dx, lower=1), "dtrtrs")
-    w = _checked(dtrtrs(l, w.T, lower=1), "dtrtrs")
-    lam_min = _eig_min(0.5 * (w + w.T))
-    if lam_min >= -1e-16:
-        return np.inf
-    return -1.0 / lam_min
+def _max_step_psd(linv, dx):
+    """Longest step along dx from the iterate L L^T, given L^-1; with
+    stacks of both, one step per pair (one eigvalsh call for all)."""
+    w = linv @ dx @ np.swapaxes(linv, -1, -2)
+    lam_min = _eig_min(0.5 * (w + np.swapaxes(w, -1, -2)))
+    return np.where(lam_min < -1e-16, -1.0 / np.minimum(lam_min, -1e-16), np.inf)
+
+
+def _jittered_schur(schur):
+    """The Schur matrix, with an escalating jitter on the diagonal while it
+    fails the Cholesky test; None if it never passes."""
+    m_all = schur.shape[0]
+    jitter = 0.0
+    for _ in range(6):
+        jittered = schur + jitter * np.eye(m_all) if jitter else schur
+        try:
+            np.linalg.cholesky(jittered)
+            return jittered
+        except np.linalg.LinAlgError:
+            jitter = max(jitter * 1e3, 1e-13 * max(np.trace(schur) / m_all, 1.0))
+    return None
+
+
+def _refined_solve(mat, exact, rv):
+    """Solve mat x = rv, then refine once against `exact` (the Schur matrix
+    before its jitter): LU solves, which are more accurate here than
+    products with an inverse, and one pass keeps the 1e-10 targets honest."""
+    out = np.linalg.solve(mat, rv)
+    out += np.linalg.solve(mat, rv - exact @ out)
+    return out
 
 
 def _max_step_pos(v, dv):
@@ -475,7 +474,7 @@ def solve(instance):
             break  # no factor-2 progress in 15 iterations: stalled
 
         try:
-            r_sc, rinv_sc, sig, lx, lz = _nt_scaling(x, z)
+            r_sc, rinv_sc, sig, l_inv = _nt_scaling(x, z)
         except np.linalg.LinAlgError:
             status = "failed"
             break
@@ -490,26 +489,10 @@ def solve(instance):
         if not np.all(np.isfinite(schur)):
             status = "failed"
             break
-        jitter = 0.0
-        cf = None
-        for _ in range(6):
-            try:
-                jittered = schur + jitter * np.eye(m_all) if jitter else schur
-                cf = _checked(dpotrf(jittered, lower=1, clean=0), "dpotrf")
-                break
-            except np.linalg.LinAlgError:
-                jitter = max(
-                    jitter * 1e3, 1e-13 * max(np.trace(schur) / m_all, 1.0)
-                )
-        if cf is None:
+        jittered = _jittered_schur(schur)
+        if jittered is None:
             status = "failed"
             break
-
-        def _solve_schur(rv):
-            out = _checked(dpotrs(cf, rv, lower=1), "dpotrs")
-            # one refinement pass keeps the 1e-10 targets honest
-            out += _checked(dpotrs(cf, rv - schur @ out, lower=1), "dpotrs")
-            return out
 
         w_rd_w = wmat @ r_d @ wmat
 
@@ -518,46 +501,46 @@ def solve(instance):
             rhs_y = r_p - _aop(xc - w_rd_w)
             if n_in:
                 rhs_y[n_eq:] += rc_s / w
-            dy = _solve_schur(rhs_y)
+            dy = _refined_solve(jittered, schur, rhs_y)
             dz = r_d - _aadj(dy)
             dx = xc - wmat @ dz @ wmat
             dx = 0.5 * (dx + dx.T)
             ds = (rc_s - s * dy[n_eq:]) / w if n_in else np.zeros(0)
             return dx, dz, dy, ds
 
-        # predictor
-        rc_aff = -np.diag(sig * sig)
-        rcs_aff = -(s * w) if n_in else np.zeros(0)
-        dxa, dza, dya, dsa = _direction(rc_aff, rcs_aff)
-        dwa = dya[n_eq:]
-        ap = min(1.0, _max_step_psd(lx, dxa), _max_step_pos(s, dsa) if n_in else np.inf)
-        ad = min(1.0, _max_step_psd(lz, dza), _max_step_pos(w, dwa) if n_in else np.inf)
-        mu_aff = (
-            float(np.sum((x + ap * dxa) * (z + ad * dza)))
-            + (float((s + ap * dsa) @ (w + ad * dwa)) if n_in else 0.0)
-        ) / nu
-        sigma = min(1.0, max(0.0, mu_aff / mu) ** 3)
+        # an LU solve can still meet an exactly zero pivot where the
+        # Cholesky test passed
+        try:
+            # predictor
+            rc_aff = -np.diag(sig * sig)
+            rcs_aff = -(s * w) if n_in else np.zeros(0)
+            dxa, dza, dya, dsa = _direction(rc_aff, rcs_aff)
+            dwa = dya[n_eq:]
+            ap, ad = _max_step_psd(l_inv, np.stack([dxa, dza]))
+            ap = min(1.0, ap, _max_step_pos(s, dsa) if n_in else np.inf)
+            ad = min(1.0, ad, _max_step_pos(w, dwa) if n_in else np.inf)
+            mu_aff = (
+                float(np.sum((x + ap * dxa) * (z + ad * dza)))
+                + (float((s + ap * dsa) @ (w + ad * dwa)) if n_in else 0.0)
+            ) / nu
+            sigma = min(1.0, max(0.0, mu_aff / mu) ** 3)
 
-        # corrector
-        dxh = rinv_sc @ dxa @ rinv_sc.T
-        dzh = r_sc.T @ dza @ r_sc
-        cross = dxh @ dzh
-        rc = sigma * mu * np.eye(d) - np.diag(sig * sig) - 0.5 * (cross + cross.T)
-        rcs = (sigma * mu - s * w - dsa * dwa) if n_in else np.zeros(0)
-        dx, dz, dy, ds = _direction(rc, rcs)
-        dw = dy[n_eq:]
+            # corrector
+            dxh = rinv_sc @ dxa @ rinv_sc.T
+            dzh = r_sc.T @ dza @ r_sc
+            cross = dxh @ dzh
+            rc = sigma * mu * np.eye(d) - np.diag(sig * sig) - 0.5 * (cross + cross.T)
+            rcs = (sigma * mu - s * w - dsa * dwa) if n_in else np.zeros(0)
+            dx, dz, dy, ds = _direction(rc, rcs)
+            dw = dy[n_eq:]
+        except np.linalg.LinAlgError:
+            status = "failed"
+            break
 
         f = FRAC_TO_BOUNDARY
-        ap = min(
-            1.0,
-            f * _max_step_psd(lx, dx),
-            f * _max_step_pos(s, ds) if n_in else np.inf,
-        )
-        ad = min(
-            1.0,
-            f * _max_step_psd(lz, dz),
-            f * _max_step_pos(w, dw) if n_in else np.inf,
-        )
+        ap, ad = _max_step_psd(l_inv, np.stack([dx, dz]))
+        ap = min(1.0, f * ap, f * _max_step_pos(s, ds) if n_in else np.inf)
+        ad = min(1.0, f * ad, f * _max_step_pos(w, dw) if n_in else np.inf)
         # verify the step against the cone before accepting it: the ridged
         # factors can overestimate the boundary step near degeneracy. Near
         # convergence a step that blows the complementarity product back up
@@ -581,7 +564,7 @@ def solve(instance):
                 ap *= 0.5
                 ad *= 0.5
                 continue
-            if _eig_min(x_new) <= 0.0 or _eig_min(z_new) <= 0.0:
+            if (_eig_min(np.stack([x_new, z_new])) <= 0.0).any():
                 ap *= 0.5
                 ad *= 0.5
                 continue
@@ -724,47 +707,66 @@ def check_kkt(instance, solution):
     'received-power' (the unit-transfer row of the relaxation); for generic
     instances it stays zero and the row is folded into `equalities`.
     """
-    c = solution.x_mat
-    if instance.affine is not None and solution.x_vec is not None:
+    dim = instance.dim
+    eqs, ineqs = instance.equalities, instance.inequalities
+    # each inequality as <G, X> >= h
+    sign = np.array([1.0 if sense == ">=" else -1.0 for _, sense, _, _ in ineqs])
+    return kkt_residuals(
+        solution.x_mat, solution.y_ineq, solution.dual_slack, solution.primal_obj,
+        eq_mats=np.array([m for m, _, _ in eqs]).reshape(-1, dim, dim),
+        eq_rhs=np.array([rhs for _, rhs, _ in eqs]),
+        received=np.array([label == "received-power" for *_, label in eqs], dtype=bool),
+        ineq_mats=sign[:, None, None] * np.array([m for m, *_ in ineqs]).reshape(-1, dim, dim),
+        ineq_rhs=sign * np.array([rhs for _, _, rhs, _ in ineqs]),
+        x_vec=solution.x_vec,
+        affine=instance.affine,
+    )
+
+
+def kkt_residuals(
+    c, y_ineq, dual_slack, primal_obj, *, eq_mats, eq_rhs, received, ineq_mats,
+    ineq_rhs, x_vec=None, affine=None,
+):
+    """`check_kkt` on stacked constraint matrices: equalities <A_i, X> = b_i
+    (`received` marks the received-power rows), inequalities <G_j, X> >= h_j
+    with multipliers `y_ineq`, and the optional affine block (A, b) on
+    `x_vec`.  `c` is the matrix iterate, `dual_slack` the dual slack matrix
+    and `primal_obj` the objective that scales complementary slackness.
+    """
+    bordered = affine is not None and x_vec is not None
+    if bordered:
         # affine form: the PSD constraint lives on the bordered matrix
         d0 = c.shape[0]
         full = np.empty((d0 + 1, d0 + 1))
         full[:d0, :d0] = c
-        full[:d0, d0] = solution.x_vec
-        full[d0, :d0] = solution.x_vec
+        full[:d0, d0] = x_vec
+        full[d0, :d0] = x_vec
         full[d0, d0] = 1.0
     else:
         full = c
     scale_x = 1.0 + float(np.abs(full).max())
-    primal_psd = max(0.0, -float(np.linalg.eigvalsh(full).min())) / scale_x
+    primal_psd = max(0.0, -float(np.linalg.eigvalsh(full)[0])) / scale_x
 
-    eq_res, rp_res = 0.0, 0.0
-    for mat, rhs, label in instance.equalities:
-        val = float(np.sum(mat * c))
-        r = abs(val - rhs) / (1.0 + abs(rhs))
-        if label == "received-power":
-            rp_res = max(rp_res, r)
-        else:
-            eq_res = max(eq_res, r)
-    if instance.affine is not None and solution.x_vec is not None:
-        a_blk, b_blk = instance.affine
-        res = a_blk @ solution.x_vec - b_blk
+    flat = c.reshape(-1)
+    eq_dev = eq_mats.reshape(len(eq_rhs), flat.size) @ flat - eq_rhs
+    eq_res = np.abs(eq_dev) / (1.0 + np.abs(eq_rhs))
+    rp_res = float(eq_res[received].max(initial=0.0))
+    eq_res = float(eq_res[~received].max(initial=0.0))
+    if bordered:
+        a_blk, b_blk = affine
+        res = a_blk @ x_vec - b_blk
         eq_res = max(
             eq_res, float(np.abs(res).max()) / (1.0 + float(np.abs(b_blk).max()))
         )
 
-    ineq_res = dual_sign = 0.0
-    obj_scale = 1.0 + abs(solution.primal_obj)
-    for (mat, sense, rhs, label), lam in zip(instance.inequalities, solution.y_ineq):
-        val = float(np.sum(mat * c))
-        slack = (val - rhs) if sense == ">=" else (rhs - val)
-        ineq_res = max(ineq_res, max(0.0, -slack) / (1.0 + abs(rhs)))
-        dual_sign = max(dual_sign, max(0.0, -float(lam)))
+    slack = ineq_mats.reshape(len(ineq_rhs), flat.size) @ flat - ineq_rhs
+    ineq_res = float((np.maximum(-slack, 0.0) / (1.0 + np.abs(ineq_rhs))).max(initial=0.0))
+    dual_sign = float(np.maximum(-np.asarray(y_ineq, dtype=float), 0.0).max(initial=0.0))
 
-    q = 0.5 * (solution.dual_slack + solution.dual_slack.T)
+    q = 0.5 * (dual_slack + dual_slack.T)
     scale_q = 1.0 + float(np.abs(q).max())
-    dual_psd = max(0.0, -float(np.linalg.eigvalsh(q).min())) / scale_q
-    cs = abs(float(np.sum(q * full))) / obj_scale
+    dual_psd = max(0.0, -float(np.linalg.eigvalsh(q)[0])) / scale_q
+    cs = abs(float(np.sum(q * full))) / (1.0 + abs(primal_obj))
 
     return KktReport(
         primal_psd=primal_psd,

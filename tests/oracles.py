@@ -182,7 +182,7 @@ def brute_force_qcqp(problem, resolution=GRID_RESOLUTION, candidate=None):
         for _ in range(PENALTY_ROUNDS):
             res = minimize(
                 penalized, t_cur, args=(weight,), jac=True,
-                method="L-BFGS-B", tol=1e-10,
+                method="L-BFGS-B", tol=1e-12,
             )
             t_cur = res.x
             evaluations += int(res.nfev)

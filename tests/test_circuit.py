@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 from oracles import panelwise_gauss
-from scipy.special import ellipe, ellipk
+from scipy.special import ellipe, ellipk, ellipkm1
 
 from wptopt import circuit
 from wptopt.circuit import (
@@ -70,6 +70,58 @@ def maxwell_coaxial_oracle(ra, rb, h):
 # ---------------------------------------------------------------------------
 # mutual inductance
 # ---------------------------------------------------------------------------
+
+# w(m) = [(2-m)K(m) - 2E(m)] / m**2 at m = 1 - p, from mpmath at 60 digits
+# (Carlson's R_F and R_D of p, exact down to p = 1e-300), 40 digits kept
+W_MPMATH = (
+    (0.95, "2.04012532440038316868852962202919192858e-1"),
+    (0.9, "2.123288772890451660190197278823804600574e-1"),
+    (0.7, "2.542881453179364717692603489696546996258e-1"),
+    (0.5, "3.192970154268274904417042004617535465094e-1"),
+    (0.3, "4.380223265072742651288911583289248862425e-1"),
+    (0.1, "7.732739003393133815562628876467902137929e-1"),
+    (0.01, "1.735135849984007288882946695597493104528"),
+    (1e-05, "5.14288030759998210198704500730014129329"),
+    (1e-12, "1.320180491911461879406707646246436420923e+1"),
+    (1e-50, "5.695092168597103271547613875713428691188e+1"),
+    (1e-300, "3.447740583102267432090036365279666045905e+2"),
+)
+
+
+def w_over_m(p):
+    """`circuit._w_over_m` at m = 1 - p, with p passed exactly."""
+    p = np.asarray(p, dtype=float)
+    return circuit._w_over_m(1.0 - p, p)
+
+
+class TestEllipticKernel:
+    """The fitted log-polynomial w(m) on m >= 0.05 (`tools/fit_wm.py`)."""
+
+    def test_matches_mpmath_values(self):
+        p, ref = zip(*W_MPMATH)
+        got = w_over_m(p)
+        for g, r in zip(got, ref):
+            assert abs(g - float(r)) <= 5e-14 * float(r), (g, r)
+
+    def test_matches_scipy_special(self):
+        # scipy's expression cancels in (2-m)K - 2E: 1.7e-12 at m = 0.05
+        p = np.concatenate([np.linspace(0.0, 0.95, 2001)[1:], np.logspace(-300, -1, 300)])
+        m = 1.0 - p
+        ref = ((2.0 - m) * ellipkm1(p) - 2.0 * ellipe(m)) / (m * m)
+        assert (m >= 0.05).all()
+        assert np.abs(w_over_m(p) / ref - 1.0).max() <= 2.5e-12
+
+    def test_continuous_at_the_series_switch(self):
+        m = np.array([np.nextafter(0.05, 0.0), 0.05, np.nextafter(0.05, 1.0)])
+        w = circuit._w_over_m(m, 1.0 - m)
+        assert np.abs(np.diff(w)).max() <= 1e-14 * w[1]
+
+    def test_exact_tangency_is_finite(self):
+        # p = 0 is clamped to the smallest subnormal, as for the tangent
+        # pairs of the planar presets
+        w = circuit._w_over_m(np.array([1.0]), np.array([0.0]))
+        assert np.isfinite(w).all() and w[0] > w_over_m([1e-300])[0]
+
 
 class TestMutualInductance:
     def test_coaxial_matches_maxwell_formula(self):

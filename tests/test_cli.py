@@ -3,18 +3,22 @@
 import csv
 import json
 import math
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import wptopt
 from retarded import retarded_loop_system
+from test_dual import NOT_TIGHT_IM, NOT_TIGHT_RE
 from wptopt import cli
 from wptopt.circuit import (
     C0,
     PRESET_FREQUENCY,
     GeometrySpec,
+    ImpedanceMatrix,
     load_impedance_file,
     matrix_from_json,
     matrix_to_json,
@@ -376,11 +380,48 @@ class TestValidate:
         assert out.count("PASS") >= 20
 
 
+def run_python(code):
+    """Run code in a fresh interpreter that imports this checkout's wptopt."""
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(wptopt.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env
+    )
+
+
 def test_import_leaves_out_scipy_optimize():
-    code = "import sys, wptopt.cli; print('scipy.optimize' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    code = "import sys, wptopt.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    proc = run_python(code)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "[]"
+
+
+def test_runtime_paths_run_without_scipy(family_file, tmp_path):
+    # scipy is a test dependency only: with every scipy import made to fail,
+    # a binding family sweep, a row that reaches the interior-point fallback
+    # and the validation battery still run
+    not_tight = tmp_path / "not_tight.json"
+    save_impedance_file(
+        ImpedanceMatrix(np.array(NOT_TIGHT_RE) + 1j * np.array(NOT_TIGHT_IM), 1e7),
+        not_tight,
+    )
+    code = f"""
+import sys
+sys.modules["scipy"] = None  # any scipy import now raises ImportError
+from wptopt import cli
+from wptopt.circuit import load_impedance_file
+from wptopt.pipeline import full_pipeline
+assert cli.main(["sweep", "--matrix", {family_file!r}, "--out", {str(tmp_path)!r}]) == 0
+res = full_pipeline(load_impedance_file({str(not_tight)!r}))
+assert res.form in ("conic", "affine"), res.form  # the relaxation ran
+assert cli.main(["validate"]) == 0
+print(sorted(m for m, mod in sys.modules.items() if m.startswith("scipy") and mod))
+"""
+    proc = run_python(code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "[]"
+    assert "dual" in {row["form"] for row in read_rows(tmp_path / "sweep.csv")}
 
 
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")

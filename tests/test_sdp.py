@@ -8,7 +8,6 @@ import pytest
 import scipy.linalg as sla
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
 
 from retarded import retarded_loop_system
 from wptopt import sdp
@@ -79,7 +78,7 @@ def random_sym(rng, d):
 
 
 def max_step_psd_reference(x, dx):
-    """`_max_step_psd` as written on the validating scipy.linalg wrappers."""
+    """The step `_max_step_psd` computes, on scipy.linalg's factor and solves."""
     l = sla.cholesky(x, lower=True)
     w = sla.solve_triangular(l, dx, lower=True)
     w = sla.solve_triangular(l, w.T, lower=True)
@@ -88,7 +87,7 @@ def max_step_psd_reference(x, dx):
 
 
 def nt_scaling_reference(x, z):
-    """`_nt_scaling` as written on the validating scipy.linalg wrappers."""
+    """The scaling `_nt_scaling` computes, on scipy.linalg's factor and SVD."""
     lx = sla.cholesky(x, lower=True)
     lz = sla.cholesky(z, lower=True)
     u, sig, vt = sla.svd(lz.T @ lx)
@@ -128,9 +127,16 @@ def constraint_matrices(inst):
 ORDERS = range(1, 10)
 
 
+def close(got, ref, rtol=1e-12):
+    """Agreement within rtol of the reference's largest entry."""
+    got, ref = np.asarray(got), np.asarray(ref)
+    return np.abs(got - ref).max() <= rtol * max(np.abs(ref).max(), 1e-300)
+
+
 class TestRawLapack:
-    """The raw LAPACK calls of the IPM give the bits of the scipy.linalg
-    calls they replace, on the orders the solver meets."""
+    """The IPM's numpy.linalg calls agree with the scipy.linalg routines
+    they stand for, on the orders the solver meets: to 1e-12 relative to
+    the largest entry on these well-conditioned matrices."""
 
     @pytest.mark.parametrize("d", ORDERS)
     def test_svec_matches_triu_reference(self, d):
@@ -142,44 +148,60 @@ class TestRawLapack:
     @pytest.mark.parametrize("d", ORDERS)
     def test_cholesky_factor(self, d):
         a = random_spd(np.random.default_rng(10 + d), d)
-        assert np.array_equal(sdp._chol_ridged(a), sla.cholesky(a, lower=True))
+        l = sdp._chol_ridged(a)
+        assert np.array_equal(l, np.tril(l))
+        assert close(l, sla.cholesky(a, lower=True))
 
     @pytest.mark.parametrize("d", ORDERS)
     def test_triangular_solves(self, d):
+        # the step lengths apply L^-1 from `_nt_scaling` where scipy would
+        # solve with the triangular factor
         rng = np.random.default_rng(20 + d)
-        l = sla.cholesky(random_spd(rng, d), lower=True)
-        b = random_sym(rng, d)
-        w = sdp._checked(dtrtrs(l, b, lower=1), "dtrtrs")
-        assert np.array_equal(w, sla.solve_triangular(l, b, lower=True))
-        w2 = sdp._checked(dtrtrs(l, w.T, lower=1), "dtrtrs")
-        assert np.array_equal(w2, sla.solve_triangular(l, w.T, lower=True))
+        x, z, b = random_spd(rng, d), random_spd(rng, d), random_sym(rng, d)
+        lx_inv, lz_inv = sdp._nt_scaling(x, z)[3]
+        for mat, linv in ((x, lx_inv), (z, lz_inv)):
+            l = sla.cholesky(mat, lower=True)
+            w = sla.solve_triangular(l, b, lower=True)
+            assert close(linv @ b, w)
+            assert close(linv @ b @ linv.T, sla.solve_triangular(l, w.T, lower=True))
 
     @pytest.mark.parametrize("d", ORDERS)
     def test_max_step_psd(self, d):
         rng = np.random.default_rng(30 + d)
         x, dx = random_spd(rng, d), random_sym(rng, d)
-        assert sdp._max_step_psd(sdp._chol_ridged(x), dx) == max_step_psd_reference(x, dx)
+        linv = np.linalg.inv(sdp._chol_ridged(x))
+        got, ref = sdp._max_step_psd(linv, dx), max_step_psd_reference(x, dx)
+        assert got == pytest.approx(ref, rel=1e-12)
+        # a direction that keeps X definite allows any step; stacks give
+        # one step per pair
+        assert sdp._max_step_psd(linv, x) == np.inf
+        both = sdp._max_step_psd(np.stack([linv, linv]), np.stack([dx, x]))
+        assert both[0] == got and both[1] == np.inf
 
     @pytest.mark.parametrize("d", ORDERS)
     def test_svd_triple(self, d):
         rng = np.random.default_rng(40 + d)
         x, z = random_spd(rng, d), random_spd(rng, d)
-        ref = nt_scaling_reference(x, z)
-        ref += (sla.cholesky(x, lower=True), sla.cholesky(z, lower=True))
-        got = sdp._nt_scaling(x, z)
-        assert len(got) == len(ref) == 5
-        for g, r in zip(got, ref):
-            assert np.array_equal(g, r)
+        r_ref, rinv_ref, sig_ref = nt_scaling_reference(x, z)
+        r, rinv, sig, (lx_inv, lz_inv) = sdp._nt_scaling(x, z)
+        assert close(sig, sig_ref)
+        # singular vectors are fixed up to sign; R R^T and R^-T R^-1 are not
+        assert close(r @ r.T, r_ref @ r_ref.T)
+        assert close(rinv.T @ rinv, rinv_ref.T @ rinv_ref)
+        assert close(rinv @ r, np.eye(d))
+        # the scaling's defining identities
+        assert close(rinv @ x @ rinv.T, np.diag(sig))
+        assert close(r.T @ z @ r, np.diag(sig))
+        assert close(lx_inv, np.linalg.inv(sla.cholesky(x, lower=True)))
+        assert close(lz_inv, np.linalg.inv(sla.cholesky(z, lower=True)))
 
     @pytest.mark.parametrize("d", ORDERS)
     def test_schur_factor_and_solve(self, d):
         rng = np.random.default_rng(50 + d)
         a, rv = random_spd(rng, d), rng.standard_normal(d)
-        cf = sdp._checked(dpotrf(a, lower=1, clean=0), "dpotrf")
-        ref = sla.cho_factor(a, lower=True, check_finite=False)
-        assert np.array_equal(cf, ref[0])
-        got = sdp._checked(dpotrs(cf, rv, lower=1), "dpotrs")
-        assert np.array_equal(got, sla.cho_solve(ref, rv, check_finite=False))
+        assert sdp._jittered_schur(a) is a  # positive definite: no jitter
+        got = sdp._refined_solve(a, a, rv)
+        assert close(got, sla.cho_solve(sla.cho_factor(a, lower=True), rv))
 
     @pytest.mark.parametrize("d", ORDERS)
     @pytest.mark.parametrize("scale", [1.0, 1e-8, 1e8])
@@ -187,7 +209,8 @@ class TestRawLapack:
         rng = np.random.default_rng(60 + d)
         for _ in range(40):
             m = scale * random_sym(rng, d)
-            assert sdp._eig_min(m) == np.linalg.eigvalsh(m).min()
+            ref = sla.eigvalsh(m)
+            assert abs(sdp._eig_min(m) - ref[0]) <= 1e-12 * np.abs(ref).max()
 
     @pytest.mark.parametrize(
         "preset, order, rows", [("miso-2p", 5, 8), ("miso-3p", 7, 11)]
@@ -222,7 +245,9 @@ class TestRawLapack:
         v = np.arange(1.0, 5.0)
         m = np.outer(v, v)  # rank one: plain Cholesky fails
         with pytest.raises(np.linalg.LinAlgError):
-            sdp._checked(dpotrf(m, lower=1, clean=1), "dpotrf")
+            np.linalg.cholesky(m)
+        with pytest.raises(sla.LinAlgError):
+            sla.cholesky(m, lower=True)
         l = sdp._chol_ridged(m)
         assert np.allclose(l @ l.T, m, rtol=0.0, atol=1e-10)
         assert np.array_equal(l, np.tril(l))
