@@ -24,6 +24,7 @@ from .circuit import (
     SchemaError,
     apply_loading,
     build_loop_system,
+    build_loop_systems,
     load_impedance_file,
     matrix_from_json,
     matrix_to_json,
@@ -39,6 +40,7 @@ from .closedform import (
     optimal_load,
     output_impedance,
     solve_closed_form,
+    solve_closed_forms,
     solve_min_loss_qp,
 )
 from .oracle import IdentityReport, verify_identities
@@ -52,6 +54,7 @@ from .pipeline import (
     optimize_load,
     result_record,
     solve_relaxation,
+    solve_rows,
 )
 from .qcqp import QcqpProblem, build_problem, evaluate, realify
 from .sdp import KktReport, SdpInstance, SdpSolution, check_kkt, solve
@@ -81,6 +84,7 @@ __all__ = [
     "SdrResult",
     "apply_loading",
     "build_loop_system",
+    "build_loop_systems",
     "build_problem",
     "check_kkt",
     "evaluate",
@@ -103,8 +107,10 @@ __all__ = [
     "save_impedance_file",
     "solve",
     "solve_closed_form",
+    "solve_closed_forms",
     "solve_min_loss_qp",
     "solve_relaxation",
+    "solve_rows",
     "verify_identities",
     "__version__",
 ]

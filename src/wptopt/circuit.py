@@ -13,19 +13,24 @@ form (loop vector potential, complete elliptic integrals) and the
 remaining integral by adaptive Gauss-Legendre panels.  The elliptic
 integrals enter through one kernel, evaluated from a power series at small
 parameter and a fitted log-polynomial form elsewhere (`tools/fit_wm.py`),
-so numpy is the only dependency.  Each refinement stage of that quadrature
-is one vectorized integrand call over all its panels; the panel sums stay
-separate dot products, so M is bit for bit what a panel-at-a-time loop
-gives.  Matrices can also be ingested from JSON files, e.g. when they come
-from a full-wave solver.
+so numpy is the only dependency.  :func:`build_loop_systems` builds many
+arrangements in one quadrature pass: the first stage of every distinct loop
+pair it has not cached is evaluated in a few large integrand calls, and
+only a pair whose error estimate fails goes on to adaptive refinement, one
+integrand call per split.  The panel sums stay separate dot products, so M
+is bit for bit what a panel-at-a-time loop over that pair alone gives.
+Matrices can also be ingested from JSON files, e.g. when they come from a
+full-wave solver.
 """
 
 from __future__ import annotations
 
+import collections
 import functools
 import heapq
 import json
 import math
+import threading
 import warnings
 from dataclasses import dataclass
 
@@ -221,9 +226,21 @@ def loop_resistance(loop: Loop, omega: float, wavelength: float) -> float:
 # mutual inductance quadrature
 # ---------------------------------------------------------------------------
 
-@functools.lru_cache(maxsize=64)
-def _gl_nodes(n: int):
-    return np.polynomial.legendre.leggauss(n)
+_N_LO, _N_HI = 12, 24  # the embedded Gauss-Legendre pair of every panel
+_FIRST_PANELS = 8  # panels of the first stage on every range
+_MAX_PANELS = 4000
+_DELTA = 0.5  # near-tangent pairs: graded on [0, delta], plain on [delta, pi]
+_CHUNK_NODES = 2048  # nodes per first-stage integrand call, at most; bounds peak RSS
+_CACHE_SIZE = 8192  # pair keys kept, least recently used out first
+
+
+@functools.cache
+def _rule():
+    """Nodes of both rules on [-1, 1], 12 then 24, and the two weight
+    vectors; built on first use, since numpy.polynomial is slow to import."""
+    x_lo, w_lo = np.polynomial.legendre.leggauss(_N_LO)
+    x_hi, w_hi = np.polynomial.legendre.leggauss(_N_HI)
+    return np.concatenate([x_lo, x_hi]), w_lo, w_hi
 
 
 def _series_coeffs(kmax: int = 14) -> np.ndarray:
@@ -312,102 +329,194 @@ def _wm_series(m):
     return 0.5 * np.pi * acc
 
 
-def _neumann_reduced(psi, ra, rb, rho, h):
+def _pair_terms(ra, rb, rho, h):
+    """The psi-free factors of the reduced Neumann integrand of one pair.
+
+    Computed once per pair from Python floats: libm's ``x ** 2`` and numpy's
+    square differ in the last bit on about one argument in a thousand, so a
+    batch must not recompute these on arrays.
+    """
+    return (
+        ra,
+        rb,
+        rho,
+        h * h,
+        (rho - rb) ** 2,
+        4.0 * rho * rb,
+        (ra + rb - rho) * (ra + rho - rb),
+        4.0 * ra,
+        MU0 * ra * rb / np.pi,
+    )
+
+
+def _neumann_reduced(psi, terms):
     """Neumann integrand after closed-form azimuthal integration.
 
     ``psi`` is measured from the closest-approach azimuth of the field
     loop; the full mutual inductance is 2 * integral over [0, pi].
+    ``terms`` are the pair's `_pair_terms`, as scalars or one per node.
     """
+    ra, rb, rho, h2, rho_rb2, c_s2, c_diff, ra4, scale = terms
     s2 = np.sin(0.5 * psi) ** 2
-    rf = np.sqrt((rho - rb) ** 2 + 4.0 * rho * rb * s2)
-    S2 = (ra + rf) ** 2 + h * h
+    rf = np.sqrt(rho_rb2 + c_s2 * s2)
+    S2 = (ra + rf) ** 2 + h2
     # ra - rf in product form: exact at tangency, no cancellation
-    diff2 = (ra + rb - rho) * (ra + rho - rb) - 4.0 * rho * rb * s2
-    one_minus_m = ((diff2 / (ra + rf)) ** 2 + h * h) / S2
-    m = np.minimum(4.0 * ra * rf / S2, 1.0)
+    diff2 = c_diff - c_s2 * s2
+    one_minus_m = ((diff2 / (ra + rf)) ** 2 + h2) / S2
+    m = np.minimum(ra4 * rf / S2, 1.0)
     wm = _w_over_m(m, one_minus_m)
-    return (MU0 * ra * rb / np.pi) * wm * (4.0 * ra / S2) * (rb - rho * np.cos(psi)) / np.sqrt(S2)
+    return scale * wm * (ra4 / S2) * (rb - rho * np.cos(psi)) / np.sqrt(S2)
 
 
-def _adaptive_gauss(f, x0, x1, rtol, atol, n_lo=12, n_hi=24, max_panels=4000):
-    """Globally adaptive Gauss-Legendre panels with embedded error estimate.
+def _graded(s, terms):
+    """The integrand of a near-tangent pair on psi = delta s**4, s in [0, 1]:
+    the graded substitution tames the log singularity at psi = 0."""
+    return _neumann_reduced(_DELTA * s**4, terms) * 4.0 * _DELTA * s**3
 
-    Each refinement stage (the 8 initial panels, then the two halves of
-    every split) is one call of ``f`` on the nodes of all its panels, both
-    rules.  Each panel's sum is still its own dot product over a contiguous
-    slice of the values, taken in the same order as panel by panel: a
-    single matrix-vector product could sum in another order and move the
-    last bit of M.
+
+def _stage(f, a, b, terms, pairs=1):
+    """(lo, hi) rule sums over the panels [a[i], b[i]] of ``pairs`` pairs
+    whose ``terms`` hold one entry per node, or of one pair with scalar
+    terms; both of shape (pairs, panels).
+
+    One call of ``f`` covers every node.  Each panel's sum is its own dot
+    product over a contiguous slice of the values, in the same order as a
+    panel-at-a-time loop: a matrix product could sum in another order and
+    move the last bit of M.
     """
-    x_lo, w_lo = _gl_nodes(n_lo)
-    x_hi, w_hi = _gl_nodes(n_hi)
-    x = np.concatenate([x_lo, x_hi])
-    n = n_lo + n_hi
+    x, w_lo, w_hi = _rule()
+    xm, xr = 0.5 * (a + b), 0.5 * (b - a)
+    psi = np.tile((xm[:, None] + xr[:, None] * x).ravel(), pairs)
+    vals = f(psi, terms).reshape(pairs, len(a), x.size)
+    return xr * np.vecdot(vals[..., :_N_LO], w_lo), xr * np.vecdot(vals[..., _N_LO:], w_hi)
 
-    def stage(a, b):
-        # (lo, hi) of every panel [a[i], b[i]], from one integrand call
-        xm, xr = 0.5 * (a + b), 0.5 * (b - a)
-        vals = f((xm[:, None] + xr[:, None] * x).ravel())
-        return [
-            (xr[i] * float(np.dot(w_lo, vals[i * n:i * n + n_lo])),
-             xr[i] * float(np.dot(w_hi, vals[i * n + n_lo:(i + 1) * n])))
-            for i in range(len(a))
-        ]
 
-    heap = []
-    uid = 0
-    total = err = 0.0
-    edges = np.linspace(x0, x1, 9)
-    a, b = edges[:-1], edges[1:]
-    for i, (lo, hi) in enumerate(stage(a, b)):
-        total += hi
-        e = abs(hi - lo)
-        err += e
-        heapq.heappush(heap, (-e, uid, (a[i], b[i], hi, e)))
-        uid += 1
-    panels = 8
-    while err > max(rtol * abs(total), atol) and panels < max_panels and heap:
+def _refine(f, terms, edges, lo, hi, total, err, rtol, atol):
+    """Globally adaptive continuation of one range from its first-stage
+    panels (``edges``, rule sums ``lo``/``hi``, their ``total`` and ``err``):
+    split the panel with the largest error estimate until the estimate meets
+    the tolerance.  Returns (integral, error estimate)."""
+    heap = [(-e, i, (edges[i], edges[i + 1], hi[i], e)) for i, e in enumerate(abs(hi - lo))]
+    heapq.heapify(heap)
+    uid = panels = len(heap)
+    while err > max(rtol * abs(total), atol) and panels < _MAX_PANELS and heap:
         _, _, (a, b, hi, e) = heapq.heappop(heap)
         total -= hi
         err -= e
         mid = 0.5 * (a + b)
         halves = ((a, mid), (mid, b))
-        sums = stage(np.array([a, mid]), np.array([mid, b]))
-        for (s, t), (lo2, hi2) in zip(halves, sums):
-            total += hi2
-            e2 = abs(hi2 - lo2)
+        lo2, hi2 = _stage(f, np.array([a, mid]), np.array([mid, b]), terms)
+        for (s, t), l2, h2 in zip(halves, lo2[0], hi2[0]):
+            total += h2
+            e2 = abs(h2 - l2)
             err += e2
-            heapq.heappush(heap, (-e2, uid, (s, t, hi2, e2)))
+            heapq.heappush(heap, (-e2, uid, (s, t, h2, e2)))
             uid += 1
         panels += 1
     return total, err
 
 
-@functools.lru_cache(maxsize=8192)
-def _mutual_cached(ra: float, rb: float, rho: float, h: float, rtol: float) -> float:
-    f = lambda psi: _neumann_reduced(psi, ra, rb, rho, h)
-    atol = 1e-15 * MU0 * min(ra, rb)
-    rf0 = abs(rho - rb)
-    p0 = ((ra - rf0) ** 2 + h * h) / ((ra + rf0) ** 2 + h * h)
-    if p0 < 1e-5:
+# the ranges of the outer integral: (graded integrand?, start, end)
+_FULL = (False, 0.0, np.pi)
+_NEAR = (True, 0.0, 1.0)  # [0, delta] in psi = delta s**4
+_REST = (False, _DELTA, np.pi)
+
+
+def _quadrature(keys, rtol):
+    """Mutual inductances of distinct (ra, rb, rho, h) pair keys.
+
+    The outer Neumann integral runs over [0, pi], or for a near-tangent pair
+    over [0, delta] graded and [delta, pi] plain.  The first stage, 8 panels
+    per range, is taken for all ranges of one kind together, in integrand
+    calls of at most `_CHUNK_NODES` nodes.  Only a range whose error
+    estimate then fails the tolerance goes on to `_refine`.  Each value is
+    bit for bit what a panel-at-a-time adaptive quadrature of its pair alone
+    gives.
+    """
+    terms = [_pair_terms(*key) for key in keys]
+    atols, plan, jobs = [], [], {}  # jobs: range -> [(key index, atol)]
+    for k, (ra, rb, rho, h) in enumerate(keys):
+        atol = 1e-15 * MU0 * min(ra, rb)
+        rf0 = abs(rho - rb)
+        p0 = ((ra - rf0) ** 2 + h * h) / ((ra + rf0) ** 2 + h * h)
         # near-tangent pair: graded substitution tames the log singularity
         # at psi = 0
-        delta = 0.5
-        g = lambda s: f(delta * s**4) * 4.0 * delta * s**3
-        i_sing, e_sing = _adaptive_gauss(g, 0.0, 1.0, rtol, 0.5 * atol)
-        i_rest, e_rest = _adaptive_gauss(f, delta, np.pi, rtol, 0.5 * atol)
-        total, err = i_sing + i_rest, e_sing + e_rest
-    else:
-        total, err = _adaptive_gauss(f, 0.0, np.pi, rtol, atol)
-    value = 2.0 * total
-    if 2.0 * err > max(10.0 * rtol * abs(value), 10.0 * atol):
-        warnings.warn(
-            f"mutual inductance quadrature stopped at estimated relative error "
-            f"{2.0 * err / max(abs(value), atol):.2e}",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-    return value
+        ranges = (_NEAR, _REST) if p0 < 1e-5 else (_FULL,)
+        for kind in ranges:
+            jobs.setdefault(kind, []).append((k, atol / len(ranges)))
+        atols.append(atol)
+        plan.append(ranges)
+    per_range = _FIRST_PANELS * (_N_LO + _N_HI)
+    chunk = max(1, _CHUNK_NODES // per_range)
+    parts = {}  # (key index, range) -> (integral, error estimate)
+    for kind, kind_jobs in jobs.items():
+        graded, x0, x1 = kind
+        f = _graded if graded else _neumann_reduced
+        edges = np.linspace(x0, x1, _FIRST_PANELS + 1)
+        for c0 in range(0, len(kind_jobs), chunk):
+            block = kind_jobs[c0:c0 + chunk]
+            per_node = np.repeat(np.array([terms[k] for k, _ in block]).T, per_range, axis=1)
+            lo, hi = _stage(f, edges[:-1], edges[1:], tuple(per_node), len(block))
+            total = err = 0.0
+            for i in range(_FIRST_PANELS):  # in panel order, as one range alone sums
+                total = total + hi[:, i]
+                err = err + abs(hi[:, i] - lo[:, i])
+            for j, (k, atol) in enumerate(block):
+                tj, ej = total[j], err[j]
+                if ej > max(rtol * abs(tj), atol):
+                    tj, ej = _refine(f, terms[k], edges, lo[j], hi[j], tj, ej, rtol, atol)
+                parts[k, kind] = tj, ej
+    values = []
+    for k, (ranges, atol) in enumerate(zip(plan, atols)):
+        (total, err), *rest = (parts[k, kind] for kind in ranges)
+        for t, e in rest:
+            total, err = total + t, err + e
+        value = 2.0 * total
+        if 2.0 * err > max(10.0 * rtol * abs(value), 10.0 * atol):
+            warnings.warn(
+                f"mutual inductance quadrature stopped at estimated relative error "
+                f"{2.0 * err / max(abs(value), atol):.2e}",
+                RuntimeWarning,
+                stacklevel=4,
+            )
+        values.append(value)
+    return values
+
+
+_cache = collections.OrderedDict()  # (ra, rb, rho, h, rtol) -> M, oldest use first
+_cache_lock = threading.Lock()
+
+
+def _mutual_values(keys, rtol):
+    """M of every pair key, read from the cache or computed in one
+    `_quadrature` pass over the distinct keys it lacks, which then fill it."""
+    found = {}
+    with _cache_lock:
+        for key in keys:
+            ckey = key + (rtol,)
+            if key not in found and ckey in _cache:
+                _cache.move_to_end(ckey)
+                found[key] = _cache[ckey]
+    missing = [key for key in dict.fromkeys(keys) if key not in found]
+    if missing:
+        found.update(zip(missing, _quadrature(missing, rtol)))
+        with _cache_lock:
+            for key in missing:
+                _cache[key + (rtol,)] = found[key]
+            while len(_cache) > _CACHE_SIZE:
+                _cache.popitem(last=False)
+    return [found[key] for key in keys]
+
+
+def _pair_key(loop_a: Loop, loop_b: Loop):
+    dz = abs(loop_a.center[2] - loop_b.center[2])
+    rho = math.hypot(
+        loop_a.center[0] - loop_b.center[0], loop_a.center[1] - loop_b.center[1]
+    )
+    ra, rb = sorted((loop_a.radius, loop_b.radius))
+    # canonical argument order keeps Z exactly symmetric and makes the
+    # mirror/rotation symmetries structural
+    return ra, rb, rho, dz
 
 
 def mutual_inductance(loop_a: Loop, loop_b: Loop, rtol: float = 1e-10) -> float:
@@ -417,14 +526,7 @@ def mutual_inductance(loop_a: Loop, loop_b: Loop, rtol: float = 1e-10) -> float:
     loop) integral in closed form and the outer one by adaptive
     Gauss-Legendre quadrature to relative tolerance ``rtol``.
     """
-    dz = abs(loop_a.center[2] - loop_b.center[2])
-    rho = math.hypot(
-        loop_a.center[0] - loop_b.center[0], loop_a.center[1] - loop_b.center[1]
-    )
-    ra, rb = sorted((loop_a.radius, loop_b.radius))
-    # canonical argument order keeps Z exactly symmetric and makes the
-    # mirror/rotation symmetries structural
-    return _mutual_cached(ra, rb, rho, dz, rtol)
+    return _mutual_values([_pair_key(loop_a, loop_b)], rtol)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -553,22 +655,50 @@ def apply_loading(z: ImpedanceMatrix, loading: Loading) -> LoadedImpedanceMatrix
     return LoadedImpedanceMatrix(zhat, z.frequency, loading)
 
 
+def build_loop_systems(geoms, rtol: float = 1e-10) -> list[ImpedanceMatrix]:
+    """Impedance matrices of loop arrangements at their design frequencies.
+
+    The mutual inductances of all arrangements come from one quadrature
+    pass over the distinct loop pairs the cache lacks; each matrix is bit
+    for bit what the arrangement alone gives.  ``geoms`` is read once and
+    may be a generator, so the arrangements need not all be held at once.
+    """
+    index = {}  # distinct pair key -> its position
+    shells = []  # per arrangement: frequency, omega, diagonal, pair positions
+    for geom in geoms:
+        omega = 2.0 * np.pi * geom.frequency
+        lam = geom.wavelength
+        loops = geom.loops
+        diag = [
+            loop_resistance(loop, omega, lam) + 1j * omega * loop_self_inductance(loop)
+            for loop in loops
+        ]
+        pairs = [
+            index.setdefault(_pair_key(a, b), len(index))
+            for i, a in enumerate(loops)
+            for b in loops[i + 1:]
+        ]
+        shells.append((geom.frequency, omega, diag, pairs))
+    mutuals = _mutual_values(list(index), rtol)
+    systems = []
+    for frequency, omega, diag, pairs in shells:
+        n = len(diag)
+        z = np.zeros((n, n), dtype=complex)
+        pos = iter(pairs)
+        for i in range(n):
+            z[i, i] = diag[i]
+            for j in range(i + 1, n):
+                z[i, j] = z[j, i] = 1j * omega * mutuals[next(pos)]
+        try:
+            systems.append(ImpedanceMatrix(z, frequency))
+        except PassivityError as exc:
+            raise PassivityError(f"constructed loop system failed validation: {exc}") from exc
+    return systems
+
+
 def build_loop_system(geom: GeometrySpec, rtol: float = 1e-10) -> ImpedanceMatrix:
     """Impedance matrix of a loop arrangement at its design frequency."""
-    omega = 2.0 * np.pi * geom.frequency
-    lam = geom.wavelength
-    n = geom.n_ports
-    z = np.zeros((n, n), dtype=complex)
-    for i, loop in enumerate(geom.loops):
-        z[i, i] = loop_resistance(loop, omega, lam) + 1j * omega * loop_self_inductance(loop)
-    for i in range(n):
-        for j in range(i + 1, n):
-            m = mutual_inductance(geom.loops[i], geom.loops[j], rtol)
-            z[i, j] = z[j, i] = 1j * omega * m
-    try:
-        return ImpedanceMatrix(z, geom.frequency)
-    except PassivityError as exc:
-        raise PassivityError(f"constructed loop system failed validation: {exc}") from exc
+    return build_loop_systems([geom], rtol)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -16,8 +16,12 @@ Angles are degrees at this interface and radians internally.  Distances are
 fractions of the operating wavelength.  Output files use a fixed column
 order and shortest round-trip float formatting, so identical inputs produce
 byte-identical files; every sweep row carries the load, constraint mode and
-matrix hash needed to re-solve it in isolation.  Sweep rows are solved one
-after another in input order.
+matrix hash needed to re-solve it in isolation.  A sweep builds the
+matrices of its preset points in one quadrature pass and the closed forms
+of its rows in stacked passes (``pipeline.STACK_ROWS`` rows each); the
+binding rows then go to the dual and the relaxation one after another in
+input order (under ``--rl optimize``, each row's load search).  Every row
+is bit for bit what its point gives swept alone.
 """
 
 import argparse
@@ -40,6 +44,7 @@ from .circuit import (
     PassivityError,
     SchemaError,
     build_loop_system,
+    build_loop_systems,
     hash_matrix,
     load_impedance_file,
     matrix_from_json,
@@ -48,6 +53,7 @@ from .circuit import (
 from .closedform import max_pte, solve_closed_form, solve_min_loss_qp
 from .oracle import verify_identities
 from .pipeline import (
+    ROW_ERRORS,
     PipelineOptions,
     RelaxationError,
     build_problem,
@@ -56,6 +62,7 @@ from .pipeline import (
     optimize_load,
     result_record,
     solve_relaxation,
+    solve_rows,
 )
 
 __all__ = ["main"]
@@ -227,10 +234,13 @@ def _build_parser() -> argparse.ArgumentParser:
 # ---------------------------------------------------------------- helpers
 
 
-def _preset_system(name: str, d_frac: float, theta_deg: float):
+def _preset_geometry(name: str, d_frac: float, theta_deg: float) -> GeometrySpec:
     lam = C0 / PRESET_FREQUENCY
-    geom = GeometrySpec.preset(name, d_frac * lam, angle=math.radians(theta_deg))
-    return build_loop_system(geom)
+    return GeometrySpec.preset(name, d_frac * lam, angle=math.radians(theta_deg))
+
+
+def _preset_system(name: str, d_frac: float, theta_deg: float):
+    return build_loop_system(_preset_geometry(name, d_frac, theta_deg))
 
 
 def _load_family(path):
@@ -389,11 +399,11 @@ def _sweep_tasks(args):
     else:
         if args.theta_range is None:
             raise CommandError("preset sweeps need --theta-range START:STOP:STEP")
-        points = [
-            (theta, d, _preset_system(args.preset, d, theta))
-            for d in args.d
-            for theta in args.theta_range
-        ]
+        grid = [(theta, d) for d in args.d for theta in args.theta_range]
+        systems = build_loop_systems(
+            _preset_geometry(args.preset, d, theta) for theta, d in grid
+        )
+        points = [(theta, d, z) for (theta, d), z in zip(grid, systems)]
         source = f"preset:{args.preset}"
     if not points:
         raise CommandError("sweep is empty")
@@ -404,8 +414,25 @@ def _sweep_tasks(args):
     return points, source, n_tx
 
 
-def _sweep_row(theta_deg, d_frac, z, source, args, opts):
-    """Solve one point; never raises.
+def _solve_rows(zs, rl_policy, opts: PipelineOptions):
+    """Each link's SdrResult, or the `ROW_ERRORS` exception it raised, in
+    input order.
+
+    A fixed or 'auto' load solves the links together (:func:`solve_rows`);
+    'optimize' searches the load of one link after another.
+    """
+    if rl_policy != "optimize":
+        yield from solve_rows(zs, None if rl_policy == "auto" else float(rl_policy), opts)
+        return
+    for z in zs:
+        try:
+            yield optimize_load(z, options=opts).result
+        except ROW_ERRORS as exc:
+            yield exc
+
+
+def _sweep_row(theta_deg, d_frac, z, source, args, res):
+    """One point's row from its result or the exception it raised.
 
     Returns (row dict, eta, total tx power, failure detail, per-port powers).
     """
@@ -418,14 +445,10 @@ def _sweep_row(theta_deg, d_frac, z, source, args, opts):
         "constraint_mode": args.constraints[0],
         "form": "",
     }
-    try:
-        res, _ = _solve_point(z, args.rl, opts)
-    except RelaxationError as exc:
-        row = _failed_row(base, f"error:{exc.status}")
-        return row, None, None, str(exc), [nan] * z.n_tx
-    except (RuntimeError, ValueError, np.linalg.LinAlgError) as exc:
-        row = _failed_row(base, f"error:{type(exc).__name__}")
-        return row, None, None, str(exc), [nan] * z.n_tx
+    if isinstance(res, Exception):
+        status = res.status if isinstance(res, RelaxationError) else type(res).__name__
+        row = _failed_row(base, f"error:{status}")
+        return row, None, None, str(res), [nan] * z.n_tx
     total = float(np.sum(res.transmit_powers))
     base.update(
         {
@@ -474,7 +497,11 @@ def cmd_sweep(args) -> int:
     mode_label, _, caps = args.constraints
     _check_caps(caps, n_tx)
     opts = _pipeline_options(args)
-    outcomes = [_sweep_row(theta, d, z, source, args, opts) for theta, d, z in points]
+    results = _solve_rows([z for _, _, z in points], args.rl, opts)
+    outcomes = [
+        _sweep_row(theta, d, z, source, args, res)
+        for (theta, d, z), res in zip(points, results)
+    ]
 
     out_dir = _ensure_out(args.out or ".")
     power_cols = tuple(f"p_t_{k + 1}_w" for k in range(n_tx))

@@ -15,6 +15,11 @@ x_r = -Im(z_o).  These operating points ignore the sign of individual
 transmitter powers; ports asked to absorb power show up as negative
 entries in :func:`transmit_powers` and call for the constrained solver
 in :mod:`wptopt.pipeline`.
+
+:func:`solve_closed_forms` takes many links in one stacked pass: stacked
+LAPACK solves for z_o, U and the currents, and the per-port powers of all
+links at once.  :func:`solve_closed_form` is its one-link case; every link's
+solution is bit for bit the same alone or in a stack.
 """
 
 from __future__ import annotations
@@ -24,49 +29,51 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import ImpedanceMatrix, checked_entries, partition
-from .pims import port_impedance_matrices, port_power
+from .circuit import ImpedanceMatrix, checked_entries
+from .pims import port_power, port_powers
 
 
 class NoCouplingError(ValueError):
     """The receiver is magnetically isolated; no power can be transferred."""
 
 
-def _blocks(z):
+def _entries(z) -> np.ndarray:
     # a plain array gets the checks an ImpedanceMatrix passed on construction
-    zt, ztr, zr = partition(z if isinstance(z, ImpedanceMatrix) else checked_entries(z))
-    return np.asarray(zt, dtype=complex), np.asarray(ztr, dtype=complex), complex(zr)
+    return z.entries if isinstance(z, ImpedanceMatrix) else checked_entries(z)
 
 
-def _zo_u(zt, ztr, zr):
-    """(z_o, U) from the partitioned blocks, one solve each."""
-    z_o = zr - ztr @ np.linalg.solve(zt.real, ztr.real)
-    u_sq = float(np.real(ztr.conj() @ np.linalg.solve(zt.real, ztr))) / z_o.real
-    return z_o, float(np.sqrt(u_sq))
+def _solve(a, b):
+    """Solve a[k] x[k] = b[k] for a stack of matrices and vectors."""
+    return np.linalg.solve(a, b[..., None])[..., 0]
 
 
-def _currents(zt, ztr, z_o, u, r_load):
-    """Closed-form optimal (i_t, i_r) given the link's z_o and U."""
-    i_r = receiver_current(r_load)
-    ro = z_o.real
-    weight = (ro + r_load) / (ro * u * u)
-    i_t = -np.linalg.solve(zt.real, ztr.real + weight * ztr.conj()) * i_r
-    return i_t, i_r
+def _dot(x, y):
+    """x[k] @ y[k] over a stack of vectors, unconjugated."""
+    return (x[..., None, :] @ y[..., :, None])[..., 0, 0]
+
+
+def _zo_u(z):
+    """(z_o, U) of each link in a (K, N, N) stack; U is 0 where the
+    receiver is uncoupled."""
+    zt, ztr, zr = z[:, :-1, :-1], z[:, :-1, -1], z[:, -1, -1]
+    z_o = zr - _dot(ztr, _solve(zt.real, ztr.real))
+    u = np.sqrt(_dot(ztr.conj(), _solve(zt.real, ztr)).real / z_o.real)
+    return z_o, u
 
 
 def output_impedance(z) -> complex:
     """Impedance seen at the receiver with loss-minimizing transmit drive."""
-    return _zo_u(*_blocks(z))[0]
+    return _zo_u(_entries(z)[None])[0][0]
 
 
 def mutual_q(z) -> float:
     """Mutual quality factor U of the link; 0 flags an uncoupled receiver."""
-    zt, ztr, zr = _blocks(z)
-    if np.all(ztr == 0.0):
+    m = _entries(z)
+    if not m[:-1, -1].any():
         warnings.warn("receiver has no coupling to any transmitter (U = 0)",
                       RuntimeWarning, stacklevel=2)
         return 0.0
-    return _zo_u(zt, ztr, zr)[1]
+    return float(_zo_u(m[None])[1][0])
 
 
 def max_pte(u: float) -> float:
@@ -76,7 +83,7 @@ def max_pte(u: float) -> float:
 
 def optimal_load(z_o: complex, u: float) -> float:
     """Efficiency-maximizing load resistance."""
-    return z_o.real * float(np.sqrt(1.0 + u * u))
+    return z_o.real * np.sqrt(1.0 + u * u)
 
 
 def resonant_pte(z_o: complex, u: float, r_load: float) -> float:
@@ -85,11 +92,9 @@ def resonant_pte(z_o: complex, u: float, r_load: float) -> float:
     return (u * u * r_load * ro) / ((ro * (1.0 + u * u) + r_load) * (r_load + ro))
 
 
-def receiver_current(r_load: float) -> float:
-    """Receiver current magnitude for unit received power, zero phase."""
-    if not r_load > 0.0:
+def _check_load(r_load) -> None:
+    if r_load is not None and not r_load > 0.0:
         raise ValueError(f"load resistance must be positive, got {r_load}")
-    return float(np.sqrt(2.0 / r_load))
 
 
 def optimal_currents(z, r_load: float):
@@ -98,10 +103,8 @@ def optimal_currents(z, r_load: float):
     The receiver current is real positive by phase convention; the
     transmit currents are the closed-form optimizer of the loss QP.
     """
-    zt, ztr, zr = _blocks(z)
-    if np.all(ztr == 0.0):
-        raise NoCouplingError("receiver is uncoupled; optimal currents undefined")
-    return _currents(zt, ztr, *_zo_u(zt, ztr, zr), r_load)
+    sol = solve_closed_form(z, r_load)
+    return sol.i_t, sol.i_r
 
 
 def solve_min_loss_qp(z, r_load: float):
@@ -112,9 +115,11 @@ def solve_min_loss_qp(z, r_load: float):
     receiver-voltage equality row and solve the saddle system.  Returns
     ``(c_t, p_loss, mu)`` with ``mu`` the equality multiplier.
     """
-    zt, ztr, zr = _blocks(z)
+    m = _entries(z)
+    zt, ztr, zr = m[:-1, :-1], m[:-1, -1], complex(m[-1, -1])
     n_t = zt.shape[0]
-    i_r = receiver_current(r_load)
+    _check_load(r_load)
+    i_r = float(np.sqrt(2.0 / r_load))
     a = np.concatenate([ztr.real, -ztr.imag])
     if np.all(a == 0.0) and np.all(ztr == 0.0):
         raise NoCouplingError("receiver is uncoupled; loss QP is infeasible")
@@ -175,38 +180,79 @@ def solve_closed_form(
     or PassivityError on a bad one); the compensation element values then
     default to None (no frequency attached).
     """
-    zt, ztr, zr = _blocks(z)
-    if np.all(ztr == 0.0):
-        raise NoCouplingError("receiver is uncoupled from every transmitter")
-    z_o, u = _zo_u(zt, ztr, zr)
-    r_opt = optimal_load(z_o, u)
-    if r_load is None:
-        r_load = r_opt
-    i_t, i_r = _currents(zt, ztr, z_o, u, r_load)
-    x_r = -z_o.imag
-    eta = resonant_pte(z_o, u, r_load)
+    (sol,) = solve_closed_forms([z], r_load)
+    if isinstance(sol, Exception):
+        raise sol
+    return sol
+
+
+def solve_closed_forms(zs, r_load: float | None = None) -> list:
+    """:func:`solve_closed_form` of every link, in one stacked pass per port
+    count.
+
+    Returns, in input order, each link's ClosedFormSolution or the error
+    it alone raises (NoCouplingError, SchemaError, PassivityError); an
+    error stays with its own row.  Each solution is bit for bit the one
+    the link gets alone.  Raises ValueError for a load that is not
+    positive.
+    """
+    _check_load(r_load)
+    out = [None] * len(zs)
+    stacks = {}  # matrix shape -> [(row, entries)] of the coupled links
+    for k, z in enumerate(zs):
+        try:
+            m = _entries(z)
+        except ValueError as exc:  # SchemaError, PassivityError
+            out[k] = exc
+            continue
+        if m[:-1, -1].any():
+            stacks.setdefault(m.shape, []).append((k, m))
+        else:
+            out[k] = NoCouplingError("receiver is uncoupled from every transmitter")
+    for rows in stacks.values():
+        ks, ms = zip(*rows)
+        omegas = [getattr(zs[k], "omega", None) for k in ks]
+        for k, sol in zip(ks, _closed_form_rows(np.array(ms), r_load, omegas)):
+            out[k] = sol
+    return out
+
+
+def _closed_form_rows(z, r_load, omegas):
+    """ClosedFormSolutions of a (K, N, N) stack of coupled links."""
+    zt, ztr = z[:, :-1, :-1], z[:, :-1, -1]
+    z_o, u = _zo_u(z)
     ro = z_o.real
-    p_loss = (1.0 / r_load) * (ro + (ro + r_load) ** 2 / (ro * u * u))
-    zhat = np.array(getattr(z, "entries", z), dtype=complex)
-    zhat[-1, -1] += 1j * x_r + r_load
-    pims = port_impedance_matrices(zhat)
-    i_full = np.concatenate([i_t, [i_r]])
-    p_tx = transmit_powers(i_full, pims)[:-1]
-    omega = getattr(z, "omega", None)
-    c_r = -1.0 / (omega * x_r) if (omega and x_r < 0.0) else None
-    l_r = x_r / omega if (omega and x_r >= 0.0) else None
-    return ClosedFormSolution(
-        z_o=z_o,
-        u=u,
-        r_load=float(r_load),
-        r_load_opt=float(r_opt),
-        eta=float(eta),
-        eta_max=float(max_pte(u)),
-        p_loss=float(p_loss),
-        i_t=i_t,
-        i_r=float(i_r),
-        x_r=float(x_r),
-        p_tx=p_tx,
-        c_r=c_r,
-        l_r=l_r,
-    )
+    r_opt = optimal_load(z_o, u)
+    rl = r_opt if r_load is None else np.full(len(z), float(r_load))
+    i_r = np.sqrt(2.0 / rl)
+    weight = (ro + rl) / (ro * u * u)
+    i_t = -_solve(zt.real, ztr.real + weight[:, None] * ztr.conj()) * i_r[:, None]
+    x_r = -z_o.imag
+    eta = resonant_pte(z_o, u, rl)
+    zhat = z.copy()
+    zhat[:, -1, -1] += 1j * x_r + rl
+    p_tx = port_powers(zhat, np.concatenate([i_t, i_r[:, None]], axis=1))[:, :-1]
+    rows = []
+    for k, omega in enumerate(omegas):
+        # squares of Python floats (libm's pow): numpy's square of an array
+        # differs from it in the last bit now and then
+        r, o, uk = float(rl[k]), float(ro[k]), float(u[k])
+        xk = float(x_r[k])
+        rows.append(
+            ClosedFormSolution(
+                z_o=z_o[k],
+                u=uk,
+                r_load=r,
+                r_load_opt=float(r_opt[k]),
+                eta=float(eta[k]),
+                eta_max=float(max_pte(uk)),
+                p_loss=(1.0 / r) * (o + (o + r) ** 2 / (o * uk * uk)),
+                i_t=i_t[k],
+                i_r=float(i_r[k]),
+                x_r=xk,
+                p_tx=p_tx[k],
+                c_r=-1.0 / (omega * xk) if (omega and xk < 0.0) else None,
+                l_r=xk / omega if (omega and xk >= 0.0) else None,
+            )
+        )
+    return rows

@@ -30,22 +30,37 @@ def port_impedance_matrices(z) -> list[np.ndarray]:
     symmetric array.  Returns Hermitian matrices T_n with
     sum_n T_n == Re(Z) exactly up to rounding.
     """
-    m = _entries(z)
-    n = m.shape[0]
-    out = []
+    return list(_port_stack(_entries(z)))
+
+
+def _port_stack(m: np.ndarray) -> np.ndarray:
+    """T_n of every matrix in a (..., N, N) stack, as (..., N, N, N) with n
+    on axis -3."""
+    n = m.shape[-1]
+    t = np.zeros(m.shape[:-2] + (n, n, n), dtype=complex)
     for k in range(n):
-        t = np.zeros((n, n), dtype=complex)
-        row = m[k, :]
-        t[k, :] += 0.5 * row
-        t[:, k] += 0.5 * row.conj()
-        out.append(t)
-    return out
+        row = m[..., k, :]
+        t[..., k, k, :] += 0.5 * row
+        t[..., k, :, k] += 0.5 * row.conj()
+    return t
 
 
 def port_power(i: np.ndarray, t: np.ndarray) -> float:
     """Real power fed through one port: Re(i^H T_n i) / 2."""
     i = np.asarray(i, dtype=complex)
     return 0.5 * float(np.real(np.vdot(i, t @ i)))
+
+
+def port_powers(z: np.ndarray, i: np.ndarray) -> np.ndarray:
+    """Per-port real powers Re(i^H T_n i) / 2 of a (..., N, N) stack of
+    matrices driven by a (..., N) stack of current vectors, as (..., N).
+
+    Each entry is bit for bit :func:`port_power` of its own matrix and
+    vector: one matrix-vector product and one conjugated dot per port.
+    """
+    i = np.asarray(i, dtype=complex)
+    ti = (_port_stack(np.asarray(z, dtype=complex)) @ i[..., None, :, None])[..., 0]
+    return 0.5 * np.vecdot(i[..., None, :], ti).real
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,10 @@ point is not certified and may break the power constraints. The operating
 point (currents, receiver reactance, load voltages, efficiency) is then
 recovered from the solution vector.
 
+`solve_rows` runs many links at one load: their closed forms in stacked
+passes of up to `STACK_ROWS` links, then the binding rows one by one in
+input order.  `full_pipeline` is its one-link case.
+
 `optimize_load` searches the load resistance. When the closed form at the
 unconstrained optimal load R* is feasible it is the answer in one
 evaluation. Otherwise Brent's parabolic search in ln R_L narrows the bracket
@@ -30,7 +34,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .circuit import ImpedanceMatrix, Loading, apply_loading, hash_matrix
-from .closedform import ClosedFormSolution, solve_closed_form
+from .closedform import ClosedFormSolution, solve_closed_forms
 from .dual import solve_dual
 from .qcqp import QcqpProblem, build_problem, evaluate
 from .sdp import SdpInstance, check_kkt, kkt_residuals, solve
@@ -45,6 +49,8 @@ __all__ = [
     "extract_solution",
     "recover_operating_point",
     "full_pipeline",
+    "solve_rows",
+    "ROW_ERRORS",
     "optimize_load",
     "LoadSearch",
     "cap_r",
@@ -55,6 +61,9 @@ SKIP_TOLERANCE = -1e-12  # watts; closed-form powers above this mean no SDR run
 TIGHTNESS_THRESHOLD = 1e-8  # epsilon at or below this certifies a tight relaxation
 KKT_THRESHOLD = 1e-8  # worst normalized KKT residual an attempt may leave
 LOAD_REL_TOL = 1e-4  # final load-search bracket width, relative
+# what one row may raise without stopping the rows after it
+ROW_ERRORS = (RuntimeError, ValueError, np.linalg.LinAlgError)
+STACK_ROWS = 128  # links per stacked closed-form pass; bounds the peak memory
 
 
 class RelaxationError(RuntimeError):
@@ -356,9 +365,41 @@ def full_pipeline(
     options: PipelineOptions | None = None,
 ) -> SdrResult:
     """Closed form first; the dual, then the relaxation, only where its power
-    pattern is illegal (see the module docstring)."""
+    pattern is illegal (see the module docstring).  The one-row case of
+    :func:`solve_rows`."""
+    (res,) = solve_rows([z], r_load, options)
+    if isinstance(res, Exception):
+        raise res
+    return res
+
+
+def solve_rows(zs, r_load: float | None = None, options: PipelineOptions | None = None):
+    """:func:`full_pipeline` of every link, at one load (None: each link's
+    R*), as an iterator over the rows in input order.
+
+    The closed forms come from stacked passes over up to `STACK_ROWS`
+    links; the rows whose powers break the constraints then go to the dual
+    and relaxation one by one.  Each row yields its SdrResult, or the
+    `ROW_ERRORS` exception it raised: an error stays with its own row.
+    Rows are produced as they are consumed, so a caller that keeps only
+    what it needs of each holds one block of results at a time.
+    """
     opts = options or PipelineOptions()
-    cf = solve_closed_form(z, r_load)
+    zs = list(zs)
+    for start in range(0, len(zs), STACK_ROWS):
+        block = zs[start:start + STACK_ROWS]
+        for z, row in zip(block, solve_closed_forms(block, r_load)):
+            if not isinstance(row, Exception):
+                try:
+                    row = _finish(z, row, opts)
+                except ROW_ERRORS as exc:
+                    row = exc
+            yield row
+
+
+def _finish(z: ImpedanceMatrix, cf: ClosedFormSolution, opts: PipelineOptions) -> SdrResult:
+    """The row of z given its closed form: the closed form itself where its
+    powers are legal, else the dual or the relaxation."""
     r_load = cf.r_load
     ok = float(cf.p_tx.min()) >= SKIP_TOLERANCE
     if opts.power_caps is not None:

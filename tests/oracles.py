@@ -8,10 +8,13 @@ to a multistart quasi-Newton descent (:func:`minimize_loss_descent`,
 unconstrained instances).  They live beside the tests because nothing in the
 package calls them, and they are the only users of ``scipy.optimize``.
 
-:func:`panelwise_gauss` is the reference for the mutual-inductance
-quadrature: the same adaptive Gauss-Legendre rule, one integrand call per
-panel and rule, which the stage-at-a-time loop in :mod:`wptopt.circuit` must
-match bit for bit.
+:func:`reference_mutual` is the reference for the mutual-inductance
+quadrature: one pair at a time, with scalar pair parameters, by
+:func:`panelwise_gauss`, the same adaptive Gauss-Legendre rule evaluated one
+panel and rule per integrand call.  The batched quadrature in
+:mod:`wptopt.circuit` must match it bit for bit.  Likewise
+:func:`reference_closed_form` is the closed form of one link on its own,
+which every row of the stacked pass in :mod:`wptopt.closedform` must match.
 """
 
 from __future__ import annotations
@@ -22,6 +25,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import null_space
 from scipy.optimize import minimize
+
+from wptopt.circuit import MU0, _w_over_m, checked_entries
+from wptopt.closedform import max_pte
+from wptopt.pims import port_impedance_matrices, port_power
 
 FEASIBILITY_TOL = 1e-8
 GRID_RESOLUTION = 41
@@ -250,7 +257,9 @@ def minimize_loss_descent(problem, n_starts=8, seed=0, candidate=None):
 
 def panelwise_gauss(f, x0, x1, rtol, atol, n_lo=12, n_hi=24, max_panels=4000):
     """Globally adaptive Gauss-Legendre panels, evaluated one panel and rule
-    at a time; drop-in for ``wptopt.circuit._adaptive_gauss``."""
+    at a time: 8 panels, then the panel with the largest error estimate
+    split in two until the estimate meets the tolerance.  Returns
+    (integral, error estimate)."""
 
     rules = {n: np.polynomial.legendre.leggauss(n) for n in (n_lo, n_hi)}
 
@@ -286,3 +295,77 @@ def panelwise_gauss(f, x0, x1, rtol, atol, n_lo=12, n_hi=24, max_panels=4000):
             uid += 1
         panels += 1
     return total, err
+
+
+def neumann_reduced_scalar(psi, ra, rb, rho, h):
+    """The reduced Neumann integrand of one pair, its parameters scalars."""
+    s2 = np.sin(0.5 * psi) ** 2
+    rf = np.sqrt((rho - rb) ** 2 + 4.0 * rho * rb * s2)
+    S2 = (ra + rf) ** 2 + h * h
+    diff2 = (ra + rb - rho) * (ra + rho - rb) - 4.0 * rho * rb * s2
+    one_minus_m = ((diff2 / (ra + rf)) ** 2 + h * h) / S2
+    m = np.minimum(4.0 * ra * rf / S2, 1.0)
+    wm = _w_over_m(m, one_minus_m)
+    return (MU0 * ra * rb / np.pi) * wm * (4.0 * ra / S2) * (rb - rho * np.cos(psi)) / np.sqrt(S2)
+
+
+def reference_mutual(key, rtol, calls=None):
+    """Mutual inductance of one (ra, rb, rho, h) pair key by
+    :func:`panelwise_gauss`; appends the node count of every integrand call
+    to ``calls`` when given."""
+    ra, rb, rho, h = key
+
+    def f(psi):
+        if calls is not None:
+            calls.append(len(psi))
+        return neumann_reduced_scalar(psi, ra, rb, rho, h)
+
+    atol = 1e-15 * MU0 * min(ra, rb)
+    rf0 = abs(rho - rb)
+    p0 = ((ra - rf0) ** 2 + h * h) / ((ra + rf0) ** 2 + h * h)
+    if p0 < 1e-5:
+        # near-tangent: graded substitution on [0, delta], plain beyond
+        delta = 0.5
+        g = lambda s: f(delta * s**4) * 4.0 * delta * s**3
+        i_sing, _ = panelwise_gauss(g, 0.0, 1.0, rtol, 0.5 * atol)
+        i_rest, _ = panelwise_gauss(f, delta, np.pi, rtol, 0.5 * atol)
+        total = i_sing + i_rest
+    else:
+        total, _ = panelwise_gauss(f, 0.0, np.pi, rtol, atol)
+    return 2.0 * total
+
+
+def reference_closed_form(z, r_load=None):
+    """The closed-form operating point of one link, computed on that link
+    alone with scalar arithmetic, as a dict of the ClosedFormSolution fields
+    without the compensation element."""
+    m = np.array(getattr(z, "entries", z), dtype=complex)
+    checked_entries(m)
+    zt, ztr, zr = m[:-1, :-1], m[:-1, -1], complex(m[-1, -1])
+    z_o = zr - ztr @ np.linalg.solve(zt.real, ztr.real)
+    u_sq = float(np.real(ztr.conj() @ np.linalg.solve(zt.real, ztr))) / z_o.real
+    u = float(np.sqrt(u_sq))
+    ro = z_o.real
+    r_opt = ro * float(np.sqrt(1.0 + u * u))
+    r_load = r_opt if r_load is None else r_load
+    i_r = float(np.sqrt(2.0 / r_load))
+    weight = (ro + r_load) / (ro * u * u)
+    i_t = -np.linalg.solve(zt.real, ztr.real + weight * ztr.conj()) * i_r
+    x_r = -z_o.imag
+    zhat = m.copy()
+    zhat[-1, -1] += 1j * x_r + r_load
+    i = np.concatenate([i_t, [i_r]])
+    p_tx = np.array([port_power(i, t) for t in port_impedance_matrices(zhat)])[:-1]
+    return {
+        "z_o": z_o,
+        "u": u,
+        "r_load": float(r_load),
+        "r_load_opt": float(r_opt),
+        "eta": float((u * u * r_load * ro) / ((ro * (1.0 + u * u) + r_load) * (r_load + ro))),
+        "eta_max": float(max_pte(u)),
+        "p_loss": float((1.0 / r_load) * (ro + (ro + r_load) ** 2 / (ro * u * u))),
+        "i_t": i_t,
+        "i_r": i_r,
+        "x_r": float(x_r),
+        "p_tx": p_tx,
+    }

@@ -1,10 +1,11 @@
 """Circuit-model tests: quadrature oracles, matrix validation, file I/O."""
 
+import collections
 import math
 
 import numpy as np
 import pytest
-from oracles import panelwise_gauss
+from oracles import reference_mutual
 from scipy.special import ellipe, ellipk, ellipkm1
 
 from wptopt import circuit
@@ -178,9 +179,8 @@ class TestMutualInductance:
 
 
 def preset_pair_keys(distances):
-    """Distinct ``_mutual_cached`` arguments (without rtol) of every preset
-    on a 2-degree slice at the given receiver distances (fractions of
-    lambda)."""
+    """Distinct (ra, rb, rho, h) pair keys of every preset on a 2-degree
+    slice at the given receiver distances (fractions of lambda)."""
     keys = set()
     for name in circuit.PRESETS:
         for frac in distances:
@@ -188,66 +188,121 @@ def preset_pair_keys(distances):
                 loops = GeometrySpec.preset(name, frac * LAM, math.radians(theta)).loops
                 for i, a in enumerate(loops):
                     for b in loops[i + 1:]:
-                        dx, dy, dz = (p - q for p, q in zip(a.center, b.center))
-                        keys.add((*sorted((a.radius, b.radius)), math.hypot(dx, dy), abs(dz)))
+                        keys.add(circuit._pair_key(a, b))
     return sorted(keys)
 
 
+def as_bytes(values):
+    return [np.float64(v).tobytes() for v in values]
+
+
+NULL = math.acos(1.0 / math.sqrt(3.0))  # dipole-dipole coupling null
+# pair keys that split panels or take the graded near-tangent ranges
+SPECIAL_KEYS = (
+    (R_LOOP, R_LOOP, 2 * R_LOOP, 0.0),  # planar-tangent pair
+    (R_LOOP, 1.5 * R_LOOP, 0.5 * R_LOOP, 0.0),  # nested-tangent pair
+    (R_LOOP, R_LOOP, 0.5 * R_LOOP, 1e-6 * R_LOOP),  # near-crossing pair
+    (R_LOOP, R_LOOP, 30 * R_LOOP * math.sin(NULL), 30 * R_LOOP * math.cos(NULL)),
+    # unequal radii, offset: summing the two halves of a split in the other
+    # order moves the last bit
+    (0.041241185300068796, 0.19408453046371485, 0.19641560503416555,
+     0.009065789171255067),
+)
+
+
 class TestQuadratureBits:
-    """The stage-at-a-time quadrature returns exactly the panel-at-a-time
+    """The batched quadrature returns exactly the one-pair, panel-at-a-time
     reference in ``tests/oracles.py``."""
 
-    def evaluate(self, monkeypatch, gauss, key, rtol):
+    def counted_batch(self, monkeypatch, keys, rtol):
+        """``circuit._quadrature`` of keys, with the node count of every
+        integrand call."""
         calls = []
         integrand = circuit._neumann_reduced
 
-        def counted(psi, *args):
+        def counted(psi, terms):
             calls.append(len(psi))
-            return integrand(psi, *args)
+            return integrand(psi, terms)
 
         with monkeypatch.context() as m:
             m.setattr(circuit, "_neumann_reduced", counted)
-            m.setattr(circuit, "_adaptive_gauss", gauss)
-            value = circuit._mutual_cached.__wrapped__(*key, rtol)
-        return value, len(calls)
+            values = circuit._quadrature(keys, rtol)
+        return values, calls
 
-    def test_every_key_matches_the_reference_bit_for_bit(self, monkeypatch):
-        r = R_LOOP
-        null = math.acos(1.0 / math.sqrt(3.0))  # dipole-dipole coupling null
-        cases = [
-            ((r, r, 2 * r, 0.0), 1e-10),  # planar-tangent pair
-            ((r, r, 2 * r, 0.0), 1e-14),
-            ((r, 1.5 * r, 0.5 * r, 0.0), 1e-10),  # nested-tangent pair
-            ((r, r, 0.5 * r, 1e-6 * r), 1e-10),  # near-crossing pair
-            ((r, r, 30 * r * math.sin(null), 30 * r * math.cos(null)), 1e-10),
-            # unequal radii, offset: summing the two halves of a split in
-            # the other order moves the last bit
-            ((0.041241185300068796, 0.19408453046371485, 0.19641560503416555,
-              0.009065789171255067), 1e-12),
-        ]
-        cases += [(key, 1e-10) for key in preset_pair_keys((0.05, 0.3))]
-        assert len(cases) > 500
+    def test_every_key_matches_the_reference_bit_for_bit(self):
+        grid = preset_pair_keys((0.05, 0.3))
+        assert len(grid) > 500
+        rng = np.random.default_rng(0)
+        batches = {1e-10: list(SPECIAL_KEYS) + grid}
+        sample = [grid[i] for i in rng.choice(len(grid), 40, replace=False)]
+        batches[1e-12] = batches[1e-14] = list(SPECIAL_KEYS) + sample
         ref_calls = {}
-        for key, rtol in cases:
-            got, _ = self.evaluate(monkeypatch, circuit._adaptive_gauss, key, rtol)
-            want, n_ref = self.evaluate(monkeypatch, panelwise_gauss, key, rtol)
-            assert np.float64(got).tobytes() == np.float64(want).tobytes(), (key, rtol)
-            assert type(got) is type(want)
-            ref_calls[key, rtol] = n_ref
+        for rtol, keys in batches.items():
+            keys = [keys[i] for i in rng.permutation(len(keys))]
+            # one batch over many chunks
+            assert len(keys) > 3 * circuit._CHUNK_NODES // (8 * 36)
+            got = circuit._quadrature(keys, rtol)
+            want = []
+            for key in keys:
+                calls = []
+                want.append(reference_mutual(key, rtol, calls))
+                ref_calls[key, rtol] = len(calls)
+            assert as_bytes(got) == as_bytes(want)
+            assert all(type(g) is type(w) for g, w in zip(got, want))
+        r = R_LOOP
         assert ref_calls[(r, r, 2 * r, 0.0), 1e-10] == 32
         assert ref_calls[(r, r, 2 * r, 0.0), 1e-14] == 44
         assert ref_calls[(r, r, 0.5 * r, 1e-6 * r), 1e-10] == 76
         # 16 calls per integration range means no panel was split; the split
-        # keys above exercise the heap branch
-        assert sum(n > 32 for n in ref_calls.values()) >= 2
+        # keys above exercise the refinement
+        assert sum(n > 32 for n in ref_calls.values()) >= 4
+
+    def test_a_value_does_not_depend_on_its_batch(self):
+        grid = preset_pair_keys((0.1,))
+        keys = list(SPECIAL_KEYS) + grid[::7]
+        alone = [circuit._quadrature([key], 1e-12)[0] for key in keys]
+        for shift in (1, 5, 13):
+            # other neighbours, other chunk positions, other chunk sizes
+            order = keys[shift:] + keys[:shift]
+            got = circuit._quadrature(order[::-1], 1e-12)[::-1]
+            assert as_bytes(got) == as_bytes(alone[shift:] + alone[:shift])
 
     def test_a_stage_is_one_integrand_call(self, monkeypatch):
         key = (R_LOOP, R_LOOP, 0.5 * R_LOOP, 1e-6 * R_LOOP)
-        _, n_ref = self.evaluate(monkeypatch, panelwise_gauss, key, 1e-10)
-        _, n_new = self.evaluate(monkeypatch, circuit._adaptive_gauss, key, 1e-10)
+        calls = []
+        reference_mutual(key, 1e-10, calls)
+        _, new_calls = self.counted_batch(monkeypatch, [key], 1e-10)
         # the reference makes 8 panels x 2 rules, then 2 halves x 2 rules per
         # split
-        assert n_new == 1 + (n_ref - 16) // 4
+        assert len(new_calls) == 1 + (len(calls) - 16) // 4
+
+    def test_a_batch_takes_its_first_stage_in_chunks(self, monkeypatch):
+        r = R_LOOP
+        keys = [(r, r, rho, h) for rho in np.linspace(0.0, 10 * r, 20)
+                for h in np.linspace(3 * r, 30 * r, 10)]
+        _, calls = self.counted_batch(monkeypatch, keys, 1e-10)
+        per_chunk = circuit._CHUNK_NODES // (8 * 36)
+        assert len(calls) == -(-len(keys) // per_chunk)  # none of them splits
+        assert max(calls) <= circuit._CHUNK_NODES
+
+    def test_the_cache_serves_repeated_pairs(self, monkeypatch):
+        a, b = make_loop(), make_loop(x=0.013 * LAM, z=0.021 * LAM)
+        first = mutual_inductance(a, b, rtol=1e-11)
+        with monkeypatch.context() as m:
+            m.setattr(circuit, "_quadrature", lambda *args: pytest.fail("cache miss"))
+            assert mutual_inductance(b, a, rtol=1e-11) == first
+            key = circuit._pair_key(a, b)
+            assert circuit._mutual_values([key] * 3, 1e-11) == [first] * 3
+
+    def test_the_cache_drops_the_least_recently_used_pair(self, monkeypatch):
+        monkeypatch.setattr(circuit, "_cache", collections.OrderedDict())
+        monkeypatch.setattr(circuit, "_CACHE_SIZE", 3)
+        r = R_LOOP
+        keys = [(r, r, 0.0, h * r) for h in (3.0, 4.0, 5.0, 6.0)]
+        circuit._mutual_values(keys[:3], 1e-10)
+        circuit._mutual_values(keys[:1], 1e-10)  # the oldest, used again
+        circuit._mutual_values(keys[3:], 1e-10)
+        assert list(circuit._cache) == [k + (1e-10,) for k in (keys[2], keys[0], keys[3])]
 
 
 class TestLoopParameters:

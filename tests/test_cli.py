@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -317,27 +318,55 @@ class TestSweep:
         assert len(a.splitlines()) == 8
 
     def test_partial_failure_keeps_going(self, tmp_path, capsys):
-        geom = GeometrySpec.preset("siso", 0.1 * LAM)
         from wptopt.circuit import build_loop_system
 
-        good = matrix_to_json(build_loop_system(geom))
-        dead = json.loads(json.dumps(good))
+        good = [
+            {"theta_deg": theta,
+             "matrix": matrix_to_json(build_loop_system(GeometrySpec.preset(
+                 "siso", 0.1 * LAM, angle=math.radians(theta))))}
+            for theta in (0.0, 20.0)
+        ]
+        dead = json.loads(json.dumps(good[0]["matrix"]))
         dead["re"] = [[0.02, 0.0], [0.0, 0.02]]
         dead["im"] = [[56.0, 0.0], [0.0, 56.0]]  # zero mutual: uncoupled
-        family = tmp_path / "mixed.json"
-        family.write_text(json.dumps([
-            {"theta_deg": 0.0, "matrix": good},
-            {"theta_deg": 10.0, "matrix": dead},
-        ]))
-        out = tmp_path / "out"
-        assert cli.main(["sweep", "--matrix", str(family), "--out", str(out)]) == 0
-        rows = read_rows(out / "sweep.csv")
-        assert len(rows) == 2
-        assert rows[0]["status"] == "closed-form"
-        assert rows[1]["status"].startswith("error:")
-        assert rows[1]["eta"] == "nan"
-        assert [r["form"] for r in rows] == ["closed-form", ""]
+        bad = {"theta_deg": 10.0, "matrix": dead}
+
+        family = tmp_path / "family.json"  # one name: rows carry the source
+
+        def sweep(points, name):
+            family.write_text(json.dumps(points))
+            out = tmp_path / name
+            # the masked stack arithmetic must not warn
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert cli.main(["sweep", "--matrix", str(family), "--out", str(out)]) == 0
+            return (out / "sweep.csv").read_text().splitlines()
+
+        mixed = sweep([good[0], bad, good[1]], "mixed")
+        clean = sweep(good, "clean")
+        assert len(mixed) == 4
+        assert mixed[:2] + mixed[3:] == clean
+        row = dict(zip(cli.SWEEP_COLUMNS, mixed[2].split(",")))
+        assert row["status"] == "error:NoCouplingError"
+        assert row["eta"] == "nan"
+        assert row["form"] == ""
         assert "theta=10.0" in capsys.readouterr().err
+
+    def test_a_sweep_writes_the_rows_of_its_points_swept_alone(self, tmp_path):
+        assert cli.main(["sweep", "--preset", "miso-3p", "--theta-range=-90:90:10",
+                         "--d", "0.05,0.3", "--out", str(tmp_path / "all")]) == 0
+        header, *rows = (tmp_path / "all" / "sweep.csv").read_bytes().splitlines()
+        alone = []
+        for d in ("0.05", "0.3"):
+            for theta in range(-90, 91, 10):
+                out = tmp_path / f"{d}_{theta}"
+                assert cli.main(["sweep", "--preset", "miso-3p",
+                                 f"--theta-range={theta}:{theta}:1", "--d", d,
+                                 "--out", str(out)]) == 0
+                head, row = (out / "sweep.csv").read_bytes().splitlines()
+                assert head == header
+                alone.append(row)
+        assert rows == alone
 
     def test_pattern_split_per_distance(self, tmp_path):
         cli.main(["sweep", "--preset", "siso", "--d", "0.05,0.1",

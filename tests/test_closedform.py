@@ -1,7 +1,10 @@
 """Closed-form solution tests: scalar formulas, currents, QP cross-checks."""
 
+import warnings
+
 import numpy as np
 import pytest
+from oracles import reference_closed_form
 
 from wptopt.circuit import (
     GeometrySpec,
@@ -20,6 +23,7 @@ from wptopt.closedform import (
     output_impedance,
     resonant_pte,
     solve_closed_form,
+    solve_closed_forms,
     solve_min_loss_qp,
     transmit_powers,
 )
@@ -42,6 +46,23 @@ def ingested_complex_matrix(rng, n=3):
     im = rng.standard_normal((n, n))
     z = re + 1j * 0.5 * (im + im.T)
     return ImpedanceMatrix(0.5 * (z + z.T), 40e6)
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def assert_same_solution(sol, ref):
+    """Every field of a ClosedFormSolution bit for bit equal to ``ref``, a
+    ClosedFormSolution or a `reference_closed_form` dict."""
+    fields = ref if isinstance(ref, dict) else vars(ref)
+    for name, want in fields.items():
+        got = getattr(sol, name)
+        if want is None:
+            assert got is None, name
+        else:
+            assert same_bits(got, want), name
 
 
 def loaded_matrix(z, x_r, r_load):
@@ -349,7 +370,8 @@ class TestSolutionRecord:
         assert off.eta < peak.eta
         assert off.eta_max == pytest.approx(peak.eta, rel=1e-12)
 
-    def test_fused_solution_matches_the_public_helpers_bit_for_bit(self):
+    @staticmethod
+    def links():
         from retarded import retarded_loop_system
 
         links = [
@@ -363,7 +385,11 @@ class TestSolutionRecord:
         )
         assert solve_closed_form(binding).p_tx.min() < 0.0
         links.append(binding)
-        for link in links:
+        links.append(ingested_complex_matrix(np.random.default_rng(5), 4))
+        return links
+
+    def test_fused_solution_matches_the_public_helpers_bit_for_bit(self):
+        for link in self.links():
             for z in (link, np.array(link.entries)):
                 sol = solve_closed_form(z)
                 z_o = output_impedance(z)
@@ -374,3 +400,51 @@ class TestSolutionRecord:
                 zhat = loaded_matrix(z, -z_o.imag, sol.r_load)
                 p_tx = transmit_powers(np.append(i_t, i_r), port_impedance_matrices(zhat))
                 assert np.array_equal(sol.p_tx, p_tx[:-1])
+                assert_same_solution(sol, reference_closed_form(z))
+
+    @pytest.mark.parametrize("r_load", [None, 0.7])
+    def test_a_stack_matches_every_row_alone_bit_for_bit(self, r_load):
+        links = self.links()
+        # ImpedanceMatrix and plain rows, two to four ports, in one call
+        zs = links + [np.array(link.entries) for link in links[::2]]
+        rng = np.random.default_rng(3)
+        zs = [zs[i] for i in rng.permutation(len(zs))]
+        rows = solve_closed_forms(zs, r_load)
+        assert len(rows) == len(zs)
+        for z, row in zip(zs, rows):
+            assert_same_solution(row, solve_closed_form(z, r_load))
+            assert_same_solution(row, reference_closed_form(z, r_load))
+
+    def test_a_large_stack_matches_the_scalar_reference(self):
+        # scalar and array arithmetic part ways in the last bit of a square
+        # once in about a thousand arguments; thousands of rows find it
+        rng = np.random.default_rng(11)
+        zs = [ingested_complex_matrix(rng, 3) for _ in range(3000)]
+        for z, row in zip(zs, solve_closed_forms(zs)):
+            assert_same_solution(row, reference_closed_form(z))
+
+    def test_a_failure_stays_with_its_row(self):
+        links = self.links()[:4]
+        uncoupled = np.array(
+            [[1.0 + 1j, 0.5j, 0.0], [0.5j, 1.0, 0.0], [0.0, 0.0, 1.0]], dtype=complex
+        )
+        asymmetric = np.array(links[3].entries)
+        asymmetric[0, 1] += 0.05
+        zs = links[:2] + [uncoupled] + links[2:3] + [asymmetric] + links[3:]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = solve_closed_forms(zs)
+        assert isinstance(rows[2], NoCouplingError)
+        assert isinstance(rows[4], SchemaError)
+        for z, row in zip(links, rows[:2] + rows[3:4] + rows[5:]):
+            assert_same_solution(row, solve_closed_form(z))
+
+    @pytest.mark.parametrize("r_load", [0.0, -1.0, float("nan")])
+    def test_a_load_that_is_not_positive_is_rejected(self, r_load):
+        z = build_loop_system(GeometrySpec.preset("miso-2p", 0.1 * LAM, 0.3))
+        with pytest.raises(ValueError, match="load resistance must be positive"):
+            solve_closed_form(z, r_load)
+        with pytest.raises(ValueError, match="load resistance must be positive"):
+            solve_closed_forms([z], r_load)
+        with pytest.raises(ValueError, match="load resistance must be positive"):
+            solve_min_loss_qp(z, r_load)

@@ -362,6 +362,37 @@ class TestFullPipeline:
             assert full_pipeline(quasi).form == "closed-form"
             assert full_pipeline(binding).form == "affine"
 
+    @pytest.mark.parametrize("r_load", [None, 0.2])
+    def test_rows_match_the_one_row_pipeline_bit_for_bit(self, r_load, monkeypatch):
+        from wptopt.circuit import ImpedanceMatrix
+        from wptopt.closedform import NoCouplingError
+        from wptopt.pipeline import solve_rows
+
+        monkeypatch.setattr(wptopt.pipeline, "STACK_ROWS", 3)  # several stacks
+        uncoupled = ImpedanceMatrix(np.diag([0.02 + 56j, 0.02 + 56j]), 40e6)
+        zs = [
+            quasi_system("miso-2p", 0.1, 0.0),
+            retarded_system("miso-3p", 0.1, -54.0),  # binding: goes to the dual
+            uncoupled,
+            quasi_system("siso", 0.05, 30.0),
+            retarded_system("miso-3c", 0.1, 18.0),
+            quasi_system("miso-2p", 0.3, 40.0),
+            retarded_system("miso-2p", 0.1, 68.0),
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = list(solve_rows(iter(zs), r_load))
+        assert len(rows) == len(zs)
+        assert isinstance(rows[2], NoCouplingError)
+        forms = set()
+        for z, row in zip(zs[:2] + zs[3:], rows[:2] + rows[3:]):
+            alone = full_pipeline(z, r_load)
+            assert json.dumps(result_record(row, z)) == json.dumps(result_record(alone, z))
+            assert row.cvec.tobytes() == alone.cvec.tobytes()
+            assert row.form == alone.form
+            forms.add(row.form)
+        assert forms == {"closed-form", "dual"}
+
     def test_explicit_load_is_respected(self):
         z = quasi_system("miso-2p")
         res = full_pipeline(z, 17.0)
