@@ -43,6 +43,7 @@ from .closedform import (
     solve_closed_forms,
     solve_min_loss_qp,
 )
+from .kkt import KktReport
 from .oracle import IdentityReport, verify_identities
 from .pims import PimEigensystem, pim_eigensystem, pim_split, port_impedance_matrices
 from .pipeline import (
@@ -57,7 +58,6 @@ from .pipeline import (
     solve_rows,
 )
 from .qcqp import QcqpProblem, build_problem, evaluate, realify
-from .sdp import KktReport, SdpInstance, SdpSolution, check_kkt, solve
 
 __all__ = [
     "C0",
@@ -79,14 +79,11 @@ __all__ = [
     "QcqpProblem",
     "RelaxationError",
     "SchemaError",
-    "SdpInstance",
-    "SdpSolution",
     "SdrResult",
     "apply_loading",
     "build_loop_system",
     "build_loop_systems",
     "build_problem",
-    "check_kkt",
     "evaluate",
     "full_pipeline",
     "load_impedance_file",
@@ -105,7 +102,6 @@ __all__ = [
     "realify",
     "result_record",
     "save_impedance_file",
-    "solve",
     "solve_closed_form",
     "solve_closed_forms",
     "solve_min_loss_qp",

@@ -22,34 +22,48 @@ A feasible c(lam) whose multipliers close the duality gap
 and the relaxation is tight at it: the paper's tightness test, reached
 without a semidefinite program.
 
-The dual Hessian is close to rank one near coupling cancellations (the
-total input power almost fixes p_1 + p_2), where a projected Newton method
-that frees "lam > 0 or gradient > 0" keeps a multiplier that should be zero
-(Bertsekas, SIAM J. Control Optim. 1982).  Each step here instead maximizes
-the quadratic model exactly over lam + d >= 0 by enumerating the faces of
-the orthant (2^k of them for k transmitters), with Levenberg damping until
-the trial point stays in the positive definite domain and either g rises or
-the projected gradient halves.  Like the relaxation's interior-point loop,
-the ascent gives up as "stalled" after 15 steps without the projected
-gradient halving: a row whose relaxation is not tight has no certificate to
-reach, and further steps only delay its fallback.
-
-The ascent starts at lam = 0, where H = Q0, or at a given lam such as the
-relaxation's own multipliers on the power rows, from which a tight
+`solve_dual` is the ascent that finds such a point.  The dual Hessian is
+close to rank one near coupling cancellations (the total input power almost
+fixes p_1 + p_2), where a projected Newton method that frees "lam > 0 or
+gradient > 0" keeps a multiplier that should be zero (Bertsekas, SIAM J.
+Control Optim. 1982).  Each step here instead maximizes the quadratic model
+exactly over lam + d >= 0 by enumerating the faces of the orthant (2^k of
+them for k transmitters), with Levenberg damping until the trial point
+stays in the positive definite domain and either g rises or the projected
+gradient halves.  The ascent gives up as "stalled" after 15 steps without
+the projected gradient halving: a row whose relaxation is not tight has no
+certificate to reach, and a tight one whose maximizer sits on the edge of
+the domain is left to the barrier.  It starts at lam = 0, where H = Q0, or
+at a given lam such as the barrier's multipliers, from which a tight
 relaxation's rank-one point is a step or two away.  A start outside the
 positive definite domain returns uncertified at once.
 
+`solve_barrier` solves the relaxation itself on the same dual, by a
+log-det barrier path (Boyd & Vandenberghe, Convex Optimization, ch. 11).
+The relaxation's redundant KVL rows force X k = 0, and range([V, c_p]) is
+k-perp, so in the basis [V, c_p] its dual constraint is the bordered matrix
+[[Hr, f], [f^T, kappa - nu]] >= 0, nu the received-power multiplier.  The
+best nu for a given t is g(lam) - lam.s h - 1/t, so the barrier is in lam
+alone:
+
+    phi_t(lam) = t g(lam) + log det Hr(lam) + sum_n log lam_n,
+
+whose log-det terms add -tr(Hr^-1 Hr_n) to the gradient and
+-tr(Hr^-1 Hr_i Hr^-1 Hr_j) to the Hessian, from the Cholesky factor `at`
+already takes.  The primal matrix of the central path is
+c c^T + V Hr^-1 V^T / t, at a duality gap of (dim Hr + N)/t; g(lam) is the
+certified bound.  The path starts near lam = 0 and t grows a hundredfold
+per centered point until that gap is 1e-12 of g.  Newton runs in at most
+N = 4 variables and converges where the ascent stalls: on the boundary of
+the positive definite domain.  Multipliers that run off past `LAM_LIMIT`
+mean the power caps admit no point.
+
 A certified point also yields the dual slack of the conic relaxation at
-lam, so the relaxation's own KKT audit can check the lift c c^T.  The
-affine form's lift [c; 1][c; 1]^T would not do: that relaxation ties X to
-A c = b only through its border, so its dual slack needs H positive
-semidefinite on the whole space, which fails on many random passive
-systems the dual certifies.
+lam, so the relaxation's KKT audit can check the lift c c^T.
 
 Only numpy is used: `np.linalg.cholesky` is the positive-definite test of
 Hr and of each face system, which are then solved through that factor
-(face systems of order 1 and 2 inline).  The caller falls back to the
-semidefinite relaxation whenever `certified` is false.
+(face systems of order 1 and 2 inline).
 """
 
 import math
@@ -59,7 +73,7 @@ from itertools import product
 
 import numpy as np
 
-__all__ = ["DualPoint", "solve_dual"]
+__all__ = ["BarrierPoint", "DualPoint", "solve_barrier", "solve_dual"]
 
 MAX_STEPS = 60  # Newton steps before giving up on a row
 STALL_STEPS = 15  # steps without the projected gradient halving: stalled
@@ -71,6 +85,12 @@ GAP_TOL = 1e-12  # duality gap, relative to c^T Q0 c
 LAM_LIMIT = 1e8
 # Levenberg damping, in units of the largest Hessian diagonal entry
 _DAMPING = (0.0,) + tuple(10.0**e for e in range(-12, 4))
+# the barrier path (`solve_barrier`)
+BARRIER_GAP = 1e-12  # (dim Hr + N)/t at the stop, relative to max(1, |g|)
+BARRIER_STEPS = 200  # Newton steps over the whole path
+T_FACTOR = 100.0  # t grows by this once a point is centered
+CENTERED = 1e-3  # half the squared Newton decrement of a centered point
+LAM_START = 1e-3  # start multipliers, in units of 1 / lam_scale
 
 
 @dataclass(frozen=True)
@@ -140,10 +160,10 @@ class _Reduced:
         slack = qc @ c - self.rhs
         obj = float(c @ self.q0 @ c)
         g = qc @ self.v @ linv.T  # B L^-T, so B Hr^-1 B^T = g g^T
-        return _Point(lam, c, slack, obj, obj - float(lam @ slack), -2.0 * (g @ g.T))
+        return _Point(lam, c, slack, obj, obj - float(lam @ slack), -2.0 * (g @ g.T), linv)
 
     def conic_dual_slack(self, lam, c):
-        """Dual slack of the conic relaxation (`build_instance(problem)`) at lam.
+        """Dual slack of the conic relaxation at lam.
 
         With the received-power multiplier c^T H c, S0 = H - (c^T H c) R is
         positive semidefinite on the KVL row's complement k-perp whenever Hr
@@ -167,6 +187,7 @@ class _Point:
     obj: float
     value: float  # g(lam)
     hess: np.ndarray
+    linv: np.ndarray  # inverse Cholesky factor of Hr
 
     def pgrad(self):
         """Largest entry of the projected gradient of g on lam >= 0."""
@@ -325,4 +346,115 @@ def solve_dual(problem, lam=None):
         gap=gap,
         steps=steps,
         dual_slack=None if reason else red.conic_dual_slack(pt.lam, pt.c),
+    )
+
+
+
+@dataclass(frozen=True)
+class BarrierPoint:
+    """Where the barrier path stopped.
+
+    ``value`` is g(lam), a certified lower bound on the loss at any lam in
+    the domain; ``x_mat`` is the relaxation's primal matrix, the central
+    path's c c^T + V Hr^-1 V^T / t corrected along the last Newton step,
+    whose gap to ``value`` is about (dim Hr + N)/t; ``dual_slack`` the conic
+    relaxation's dual slack at lam.  ``reason`` is empty once that gap met
+    `BARRIER_GAP`; otherwise ``x_mat`` is None.
+    """
+
+    reason: str
+    lam: np.ndarray
+    value: float
+    x_mat: np.ndarray
+    steps: int
+    dual_slack: np.ndarray
+
+
+def solve_barrier(problem, constrain_powers=True):
+    """The semidefinite relaxation on its reduced dual; see module docs.
+
+    Maximizes phi_t(lam) = t g(lam) + log det Hr(lam) + sum_n log lam_n by
+    damped Newton steps, t growing by `T_FACTOR` once a point is centered.
+    Without power constraints the relaxation is g(0), attained by the lift
+    c c^T of the minimizer at lam = 0.
+    """
+    red = _Reduced(problem)
+    k = problem.n_tx
+    if not constrain_powers:
+        pt = red.at(np.zeros(k))
+        return BarrierPoint(
+            "", pt.lam, pt.value, np.outer(pt.c, pt.c), 0, red.conic_dual_slack(pt.lam, pt.c)
+        )
+    lam = LAM_START / red.lam_scale
+    for _ in range(60):  # towards lam = 0, where Hr = V^T Q0 V is positive definite
+        pt = red.at(lam)
+        if pt is not None:
+            break
+        lam = 0.5 * lam
+    else:
+        return BarrierPoint("start outside the domain", lam, math.nan, None, 0, None)
+    order = red.hr0.shape[0] + k
+    hrn = red.hrn.reshape((k,) + red.hr0.shape)
+    t = order / (1e-3 * max(1.0, abs(pt.value)))
+
+    def phi(p):
+        # log det Hr = -2 sum log diag(L^-1)
+        log_det = -2.0 * float(np.log(np.diag(p.linv)).sum())
+        return t * p.value + log_det + float(np.log(p.lam).sum())
+
+    steps, reason = 0, "step limit"
+    while steps < BARRIER_STEPS:
+        m = pt.linv @ hrn @ pt.linv.T  # L^-1 Hr_n L^-T
+        flat = m.reshape(k, -1)
+        grad = -t * pt.slack - np.trace(m, axis1=1, axis2=2) + 1.0 / pt.lam
+        neg_hess = -t * pt.hess + flat @ flat.T + np.diag(pt.lam**-2.0)
+        d = np.linalg.solve(neg_hess, grad)
+        dec = float(grad @ d)  # Newton decrement, squared
+        if dec <= 2.0 * CENTERED:
+            if order / t <= BARRIER_GAP * max(1.0, abs(pt.value)):
+                reason = ""
+                break
+            t *= T_FACTOR
+            continue
+        # backtrack into the domain and to an Armijo rise, less phi's own
+        # rounding, without which a step at t ~ 1e13 can never qualify
+        f0 = phi(pt)
+        floor = f0 - 1e-13 * abs(f0)
+        s, cand = 1.0, None
+        while cand is None and s > 1e-12:
+            lam_new = pt.lam + s * d
+            if lam_new.min() > 0.0:
+                cand = red.at(lam_new)
+                if cand is not None and phi(cand) < floor + 0.25 * s * dec:
+                    cand = None
+            s *= 0.5
+        if cand is None:
+            reason = "no barrier step"
+            break
+        pt = cand
+        steps += 1
+        if (pt.lam * red.lam_scale).max() > LAM_LIMIT:
+            reason = "diverging multipliers"
+            break
+
+    x_mat = None
+    if not reason:
+        # the primal matrix of the last Newton system: c c^T + V Hr^-1 V^T / t
+        # taken to first order along the step d.  It meets the equality rows
+        # exactly and each power row with slack (1 - d_n / lam_n) / (t lam_n),
+        # and it is positive semidefinite, while the decrement is below 1
+        # dc = V Hr^-1 (d.f_n - sum_n d_n Hr_n u), c = c_p - V u
+        rhs = d @ red.fn + np.tensordot(d, hrn, 1) @ (red.v.T @ pt.c)
+        dc = red.v @ (pt.linv.T @ (pt.linv @ rhs))
+        cross = np.outer(dc, pt.c)
+        v_lt = red.v @ pt.linv.T  # V L^-T, so V Hr^-1 V^T = v_lt v_lt^T
+        core = np.eye(v_lt.shape[1]) + np.tensordot(d, m, 1)
+        x_mat = np.outer(pt.c, pt.c) + cross + cross.T + v_lt @ core @ v_lt.T / t
+    return BarrierPoint(
+        reason=reason,
+        lam=pt.lam,
+        value=pt.value,
+        x_mat=x_mat,
+        steps=steps,
+        dual_slack=red.conic_dual_slack(pt.lam, pt.c),
     )

@@ -7,13 +7,13 @@ skipped=True). Otherwise the QCQP's binding row is solved on its Lagrangian
 dual ("dual"; see :mod:`wptopt.dual`): one multiplier per transmitter,
 certified by a positive definite reduced Hessian, a feasible point and a
 zero duality gap, and audited by the KKT check of the conic-form lift. A row
-the dual does not certify goes to the semidefinite relaxation ("conic", or
-"affine" when the affine retry was kept), certified tight via the normalized
-rank-1 error, and its extracted vector is finished on the dual. A relaxation
-whose error exceeds `TIGHTNESS_THRESHOLD` gives status "not-tight": its
-point is not certified and may break the power constraints. The operating
-point (currents, receiver reactance, load voltages, efficiency) is then
-recovered from the solution vector.
+the dual does not certify goes to the semidefinite relaxation ("conic"),
+solved by a log-det barrier path on the same dual, certified tight via the
+normalized rank-1 error, and its extracted vector is finished on the dual.
+A relaxation whose error exceeds `TIGHTNESS_THRESHOLD` gives status
+"not-tight": its point is not certified and may break the power
+constraints. The operating point (currents, receiver reactance, load
+voltages, efficiency) is then recovered from the solution vector.
 
 `solve_rows` runs many links at one load: their closed forms in stacked
 passes of up to `STACK_ROWS` links, then the binding rows one by one in
@@ -35,15 +35,14 @@ import numpy as np
 
 from .circuit import ImpedanceMatrix, Loading, apply_loading, hash_matrix
 from .closedform import ClosedFormSolution, solve_closed_forms
-from .dual import solve_dual
+from .dual import solve_barrier, solve_dual
+from .kkt import kkt_residuals
 from .qcqp import QcqpProblem, build_problem, evaluate
-from .sdp import SdpInstance, check_kkt, kkt_residuals, solve
 
 __all__ = [
     "PipelineOptions",
     "SdrResult",
     "RelaxationError",
-    "build_instance",
     "solve_relaxation",
     "tightness_error",
     "extract_solution",
@@ -59,7 +58,7 @@ __all__ = [
 
 SKIP_TOLERANCE = -1e-12  # watts; closed-form powers above this mean no SDR run
 TIGHTNESS_THRESHOLD = 1e-8  # epsilon at or below this certifies a tight relaxation
-KKT_THRESHOLD = 1e-8  # worst normalized KKT residual an attempt may leave
+KKT_THRESHOLD = 1e-8  # worst normalized KKT residual a dual row may leave
 LOAD_REL_TOL = 1e-4  # final load-search bracket width, relative
 # what one row may raise without stopping the rows after it
 ROW_ERRORS = (RuntimeError, ValueError, np.linalg.LinAlgError)
@@ -96,9 +95,9 @@ class SdrResult:
     closed-form reference at the same load rides along for the degradation
     report (``delta_eta_db`` >= 0, dB drop; ``delta_cr_rel`` the relative
     shift of the receiver compensation capacitance).  ``form`` is the path
-    that produced the row: "closed-form", "dual", or the relaxation form an
-    SDR solve kept ("conic" or "affine").  ``status`` is "closed-form",
-    "optimal", or "not-tight" for a relaxation that is not tight.
+    that produced the row: "closed-form", "dual", or "conic" for the
+    relaxation.  ``status`` is "closed-form", "optimal", or "not-tight" for
+    a relaxation that is not tight.
     """
 
     status: str
@@ -119,35 +118,6 @@ class SdrResult:
     delta_cr_rel: float = float("nan")
     kkt: object = None
     closed_form: ClosedFormSolution = None
-
-
-def build_instance(
-    problem: QcqpProblem, form: str = "conic", constrain_powers: bool = True
-) -> SdpInstance:
-    """Assemble the solver instance for a QCQP in either relaxation form."""
-    if not constrain_powers:
-        ineqs = ()
-    elif problem.power_caps is not None:
-        ineqs = tuple(
-            (qn, "<=", float(cap), f"tx-power-{n}")
-            for n, (qn, cap) in enumerate(zip(problem.q, problem.power_caps))
-        )
-    else:
-        ineqs = tuple(
-            (qn, ">=", 0.0, f"tx-power-{n}") for n, qn in enumerate(problem.q)
-        )
-    if form == "affine":
-        return SdpInstance(
-            cost=problem.q0,
-            inequalities=ineqs,
-            affine=(problem.a, problem.b),
-        )
-    if form != "conic":
-        raise ValueError(f"unknown relaxation form {form!r}")
-    eqs = [(problem.r_mat, 1.0, "received-power"), (problem.k0, 0.0, "kvl-primary")]
-    for m, km in enumerate(problem.k_redundant):
-        eqs.append((km, 0.0, f"kvl-redundant-{m}"))
-    return SdpInstance(cost=problem.q0, equalities=tuple(eqs), inequalities=ineqs)
 
 
 def tightness_error(cmat: np.ndarray, cvec: np.ndarray) -> float:
@@ -227,81 +197,75 @@ def solve_relaxation(problem: QcqpProblem, constrain_powers: bool = True):
     receiver reactance and closed-form comparisons are left to
     :func:`full_pipeline` (they need the impedance matrix).
 
-    The conic form runs first. If it stalls without an infeasibility or
-    unboundedness certificate, or converges but misses the tightness or
-    KKT-residual threshold, the affine form is tried and the better result
-    kept: near coupling cancellations the optimal currents sit orders of
-    magnitude above the constraint scale and the two forms hit their
-    conditioning limits at different points.  The retry is deterministic,
-    so a result is always reproducible from the problem alone.
-    ``iterations`` counts the interior-point iterations of every attempt,
-    kept or not.
-
-    Constrained attempts then finish the extracted vector on the Lagrangian
-    dual (:func:`wptopt.dual.solve_dual`), started from the relaxation's
-    multipliers on the power rows: eigenvector extraction inherits the
-    lifted matrix's O(sqrt(eps)) error, enough to leave a binding power a
-    few microwatts negative, and a certified dual point is feasible and
-    globally optimal.  An uncertified finish keeps the extracted vector.
-    ``epsilon``, ``p_relax``, ``kkt`` and the retry choice always come from
-    the raw relaxation.  An epsilon above ``TIGHTNESS_THRESHOLD`` gives
-    status "not-tight".
+    The relaxation is solved on its dual by the barrier path of
+    :func:`wptopt.dual.solve_barrier`: ``p_relax`` is g(lam), a certified
+    lower bound, ``cmat`` the path's primal matrix, ``epsilon`` its rank-1
+    error at the extracted vector, ``kkt`` the audit of the two, and
+    ``iterations`` the barrier's Newton steps.  Multipliers that run off
+    raise RelaxationError "infeasible".  A tight relaxation's extracted
+    vector is then finished on the Lagrangian dual
+    (:func:`wptopt.dual.solve_dual`) from the barrier's multipliers:
+    eigenvector extraction inherits the lifted matrix's O(sqrt(eps)) error,
+    enough to leave a binding power a few microwatts negative, and a
+    certified dual point is feasible and globally optimal.  An uncertified
+    finish keeps the extracted vector.  An epsilon above
+    ``TIGHTNESS_THRESHOLD`` gives status "not-tight".
     """
-
-    def attempt(form):
-        inst = build_instance(problem, form, constrain_powers)
-        sol = solve(inst)
-        if sol.status != "optimal":
-            return inst, sol, None, None, np.inf, np.inf
-        if form == "affine":
-            cvec = sol.x_vec.copy()
-        else:
-            cvec = extract_solution(sol.x_mat, problem)
-        kkt = check_kkt(inst, sol)
-        # eps certifies the relaxation with the raw extracted vector; the
-        # reported point is then finished on the dual
-        eps = tightness_error(sol.x_mat, cvec)
-        # worst threshold-normalized defect; > 1 means the attempt missed one
-        score = max(eps / TIGHTNESS_THRESHOLD, kkt.max_residual() / KKT_THRESHOLD)
-        if constrain_powers:
-            finish = solve_dual(problem, sol.y_ineq)
-            if finish.certified:
-                cvec = finish.c
-        return inst, sol, cvec, kkt, eps, score
-
-    form = "conic"
-    inst, sol, cvec, kkt, eps, score = attempt("conic")
-    iterations = sol.iterations
-    retry = (
-        sol.status in ("max_iters", "failed")  # certificates are answers
-        or (sol.status == "optimal" and score > 1.0)
-    )
-    if retry:
-        attempt2 = attempt("affine")
-        iterations += attempt2[1].iterations
-        if attempt2[5] < score:
-            inst, sol, cvec, kkt, eps, score = attempt2
-            form = "affine"
-    if sol.status != "optimal":
-        raise RelaxationError(sol.status, sol.residuals)
-    rep = evaluate(problem, cvec)
+    bp = solve_barrier(problem, constrain_powers)
+    if bp.reason:
+        status = {"diverging multipliers": "infeasible", "step limit": "max_iters"}
+        raise RelaxationError(
+            status.get(bp.reason, "failed"),
+            {"reason": bp.reason, "steps": bp.steps, "lam": bp.lam.tolist()},
+        )
+    cvec = extract_solution(bp.x_mat, problem)
+    eps = tightness_error(bp.x_mat, cvec)
+    obj = float(np.sum(problem.q0 * bp.x_mat))
+    kkt = _audit(problem, bp.x_mat, bp.lam, bp.dual_slack, obj, constrain_powers)
     tight = bool(eps <= TIGHTNESS_THRESHOLD)
+    if tight and constrain_powers:
+        finish = solve_dual(problem, bp.lam)
+        if finish.certified:
+            cvec = finish.c
+    rep = evaluate(problem, cvec)
     return SdrResult(
         status="optimal" if tight else "not-tight",
-        form=form,
+        form="conic",
         skipped=False,
         tight=tight,
         epsilon=eps,
-        p_relax=float(sol.primal_obj),
+        p_relax=bp.value,
         eta=1.0 / (1.0 + rep.objective),
         r_load=problem.r_load,
-        cmat=sol.x_mat,
+        cmat=bp.x_mat,
         cvec=cvec,
         currents=problem.current_from_real(cvec),
         x_r=float("nan"),
         transmit_powers=rep.tx_powers,
-        iterations=iterations,
+        iterations=bp.steps,
         kkt=kkt,
+    )
+
+
+def _audit(problem, cmat, lam, dual_slack, objective, constrain_powers=True):
+    """KKT residuals of the conic-form relaxation at the matrix cmat, with
+    multipliers lam on the power rows and the dual slack built from them;
+    `objective` is <Q0, cmat>."""
+    # the equality rows stacked: received power first, then the KVL rows;
+    # each power row as <G, X> >= h
+    eqs = np.array((problem.r_mat, problem.k0) + problem.k_redundant)
+    eq_rhs = np.zeros(len(eqs))
+    eq_rhs[0] = 1.0
+    if not constrain_powers:
+        ineqs, ineq_rhs = np.zeros((0,) + cmat.shape), np.zeros(0)
+    elif problem.power_caps is None:
+        ineqs, ineq_rhs = np.array(problem.q), np.zeros(problem.n_tx)
+    else:
+        ineqs, ineq_rhs = -np.array(problem.q), -np.array(problem.power_caps)
+    return kkt_residuals(
+        cmat, lam[: len(ineq_rhs)], dual_slack, objective,
+        eq_mats=eqs, eq_rhs=eq_rhs, received=np.arange(len(eqs)) == 0,
+        ineq_mats=ineqs, ineq_rhs=ineq_rhs,
     )
 
 
@@ -315,20 +279,7 @@ def _solve_dual(problem: QcqpProblem):
     c = dp.c
     cmat = np.outer(c, c)
     rep = evaluate(problem, c)
-    # the rows of `build_instance(problem)`, stacked: received power first,
-    # then the KVL rows; each power row as <G, X> >= h
-    eqs = np.array((problem.r_mat, problem.k0) + problem.k_redundant)
-    eq_rhs = np.zeros(len(eqs))
-    eq_rhs[0] = 1.0
-    if problem.power_caps is None:
-        ineqs, ineq_rhs = np.array(problem.q), np.zeros(problem.n_tx)
-    else:
-        ineqs, ineq_rhs = -np.array(problem.q), -np.array(problem.power_caps)
-    kkt = kkt_residuals(
-        cmat, dp.lam, dp.dual_slack, dp.objective,
-        eq_mats=eqs, eq_rhs=eq_rhs, received=np.arange(len(eqs)) == 0,
-        ineq_mats=ineqs, ineq_rhs=ineq_rhs,
-    )
+    kkt = _audit(problem, cmat, dp.lam, dp.dual_slack, dp.objective)
     if kkt.max_residual() > KKT_THRESHOLD:
         return None
     return SdrResult(

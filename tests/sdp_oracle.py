@@ -1,4 +1,7 @@
-"""Dense primal-dual interior-point solver for small semidefinite programs.
+"""Reference interior-point solver for the tests: a dense primal-dual
+method for small semidefinite programs, independent of the barrier on the
+reduced dual (`wptopt.dual.solve_barrier`) that solves the package's
+relaxation.  The tests compare the pipeline against it.
 
 Solves   min <C, X>   s.t.  <A_i, X> = b_i,  <G_j, X> >= h_j (or <=),  X PSD,
 optionally with an affine block (A c = b coupled through the bordered matrix
@@ -38,15 +41,18 @@ comes from one stacked product W A_i W over all rows, its svec rows
 gathered with `np.take`. The Schur matrix and every accepted iterate are
 tested with `np.isfinite` before they are factored.
 
-`check_kkt` audits a solution from the instance data alone; `kkt_residuals`
-is the same audit on stacked constraint matrices, for callers that hold
-them without an instance.
+`check_kkt` audits a solution from the instance data alone, through
+`wptopt.kkt.kkt_residuals`.  `build_instance` writes a QCQP's relaxation in
+the conic form (the KVL and received-power rows as matrix equalities) or
+the affine form (A c = b on the bordered vector variable).
 """
 
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
+
+from wptopt.kkt import KktReport, kkt_residuals
 
 __all__ = [
     "SdpInstance",
@@ -55,6 +61,7 @@ __all__ = [
     "solve",
     "check_kkt",
     "kkt_residuals",
+    "build_instance",
     "DIM_CAP",
 ]
 
@@ -671,33 +678,8 @@ def _empty_solution(instance, d0, border, status):
 
 
 # ---------------------------------------------------------------------------
-# independent KKT audit
+# audit and relaxation instances
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class KktReport:
-    """The named optimality residuals, all normalized and recomputed from
-    the instance data alone."""
-
-    primal_psd: float
-    equalities: float
-    received_power: float
-    inequalities: float
-    dual_sign: float
-    dual_psd: float
-    comp_slack: float
-
-    def max_residual(self):
-        return max(
-            self.primal_psd,
-            self.equalities,
-            self.received_power,
-            self.inequalities,
-            self.dual_sign,
-            self.dual_psd,
-            self.comp_slack,
-        )
 
 
 def check_kkt(instance, solution):
@@ -723,57 +705,28 @@ def check_kkt(instance, solution):
     )
 
 
-def kkt_residuals(
-    c, y_ineq, dual_slack, primal_obj, *, eq_mats, eq_rhs, received, ineq_mats,
-    ineq_rhs, x_vec=None, affine=None,
-):
-    """`check_kkt` on stacked constraint matrices: equalities <A_i, X> = b_i
-    (`received` marks the received-power rows), inequalities <G_j, X> >= h_j
-    with multipliers `y_ineq`, and the optional affine block (A, b) on
-    `x_vec`.  `c` is the matrix iterate, `dual_slack` the dual slack matrix
-    and `primal_obj` the objective that scales complementary slackness.
-    """
-    bordered = affine is not None and x_vec is not None
-    if bordered:
-        # affine form: the PSD constraint lives on the bordered matrix
-        d0 = c.shape[0]
-        full = np.empty((d0 + 1, d0 + 1))
-        full[:d0, :d0] = c
-        full[:d0, d0] = x_vec
-        full[d0, :d0] = x_vec
-        full[d0, d0] = 1.0
-    else:
-        full = c
-    scale_x = 1.0 + float(np.abs(full).max())
-    primal_psd = max(0.0, -float(np.linalg.eigvalsh(full)[0])) / scale_x
-
-    flat = c.reshape(-1)
-    eq_dev = eq_mats.reshape(len(eq_rhs), flat.size) @ flat - eq_rhs
-    eq_res = np.abs(eq_dev) / (1.0 + np.abs(eq_rhs))
-    rp_res = float(eq_res[received].max(initial=0.0))
-    eq_res = float(eq_res[~received].max(initial=0.0))
-    if bordered:
-        a_blk, b_blk = affine
-        res = a_blk @ x_vec - b_blk
-        eq_res = max(
-            eq_res, float(np.abs(res).max()) / (1.0 + float(np.abs(b_blk).max()))
+def build_instance(problem, form="conic", constrain_powers=True):
+    """Assemble the solver instance for a QCQP in either relaxation form."""
+    if not constrain_powers:
+        ineqs = ()
+    elif problem.power_caps is not None:
+        ineqs = tuple(
+            (qn, "<=", float(cap), f"tx-power-{n}")
+            for n, (qn, cap) in enumerate(zip(problem.q, problem.power_caps))
         )
-
-    slack = ineq_mats.reshape(len(ineq_rhs), flat.size) @ flat - ineq_rhs
-    ineq_res = float((np.maximum(-slack, 0.0) / (1.0 + np.abs(ineq_rhs))).max(initial=0.0))
-    dual_sign = float(np.maximum(-np.asarray(y_ineq, dtype=float), 0.0).max(initial=0.0))
-
-    q = 0.5 * (dual_slack + dual_slack.T)
-    scale_q = 1.0 + float(np.abs(q).max())
-    dual_psd = max(0.0, -float(np.linalg.eigvalsh(q)[0])) / scale_q
-    cs = abs(float(np.sum(q * full))) / (1.0 + abs(primal_obj))
-
-    return KktReport(
-        primal_psd=primal_psd,
-        equalities=eq_res,
-        received_power=rp_res,
-        inequalities=ineq_res,
-        dual_sign=dual_sign,
-        dual_psd=dual_psd,
-        comp_slack=cs,
-    )
+    else:
+        ineqs = tuple(
+            (qn, ">=", 0.0, f"tx-power-{n}") for n, qn in enumerate(problem.q)
+        )
+    if form == "affine":
+        return SdpInstance(
+            cost=problem.q0,
+            inequalities=ineqs,
+            affine=(problem.a, problem.b),
+        )
+    if form != "conic":
+        raise ValueError(f"unknown relaxation form {form!r}")
+    eqs = [(problem.r_mat, 1.0, "received-power"), (problem.k0, 0.0, "kvl-primary")]
+    for m, km in enumerate(problem.k_redundant):
+        eqs.append((km, 0.0, f"kvl-redundant-{m}"))
+    return SdpInstance(cost=problem.q0, equalities=tuple(eqs), inequalities=ineqs)

@@ -261,7 +261,7 @@ class TestSweep:
             assert float(row["r_load_ohm"]) == search.r_load
 
     def test_form_column_names_the_path(self, tmp_path, relaxation_only):
-        # 68 degrees: the conic form retries and keeps the affine attempt
+        # 68 degrees: the dual certifies the row; the relaxation runs on demand
         points = []
         for theta in (0.0, 68.0):
             geom = GeometrySpec.preset("miso-2p", 0.1 * LAM, angle=math.radians(theta))
@@ -280,7 +280,7 @@ class TestSweep:
 
         assert forms(tmp_path / "dual") == ["closed-form", "dual"]
         with relaxation_only():
-            assert forms(tmp_path / "sdr") == ["closed-form", "affine"]
+            assert forms(tmp_path / "sdr") == ["closed-form", "conic"]
 
     def test_solve_reports_the_form_used(self, tmp_path, capsys, relaxation_only):
         geom = GeometrySpec.preset("miso-2p", 0.1 * LAM, angle=math.radians(68.0))
@@ -295,7 +295,7 @@ class TestSweep:
 
         assert used(tmp_path / "dual") == "dual"
         with relaxation_only():
-            assert used(tmp_path / "sdr") == "affine"
+            assert used(tmp_path / "sdr") == "conic"
 
     def test_byte_identical_across_runs(self, family_file, tmp_path):
         outs = []
@@ -426,9 +426,21 @@ def test_import_leaves_out_scipy_optimize():
     assert proc.stdout.strip() == "[]"
 
 
+def test_import_leaves_out_the_interior_point_solver():
+    # the relaxation runs on the dual's barrier; the interior-point method
+    # is a test oracle only
+    code = (
+        "import sys, wptopt.cli; "
+        "print(sorted(m for m in sys.modules if 'sdp' in m or 'oracles' in m))"
+    )
+    proc = run_python(code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_runtime_paths_run_without_scipy(family_file, tmp_path):
     # scipy is a test dependency only: with every scipy import made to fail,
-    # a binding family sweep, a row that reaches the interior-point fallback
+    # a binding family sweep, a row that reaches the relaxation's barrier
     # and the validation battery still run
     not_tight = tmp_path / "not_tight.json"
     save_impedance_file(
@@ -443,7 +455,7 @@ from wptopt.circuit import load_impedance_file
 from wptopt.pipeline import full_pipeline
 assert cli.main(["sweep", "--matrix", {family_file!r}, "--out", {str(tmp_path)!r}]) == 0
 res = full_pipeline(load_impedance_file({str(not_tight)!r}))
-assert res.form in ("conic", "affine"), res.form  # the relaxation ran
+assert res.form == "conic", res.form  # the relaxation ran
 assert cli.main(["validate"]) == 0
 print(sorted(m for m, mod in sys.modules.items() if m.startswith("scipy") and mod))
 """

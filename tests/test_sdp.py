@@ -1,4 +1,5 @@
-"""Interior-point SDP solver: trivial cases, duality, statuses, KKT audit."""
+"""Reference interior-point SDP solver of the tests (`sdp_oracle`): trivial
+cases, duality, statuses, KKT audit."""
 
 import math
 from functools import lru_cache
@@ -9,20 +10,20 @@ import scipy.linalg as sla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sdp_oracle as sdp
 from retarded import retarded_loop_system
-from wptopt import sdp
-from wptopt.circuit import C0, PRESET_FREQUENCY, GeometrySpec, build_loop_system
-from wptopt.closedform import solve_closed_form, solve_min_loss_qp
-from wptopt.pipeline import build_instance
-from wptopt.qcqp import build_problem
-from wptopt.sdp import (
+from sdp_oracle import (
     DIM_CAP,
     KktReport,
     SdpInstance,
     SdpSolution,
+    build_instance,
     check_kkt,
     solve,
 )
+from wptopt.circuit import C0, PRESET_FREQUENCY, GeometrySpec, build_loop_system
+from wptopt.closedform import solve_closed_form, solve_min_loss_qp
+from wptopt.qcqp import build_problem
 
 
 def e_mat(d, i, j, val=1.0):
