@@ -18,11 +18,9 @@ from .circuit import (
     GeometryError,
     GeometrySpec,
     ImpedanceMatrix,
-    Loading,
     Loop,
     PassivityError,
     SchemaError,
-    apply_loading,
     build_loop_system,
     build_loop_systems,
     load_impedance_file,
@@ -70,7 +68,6 @@ __all__ = [
     "ImpedanceMatrix",
     "KktReport",
     "LoadSearch",
-    "Loading",
     "Loop",
     "NoCouplingError",
     "PassivityError",
@@ -80,7 +77,6 @@ __all__ = [
     "RelaxationError",
     "SchemaError",
     "SdrResult",
-    "apply_loading",
     "build_loop_system",
     "build_loop_systems",
     "build_problem",

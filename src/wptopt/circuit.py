@@ -602,59 +602,6 @@ def partition(z: ImpedanceMatrix | np.ndarray):
     return m[:-1, :-1], m[:-1, -1], m[-1, -1]
 
 
-@dataclass(frozen=True)
-class Loading:
-    """Per-port series compensation reactances plus the load resistance.
-
-    ``reactances`` has one entry per port (receiver last); ``r_load`` is
-    the load resistance at the receiver port, in ohms.
-    """
-
-    reactances: np.ndarray
-    r_load: float
-
-    def __post_init__(self):
-        x = np.array(self.reactances, dtype=float)
-        if x.ndim != 1:
-            raise SchemaError("reactance vector must be 1-D")
-        x.flags.writeable = False
-        object.__setattr__(self, "reactances", x)
-        object.__setattr__(self, "r_load", float(self.r_load))
-        if not self.r_load > 0.0:
-            raise SchemaError(f"load resistance must be positive, got {self.r_load}")
-
-
-@dataclass(frozen=True)
-class LoadedImpedanceMatrix:
-    """Loaded matrix Z + j diag(x) + R_L e_N e_N^T with its provenance."""
-
-    entries: np.ndarray
-    frequency: float
-    loading: Loading
-
-    @property
-    def n_ports(self) -> int:
-        return self.entries.shape[0]
-
-    @property
-    def r_load(self) -> float:
-        return self.loading.r_load
-
-
-def apply_loading(z: ImpedanceMatrix, loading: Loading) -> LoadedImpedanceMatrix:
-    """Terminate every port with its series reactance and the receiver
-    with R_L."""
-    n = z.n_ports
-    if loading.reactances.shape != (n,):
-        raise SchemaError(
-            f"loading has {loading.reactances.shape[0]} reactances for {n} ports"
-        )
-    zhat = z.entries + 1j * np.diag(loading.reactances)
-    zhat[-1, -1] += loading.r_load
-    zhat.flags.writeable = False
-    return LoadedImpedanceMatrix(zhat, z.frequency, loading)
-
-
 def build_loop_systems(geoms, rtol: float = 1e-10) -> list[ImpedanceMatrix]:
     """Impedance matrices of loop arrangements at their design frequencies.
 

@@ -120,8 +120,10 @@ def _parse_rl(text: str):
         raise argparse.ArgumentTypeError(
             f"--rl takes 'auto', 'optimize' or a resistance in ohms, got {text!r}"
         )
-    if not value > 0.0:
-        raise argparse.ArgumentTypeError("load resistance must be positive")
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"load resistance must be positive and finite, got {text!r}"
+        )
     return value
 
 
@@ -158,6 +160,8 @@ def _parse_theta_range(text: str):
         start, stop, step = (float(p) for p in parts)
     except ValueError:
         raise argparse.ArgumentTypeError(f"non-numeric theta range {text!r}")
+    if not all(math.isfinite(v) for v in (start, stop, step)):
+        raise argparse.ArgumentTypeError(f"theta range must be finite, got {text!r}")
     if step <= 0.0:
         raise argparse.ArgumentTypeError("theta step must be positive")
     if stop < start:
@@ -258,8 +262,13 @@ def _load_family(path):
     for k, entry in enumerate(data):
         if not isinstance(entry, dict) or "matrix" not in entry or "theta_deg" not in entry:
             raise SchemaError(f"family point {k} needs 'theta_deg' and 'matrix' keys")
-        z = matrix_from_json(entry["matrix"])
-        points.append((float(entry["theta_deg"]), float(entry.get("d_frac", "nan")), z))
+        try:
+            theta, d_frac = float(entry["theta_deg"]), float(entry.get("d_frac", "nan"))
+        except (TypeError, ValueError):
+            raise SchemaError(
+                f"family point {k}: 'theta_deg' and 'd_frac' must be numbers"
+            ) from None
+        points.append((theta, d_frac, matrix_from_json(entry["matrix"])))
     return points
 
 
@@ -432,25 +441,30 @@ def _solve_rows(zs, rl_policy, opts: PipelineOptions):
 
 
 def _sweep_row(theta_deg, d_frac, z, source, args, res):
-    """One point's row from its result or the exception it raised.
-
-    Returns (row dict, eta, total tx power, failure detail, per-port powers).
-    """
-    nan = float("nan")
-    base = {
+    """One point's row from its result or the exception it raised: the
+    `SWEEP_COLUMNS` values, the per-port powers under "powers" and, for a
+    failed row, the failure text under "error"."""
+    row = {
         "theta_deg": theta_deg,
         "d_frac": d_frac,
         "source": source,
         "matrix_sha256": hash_matrix(hashlib.sha256(), z).hexdigest(),
         "constraint_mode": args.constraints[0],
-        "form": "",
     }
     if isinstance(res, Exception):
+        nan = float("nan")
         status = res.status if isinstance(res, RelaxationError) else type(res).__name__
-        row = _failed_row(base, f"error:{status}")
-        return row, None, None, str(res), [nan] * z.n_tx
-    total = float(np.sum(res.transmit_powers))
-    base.update(
+        failed = {
+            "form": "",
+            "status": f"error:{status}",
+            "skipped": False,
+            "tight": False,
+            "iterations": 0,
+            "powers": [nan] * z.n_tx,
+            "error": str(res),
+        }
+        return dict.fromkeys(SWEEP_COLUMNS, nan) | row | failed
+    row.update(
         {
             "form": res.form,
             "r_load_ohm": res.r_load,
@@ -465,31 +479,10 @@ def _sweep_row(theta_deg, d_frac, z, source, args, res):
             "delta_eta_db": res.delta_eta_db,
             "delta_cr_rel": res.delta_cr_rel,
             "iterations": res.iterations,
+            "powers": [float(p) for p in res.transmit_powers],
         }
     )
-    powers = [float(p) for p in res.transmit_powers]
-    return base, res.eta, total, None, powers
-
-
-def _failed_row(base, status):
-    nan = float("nan")
-    base.update(
-        {
-            "r_load_ohm": nan,
-            "status": status,
-            "skipped": False,
-            "tight": False,
-            "epsilon": nan,
-            "eta": nan,
-            "p_relax_w": nan,
-            "x_r_ohm": nan,
-            "c_r_farad": nan,
-            "delta_eta_db": nan,
-            "delta_cr_rel": nan,
-            "iterations": 0,
-        }
-    )
-    return base
+    return row
 
 
 def cmd_sweep(args) -> int:
@@ -498,7 +491,7 @@ def cmd_sweep(args) -> int:
     _check_caps(caps, n_tx)
     opts = _pipeline_options(args)
     results = _solve_rows([z for _, _, z in points], args.rl, opts)
-    outcomes = [
+    rows = [
         _sweep_row(theta, d, z, source, args, res)
         for (theta, d, z), res in zip(points, results)
     ]
@@ -507,20 +500,17 @@ def cmd_sweep(args) -> int:
     power_cols = tuple(f"p_t_{k + 1}_w" for k in range(n_tx))
     header = ",".join(SWEEP_COLUMNS + power_cols)
     csv_lines = [header]
-    failures = []
-    for row, _, _, detail, powers in outcomes:
-        if detail is not None:
-            failures.append((row["theta_deg"], row["status"], detail))
-        values = [row[c] for c in SWEEP_COLUMNS] + list(powers)
+    for row in rows:
+        values = [row[c] for c in SWEEP_COLUMNS] + row["powers"]
         csv_lines.append(",".join(_fmt(v) for v in values))
     _write_text(os.path.join(out_dir, "sweep.csv"), csv_lines)
 
-    _write_patterns(out_dir, outcomes)
+    _write_patterns(out_dir, rows)
     provenance = {
         "columns": list(SWEEP_COLUMNS + power_cols),
         "constraint_mode": mode_label,
         "inputs_sha256": _sweep_hash(points, args),
-        "n_rows": len(outcomes),
+        "n_rows": len(rows),
         "rl_policy": str(args.rl),
         "source": source,
         "version": _version(),
@@ -530,33 +520,36 @@ def cmd_sweep(args) -> int:
         [json.dumps(provenance, indent=2, sort_keys=True)],
     )
 
-    for theta, status, detail in failures:
-        print(f"warning: theta={_fmt(theta)} deg failed ({status}): {detail}", file=sys.stderr)
+    failures = [row for row in rows if "error" in row]
+    for row in failures:
+        print(
+            f"warning: theta={_fmt(row['theta_deg'])} deg failed "
+            f"({row['status']}): {row['error']}",
+            file=sys.stderr,
+        )
     print(
-        f"{len(outcomes)} rows -> {os.path.join(out_dir, 'sweep.csv')}"
+        f"{len(rows)} rows -> {os.path.join(out_dir, 'sweep.csv')}"
         + (f"  ({len(failures)} failed)" if failures else "")
     )
     return EXIT_OK
 
 
-def _write_patterns(out_dir, outcomes):
+def _write_patterns(out_dir, rows):
     """Polar-ready (theta, radius) files: efficiency and total transmit power."""
-    ds = sorted({o[0]["d_frac"] for o in outcomes})
+    ds = sorted({row["d_frac"] for row in rows})
     split = len(ds) > 1 and all(math.isfinite(d) for d in ds)
-    groups = {d: [] for d in ds} if split else {None: outcomes}
+    groups = {d: [] for d in ds} if split else {None: rows}
     if split:
-        for o in outcomes:
-            groups[o[0]["d_frac"]].append(o)
+        for row in rows:
+            groups[row["d_frac"]].append(row)
     for key, group in groups.items():
         tag = "" if key is None else f"_d{key:g}"
         eta_lines = ["theta_deg,radius"]
         pow_lines = ["theta_deg,radius"]
-        for o in group:
-            theta = o[0]["theta_deg"]
-            eta = o[1] if o[1] is not None else float("nan")
-            total = o[2] if o[2] is not None else float("nan")
-            eta_lines.append(f"{_fmt(theta)},{_fmt(eta)}")
-            pow_lines.append(f"{_fmt(theta)},{_fmt(total)}")
+        for row in group:
+            theta = _fmt(row["theta_deg"])
+            eta_lines.append(f"{theta},{_fmt(row['eta'])}")
+            pow_lines.append(f"{theta},{_fmt(float(np.sum(row['powers'])))}")
         _write_text(os.path.join(out_dir, f"pattern_eta{tag}.csv"), eta_lines)
         _write_text(os.path.join(out_dir, f"pattern_power{tag}.csv"), pow_lines)
 

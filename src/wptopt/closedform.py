@@ -13,8 +13,8 @@ The peak transfer efficiency U^2 / (1 + sqrt(1 + U^2))^2 is reached at
 load resistance R_L* = Re(z_o) sqrt(1 + U^2) with the receiver tuned to
 x_r = -Im(z_o).  These operating points ignore the sign of individual
 transmitter powers; ports asked to absorb power show up as negative
-entries in :func:`transmit_powers` and call for the constrained solver
-in :mod:`wptopt.pipeline`.
+entries of the solution's ``p_tx`` and call for the constrained solver in
+:mod:`wptopt.pipeline`.
 
 :func:`solve_closed_forms` takes many links in one stacked pass: stacked
 LAPACK solves for z_o, U and the currents, and the per-port powers of all
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuit import ImpedanceMatrix, checked_entries
-from .pims import port_power, port_powers
+from .pims import port_powers
 
 
 class NoCouplingError(ValueError):
@@ -93,24 +93,14 @@ def resonant_pte(z_o: complex, u: float, r_load: float) -> float:
 
 
 def _check_load(r_load) -> None:
-    if r_load is not None and not r_load > 0.0:
-        raise ValueError(f"load resistance must be positive, got {r_load}")
-
-
-def optimal_currents(z, r_load: float):
-    """Loss-minimizing currents (i_t, i_r) at unit received power.
-
-    The receiver current is real positive by phase convention; the
-    transmit currents are the closed-form optimizer of the loss QP.
-    """
-    sol = solve_closed_form(z, r_load)
-    return sol.i_t, sol.i_r
+    if r_load is not None and not 0.0 < r_load < np.inf:
+        raise ValueError(f"load resistance must be positive and finite, got {r_load}")
 
 
 def solve_min_loss_qp(z, r_load: float):
     """Minimum-loss transmit currents via the explicit KKT block solve.
 
-    Independent route to the same optimum as :func:`optimal_currents`:
+    Independent route to the currents of :func:`solve_closed_form`:
     stack the free real coordinates c_t = [Re(i_t); Im(i_t)], add the
     receiver-voltage equality row and solve the saddle system.  Returns
     ``(c_t, p_loss, mu)`` with ``mu`` the equality multiplier.
@@ -139,19 +129,14 @@ def solve_min_loss_qp(z, r_load: float):
     return c_t, float(p_loss), float(mu)
 
 
-def transmit_powers(i: np.ndarray, pims) -> np.ndarray:
-    """Per-port real powers for current vector i; sums to Re(i^H Z i)/2."""
-    return np.array([port_power(i, t) for t in pims])
-
-
 @dataclass(frozen=True)
 class ClosedFormSolution:
     """Unconstrained optimum of a link at a given load resistance.
 
     ``eta`` is the efficiency at ``r_load``; ``eta_max`` the peak over
-    loads, attained at ``r_load_opt``.  ``c_r``/``l_r`` is the series
-    receiver compensation element realizing ``x_r`` (capacitor when the
-    required reactance is negative, inductor otherwise).
+    loads, attained at ``r_load_opt``.  The receiver is tuned by the
+    series reactance ``x_r`` (see :func:`wptopt.pipeline.cap_r`); ``p_tx``
+    holds the per-transmitter powers.
     """
 
     z_o: complex
@@ -165,8 +150,6 @@ class ClosedFormSolution:
     i_r: float
     x_r: float
     p_tx: np.ndarray
-    c_r: float | None
-    l_r: float | None
 
 
 def solve_closed_form(
@@ -177,8 +160,7 @@ def solve_closed_form(
     When ``r_load`` is omitted the efficiency-optimal load is used.
     Raises :class:`NoCouplingError` for an isolated receiver.  Accepts a
     plain complex matrix too, checked as an ImpedanceMatrix is (SchemaError
-    or PassivityError on a bad one); the compensation element values then
-    default to None (no frequency attached).
+    or PassivityError on a bad one).
     """
     (sol,) = solve_closed_forms([z], r_load)
     if isinstance(sol, Exception):
@@ -194,7 +176,7 @@ def solve_closed_forms(zs, r_load: float | None = None) -> list:
     it alone raises (NoCouplingError, SchemaError, PassivityError); an
     error stays with its own row.  Each solution is bit for bit the one
     the link gets alone.  Raises ValueError for a load that is not
-    positive.
+    positive and finite.
     """
     _check_load(r_load)
     out = [None] * len(zs)
@@ -211,13 +193,12 @@ def solve_closed_forms(zs, r_load: float | None = None) -> list:
             out[k] = NoCouplingError("receiver is uncoupled from every transmitter")
     for rows in stacks.values():
         ks, ms = zip(*rows)
-        omegas = [getattr(zs[k], "omega", None) for k in ks]
-        for k, sol in zip(ks, _closed_form_rows(np.array(ms), r_load, omegas)):
+        for k, sol in zip(ks, _closed_form_rows(np.array(ms), r_load)):
             out[k] = sol
     return out
 
 
-def _closed_form_rows(z, r_load, omegas):
+def _closed_form_rows(z, r_load):
     """ClosedFormSolutions of a (K, N, N) stack of coupled links."""
     zt, ztr = z[:, :-1, :-1], z[:, :-1, -1]
     z_o, u = _zo_u(z)
@@ -233,11 +214,10 @@ def _closed_form_rows(z, r_load, omegas):
     zhat[:, -1, -1] += 1j * x_r + rl
     p_tx = port_powers(zhat, np.concatenate([i_t, i_r[:, None]], axis=1))[:, :-1]
     rows = []
-    for k, omega in enumerate(omegas):
+    for k in range(len(z)):
         # squares of Python floats (libm's pow): numpy's square of an array
         # differs from it in the last bit now and then
         r, o, uk = float(rl[k]), float(ro[k]), float(u[k])
-        xk = float(x_r[k])
         rows.append(
             ClosedFormSolution(
                 z_o=z_o[k],
@@ -249,10 +229,8 @@ def _closed_form_rows(z, r_load, omegas):
                 p_loss=(1.0 / r) * (o + (o + r) ** 2 / (o * uk * uk)),
                 i_t=i_t[k],
                 i_r=float(i_r[k]),
-                x_r=xk,
+                x_r=float(x_r[k]),
                 p_tx=p_tx[k],
-                c_r=-1.0 / (omega * xk) if (omega and xk < 0.0) else None,
-                l_r=xk / omega if (omega and xk >= 0.0) else None,
             )
         )
     return rows

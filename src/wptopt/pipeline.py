@@ -2,8 +2,8 @@
 
 Every row takes one path, named by its ``form``. The closed form is tried
 first; when it already satisfies the transmit-power constraints, or there
-are none (`constrain_powers=False`), it is returned unchanged ("closed-form",
-skipped=True). Otherwise the QCQP's binding row is solved on its Lagrangian
+are none (`constrain_powers=False`), it is returned unchanged ("closed-form";
+``skipped``). Otherwise the QCQP's binding row is solved on its Lagrangian
 dual ("dual"; see :mod:`wptopt.dual`): one multiplier per transmitter,
 certified by a positive definite reduced Hessian, a feasible point and a
 zero duality gap, and audited by the KKT check of the conic-form lift. A row
@@ -12,8 +12,9 @@ solved by a log-det barrier path on the same dual, certified tight via the
 normalized rank-1 error, and its extracted vector is finished on the dual.
 A relaxation whose error exceeds `TIGHTNESS_THRESHOLD` gives status
 "not-tight": its point is not certified and may break the power
-constraints. The operating point (currents, receiver reactance, load
-voltages, efficiency) is then recovered from the solution vector.
+constraints. Each path fills in the currents, transmit powers and
+efficiency of its solution vector; the receiver compensation reactance is
+then recovered from that vector and the impedance matrix.
 
 `solve_rows` runs many links at one load: their closed forms in stacked
 passes of up to `STACK_ROWS` links, then the binding rows one by one in
@@ -33,7 +34,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .circuit import ImpedanceMatrix, Loading, apply_loading, hash_matrix
+from .circuit import ImpedanceMatrix, hash_matrix
 from .closedform import ClosedFormSolution, solve_closed_forms
 from .dual import solve_barrier, solve_dual
 from .kkt import kkt_residuals
@@ -95,20 +96,18 @@ class SdrResult:
     closed-form reference at the same load rides along for the degradation
     report (``delta_eta_db`` >= 0, dB drop; ``delta_cr_rel`` the relative
     shift of the receiver compensation capacitance).  ``form`` is the path
-    that produced the row: "closed-form", "dual", or "conic" for the
-    relaxation.  ``status`` is "closed-form", "optimal", or "not-tight" for
-    a relaxation that is not tight.
+    that produced the row: "closed-form" (``skipped``: no relaxation ran),
+    "dual", or "conic" for the relaxation.  ``status`` is "closed-form",
+    "optimal", or "not-tight" for a relaxation that is not tight (every
+    other row is ``tight``).
     """
 
     status: str
     form: str
-    skipped: bool
-    tight: bool
     epsilon: float
     p_relax: float
     eta: float
     r_load: float
-    cmat: np.ndarray
     cvec: np.ndarray
     currents: np.ndarray
     x_r: float
@@ -118,6 +117,14 @@ class SdrResult:
     delta_cr_rel: float = float("nan")
     kkt: object = None
     closed_form: ClosedFormSolution = None
+
+    @property
+    def skipped(self) -> bool:
+        return self.form == "closed-form"
+
+    @property
+    def tight(self) -> bool:
+        return self.status != "not-tight"
 
 
 def tightness_error(cmat: np.ndarray, cvec: np.ndarray) -> float:
@@ -152,14 +159,12 @@ def extract_solution(cmat, problem):
     return c
 
 
-def recover_operating_point(c, z: ImpedanceMatrix, problem: QcqpProblem) -> dict:
-    """Physical operating point for a feasible real solution vector.
-
-    Rebuilds complex currents (receiver current real), picks the receiver
-    compensation reactance that nulls the receiver voltage, and reports the
-    loaded-port voltages, per-transmitter powers and the efficiency.
-    `problem` is the QCQP of z at its load; its power caps play no part.
-    Raises ValueError when c violates the current constraints.
+def recover_operating_point(c, z: ImpedanceMatrix, problem: QcqpProblem) -> float:
+    """Receiver compensation reactance x_r for a feasible real solution
+    vector: the one that nulls the receiver voltage of its currents
+    (receiver current real).  `problem` is the QCQP of z at its load; its
+    power caps play no part.  Raises ValueError when c violates the
+    current constraints.
     """
     rep = evaluate(problem, c)
     scale = 1.0 + float(np.abs(problem.b).max())
@@ -170,24 +175,8 @@ def recover_operating_point(c, z: ImpedanceMatrix, problem: QcqpProblem) -> dict
             f"received-power residual {rep.pl_residual:.3e}"
         )
     i = problem.current_from_real(np.asarray(c, dtype=float))
-    zt, ztr, zr = (
-        z.entries[:-1, :-1],
-        z.entries[:-1, -1],
-        complex(z.entries[-1, -1]),
-    )
-    i_t, i_r = i[:-1], i[-1].real
-    x_r = -zr.imag - float(np.imag(ztr @ i_t)) / i_r
-    loading = Loading(np.concatenate([np.zeros(len(i_t)), [x_r]]), problem.r_load)
-    zhat = apply_loading(z, loading)
-    voltages = zhat.entries @ i
-    eta = 1.0 / (1.0 + rep.objective)
-    return {
-        "currents": i,
-        "x_r": float(x_r),
-        "voltages": voltages,
-        "transmit_powers": rep.tx_powers,
-        "eta": float(eta),
-    }
+    ztr, zr = z.entries[:-1, -1], complex(z.entries[-1, -1])
+    return float(-zr.imag - float(np.imag(ztr @ i[:-1])) / i[-1].real)
 
 
 def solve_relaxation(problem: QcqpProblem, constrain_powers: bool = True):
@@ -199,8 +188,8 @@ def solve_relaxation(problem: QcqpProblem, constrain_powers: bool = True):
 
     The relaxation is solved on its dual by the barrier path of
     :func:`wptopt.dual.solve_barrier`: ``p_relax`` is g(lam), a certified
-    lower bound, ``cmat`` the path's primal matrix, ``epsilon`` its rank-1
-    error at the extracted vector, ``kkt`` the audit of the two, and
+    lower bound, ``epsilon`` the rank-1 error of the path's primal matrix
+    at the extracted vector, ``kkt`` the audit of the two, and
     ``iterations`` the barrier's Newton steps.  Multipliers that run off
     raise RelaxationError "infeasible".  A tight relaxation's extracted
     vector is then finished on the Lagrangian dual
@@ -231,13 +220,10 @@ def solve_relaxation(problem: QcqpProblem, constrain_powers: bool = True):
     return SdrResult(
         status="optimal" if tight else "not-tight",
         form="conic",
-        skipped=False,
-        tight=tight,
         epsilon=eps,
         p_relax=bp.value,
         eta=1.0 / (1.0 + rep.objective),
         r_load=problem.r_load,
-        cmat=bp.x_mat,
         cvec=cvec,
         currents=problem.current_from_real(cvec),
         x_r=float("nan"),
@@ -277,21 +263,17 @@ def _solve_dual(problem: QcqpProblem):
     if not dp.certified:
         return None
     c = dp.c
-    cmat = np.outer(c, c)
-    rep = evaluate(problem, c)
-    kkt = _audit(problem, cmat, dp.lam, dp.dual_slack, dp.objective)
+    kkt = _audit(problem, np.outer(c, c), dp.lam, dp.dual_slack, dp.objective)
     if kkt.max_residual() > KKT_THRESHOLD:
         return None
+    rep = evaluate(problem, c)
     return SdrResult(
         status="optimal",
         form="dual",
-        skipped=False,
-        tight=True,
-        epsilon=tightness_error(cmat, c),
+        epsilon=0.0,  # the lift cc^T is rank one
         p_relax=dp.value,
         eta=1.0 / (1.0 + rep.objective),
         r_load=problem.r_load,
-        cmat=cmat,
         cvec=c,
         currents=problem.current_from_real(c),
         x_r=float("nan"),
@@ -299,10 +281,6 @@ def _solve_dual(problem: QcqpProblem):
         iterations=dp.steps,
         kkt=kkt,
     )
-
-
-def _closed_form_vector(cf: ClosedFormSolution) -> np.ndarray:
-    return np.concatenate([cf.i_t.real, [cf.i_r], cf.i_t.imag])
 
 
 def cap_r(x_r: float, omega: float) -> float:
@@ -358,18 +336,14 @@ def _finish(z: ImpedanceMatrix, cf: ClosedFormSolution, opts: PipelineOptions) -
         ok = ok and bool(np.all(cf.p_tx <= caps - SKIP_TOLERANCE))
     # without power constraints the min-loss QP is the closed form itself
     if ok or not opts.constrain_powers:
-        cvec = _closed_form_vector(cf)
         return SdrResult(
             status="closed-form",
             form="closed-form",
-            skipped=True,
-            tight=True,
             epsilon=0.0,
             p_relax=cf.p_loss,
             eta=cf.eta,
             r_load=r_load,
-            cmat=np.outer(cvec, cvec),
-            cvec=cvec,
+            cvec=np.concatenate([cf.i_t.real, [cf.i_r], cf.i_t.imag]),
             currents=np.concatenate([cf.i_t, [cf.i_r]]),
             x_r=cf.x_r,
             transmit_powers=cf.p_tx,
@@ -383,17 +357,13 @@ def _finish(z: ImpedanceMatrix, cf: ClosedFormSolution, opts: PipelineOptions) -
     res = _solve_dual(problem)
     if res is None:
         res = solve_relaxation(problem)
-    op = recover_operating_point(res.cvec, z, problem)
-    omega = z.omega
-    cr_cf = cap_r(cf.x_r, omega)
-    cr_sdr = cap_r(op["x_r"], omega)
+    x_r = recover_operating_point(res.cvec, z, problem)
+    cr_cf = cap_r(cf.x_r, z.omega)
+    cr_sdr = cap_r(x_r, z.omega)
     return replace(
         res,
-        currents=op["currents"],
-        x_r=op["x_r"],
-        eta=op["eta"],
-        transmit_powers=op["transmit_powers"],
-        delta_eta_db=10.0 * math.log10(cf.eta / op["eta"]),
+        x_r=x_r,
+        delta_eta_db=10.0 * math.log10(cf.eta / res.eta),
         delta_cr_rel=(cr_sdr - cr_cf) / cr_cf if math.isfinite(cr_cf) else float("nan"),
         closed_form=cf,
     )

@@ -163,8 +163,8 @@ def build_problem(z, r_load, power_caps=None):
     else:
         zmat = np.asarray(z, dtype=complex)
     n = zmat.shape[0]
-    if r_load <= 0:
-        raise ValueError("r_load must be positive")
+    if not 0.0 < r_load < math.inf:
+        raise ValueError(f"load resistance must be positive and finite, got {r_load}")
     q0 = realify(zmat.real)
     zloaded = zmat.copy()
     zloaded[-1, -1] += r_load

@@ -337,8 +337,8 @@ def reference_mutual(key, rtol, calls=None):
 
 def reference_closed_form(z, r_load=None):
     """The closed-form operating point of one link, computed on that link
-    alone with scalar arithmetic, as a dict of the ClosedFormSolution fields
-    without the compensation element."""
+    alone with scalar arithmetic, as a dict of the ClosedFormSolution
+    fields."""
     m = np.array(getattr(z, "entries", z), dtype=complex)
     checked_entries(m)
     zt, ztr, zr = m[:-1, :-1], m[:-1, -1], complex(m[-1, -1])

@@ -23,8 +23,6 @@ from wptopt.circuit import (
     PRESET_FREQUENCY,
     PRESETS,
     GeometrySpec,
-    Loading,
-    apply_loading,
     build_loop_system,
     matrix_from_json,
     matrix_to_json,
@@ -35,6 +33,7 @@ from wptopt.closedform import (
     solve_closed_form,
     solve_min_loss_qp,
 )
+from wptopt.dual import solve_barrier
 from wptopt.pims import pim_eigensystem, pim_split, port_impedance_matrices
 from wptopt.pipeline import full_pipeline, optimize_load, solve_relaxation
 from wptopt.qcqp import build_problem
@@ -221,12 +220,11 @@ def test_criterion_6_pim_eigensystem():
     systems += [retarded_system(p, 0.1, 45.0) for p in MISO_PRESETS]
     for z in systems:
         cf = solve_closed_form(z)
-        x = np.zeros(z.n_ports)
-        x[-1] = cf.x_r
-        zhat = apply_loading(z, Loading(x, cf.r_load_opt))
+        zhat = z.entries.copy()
+        zhat[-1, -1] += 1j * cf.x_r + cf.r_load_opt
         tns = port_impedance_matrices(zhat)
         for n, t in enumerate(tns):
-            eig = pim_eigensystem(zhat.entries, n)
+            eig = pim_eigensystem(zhat, n)
             w = np.linalg.eigvalsh(t)
             scale = float(np.abs(w).max())
             analytic = np.sort(
@@ -281,7 +279,8 @@ def test_criterion_7_kkt_duality(retarded_sweeps):
         for z, constrained in cases:
             problem = build_problem(z, solve_closed_form(z).r_load_opt)
             res = solve_relaxation(problem, constrain_powers=constrained)
-            pobj = float(np.sum(problem.q0 * res.cmat))
+            x_mat = solve_barrier(problem, constrain_powers=constrained).x_mat
+            pobj = float(np.sum(problem.q0 * x_mat))
             gap = abs(pobj - res.p_relax) / (1.0 + abs(pobj) + abs(res.p_relax))
             n_solves += 1
             worst_gap = max(worst_gap, gap)

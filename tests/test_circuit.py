@@ -14,11 +14,9 @@ from wptopt.circuit import (
     GeometryError,
     GeometrySpec,
     ImpedanceMatrix,
-    Loading,
     Loop,
     PassivityError,
     SchemaError,
-    apply_loading,
     build_loop_system,
     load_impedance_file,
     loop_resistance,
@@ -425,28 +423,6 @@ class TestImpedanceMatrixValidation:
         recon = np.block([[zt, ztr[:, None]], [ztr[None, :], zr]])
         assert np.array_equal(recon, z.entries)
 
-
-class TestLoading:
-    def test_apply_loading_adds_diagonal_terms(self):
-        z = build_loop_system(GeometrySpec.preset("miso-2c", 0.1 * LAM))
-        x = np.array([1.0, -2.0, -56.0])
-        loaded = apply_loading(z, Loading(x, r_load=0.05))
-        delta = loaded.entries - z.entries
-        assert np.allclose(np.diag(delta), 1j * x + np.array([0, 0, 0.05]))
-        assert np.all(delta - np.diag(np.diag(delta)) == 0.0)
-        assert loaded.r_load == 0.05
-
-    def test_loading_validation(self):
-        z = build_loop_system(GeometrySpec.preset("siso", 0.1 * LAM))
-        with pytest.raises(SchemaError):
-            Loading(np.zeros(2), r_load=0.0)
-        with pytest.raises(SchemaError):
-            apply_loading(z, Loading(np.zeros(5), r_load=0.1))
-
-
-# ---------------------------------------------------------------------------
-# file I/O
-# ---------------------------------------------------------------------------
 
 class TestMatrixIO:
     def test_round_trip(self, tmp_path):

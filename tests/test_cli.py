@@ -97,6 +97,41 @@ class TestExitCodes:
         assert exc.value.code == 2
         assert "caps must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("rl", ["inf", "1e400", "nan"])
+    def test_non_finite_load_is_an_argparse_error(self, rl, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SystemExit) as exc:
+                cli.main(["solve", "--preset", "miso-2p", "--rl", rl])
+        assert exc.value.code == 2
+        assert "load resistance must be positive and finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("spec", ["0:inf:1", "-inf:0:1", "nan:10:1", "0:10:inf"])
+    def test_non_finite_theta_range(self, spec, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["sweep", "--preset", "siso", f"--theta-range={spec}"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "theta range must be finite" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "key, value", [("theta_deg", "abc"), ("theta_deg", None), ("d_frac", "abc"),
+                       ("d_frac", None), ("theta_deg", [1.0])],
+    )
+    def test_family_point_that_is_not_a_number(
+        self, family_file, key, value, tmp_path, capsys
+    ):
+        with open(family_file, encoding="utf-8") as fh:
+            points = json.load(fh)["points"]
+        points[1][key] = value
+        path = tmp_path / "family.json"
+        path.write_text(json.dumps({"points": points}))
+        code = cli.main(["sweep", "--matrix", str(path), "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "family point 1" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize(
         "flags, message",
         [(["--theta", "inf"], "angle must be finite, got inf"),

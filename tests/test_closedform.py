@@ -18,16 +18,16 @@ from wptopt.closedform import (
     NoCouplingError,
     max_pte,
     mutual_q,
-    optimal_currents,
     optimal_load,
     output_impedance,
     resonant_pte,
     solve_closed_form,
     solve_closed_forms,
     solve_min_loss_qp,
-    transmit_powers,
 )
-from wptopt.pims import port_impedance_matrices
+from wptopt.pims import port_impedance_matrices, port_power
+from wptopt.pipeline import cap_r, full_pipeline
+from wptopt.qcqp import build_problem
 
 LAM = 299792458.0 / 40.0e6
 PRESET_NAMES = ["siso", "miso-2p", "miso-3p", "miso-2c", "miso-3c"]
@@ -58,17 +58,18 @@ def assert_same_solution(sol, ref):
     ClosedFormSolution or a `reference_closed_form` dict."""
     fields = ref if isinstance(ref, dict) else vars(ref)
     for name, want in fields.items():
-        got = getattr(sol, name)
-        if want is None:
-            assert got is None, name
-        else:
-            assert same_bits(got, want), name
+        assert same_bits(getattr(sol, name), want), name
 
 
 def loaded_matrix(z, x_r, r_load):
     m = np.asarray(getattr(z, "entries", z)).copy()
     m[-1, -1] += 1j * x_r + r_load
     return m
+
+
+def powers_one_port_at_a_time(i, pims):
+    """Per-port real powers of current vector i, one `port_power` call each."""
+    return np.array([port_power(i, t) for t in pims])
 
 
 class TestScalars:
@@ -156,7 +157,8 @@ class TestCurrents:
     def test_siso_textbook_current_ratio(self):
         z = siso_matrix()
         r_load = np.sqrt(5.0)
-        i_t, i_r = optimal_currents(z, r_load)
+        sol = solve_closed_form(z, r_load)
+        i_t, i_r = sol.i_t, sol.i_r
         # classic two-coil optimum: |i_t| / i_r = (R_L + R_r) / (omega M)
         assert abs(i_t[0]) == pytest.approx((r_load + 1.0) / 2.0 * i_r, rel=1e-12)
         assert i_t[0] == pytest.approx(1j * (1 + r_load) * i_r / 2, rel=1e-12)
@@ -182,7 +184,7 @@ class TestCurrents:
             [[1.0 + 1j, 0.5j, 0.0], [0.5j, 1.0, 0.0], [0.0, 0.0, 1.0]], dtype=complex
         )
         with pytest.raises(NoCouplingError):
-            optimal_currents(z, 1.0)
+            solve_closed_form(z, 1.0)
 
 
 class TestMinLossQp:
@@ -190,7 +192,7 @@ class TestMinLossQp:
     def test_kkt_block_solve_matches_closed_form_currents(self, name):
         z = build_loop_system(GeometrySpec.preset(name, 0.1 * LAM, 0.6))
         r_load = 0.05
-        i_t, i_r = optimal_currents(z.entries, r_load)
+        i_t = solve_closed_form(z.entries, r_load).i_t
         c_t, p_loss, _ = solve_min_loss_qp(z.entries, r_load)
         n_t = z.n_tx
         assert np.allclose(c_t[:n_t] + 1j * c_t[n_t:], i_t, atol=1e-9 * np.abs(i_t).max())
@@ -198,7 +200,7 @@ class TestMinLossQp:
     def test_kkt_block_solve_complex_mutuals(self):
         z = ingested_complex_matrix(np.random.default_rng(6), 5)
         r_load = 1.3
-        i_t, _ = optimal_currents(z.entries, r_load)
+        i_t = solve_closed_form(z.entries, r_load).i_t
         c_t, _, _ = solve_min_loss_qp(z.entries, r_load)
         n_t = 4
         assert np.allclose(c_t[:n_t] + 1j * c_t[n_t:], i_t, rtol=1e-9)
@@ -253,7 +255,7 @@ class TestTransmitPowers:
         zhat = loaded_matrix(z, -3.0, 1.0)
         pims = port_impedance_matrices(zhat)
         i = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        p = transmit_powers(i, pims)
+        p = powers_one_port_at_a_time(i, pims)
         assert p.sum() == pytest.approx(0.5 * np.real(np.vdot(i, zhat @ i)), rel=1e-12)
 
     def test_receiver_port_power_vanishes_at_closed_form_optimum(self):
@@ -262,7 +264,7 @@ class TestTransmitPowers:
         zhat = loaded_matrix(z, sol.x_r, sol.r_load)
         pims = port_impedance_matrices(zhat)
         i = np.concatenate([sol.i_t, [sol.i_r]])
-        p = transmit_powers(i, pims)
+        p = powers_one_port_at_a_time(i, pims)
         assert abs(p[-1]) <= 1e-12 * p.sum()
         # transmitter powers account for loss plus the delivered watt
         assert p[:-1].sum() == pytest.approx(sol.p_loss + 1.0, rel=1e-9)
@@ -357,11 +359,11 @@ class TestSolutionRecord:
         sol = solve_closed_form(z)
         # loop self-reactance is inductive, so the receiver needs a capacitor
         assert sol.x_r < 0.0
-        assert sol.c_r is not None and sol.l_r is None
         omega = 2 * np.pi * 40e6
-        assert sol.c_r == pytest.approx(-1.0 / (omega * sol.x_r), rel=1e-15)
+        c_r = cap_r(sol.x_r, omega)
+        assert c_r == pytest.approx(-1.0 / (omega * sol.x_r), rel=1e-15)
         # and its value lands in the tens-of-picofarads range for these loops
-        assert 1e-12 < sol.c_r < 1e-9
+        assert 1e-12 < c_r < 1e-9
 
     def test_off_load_efficiency_lower_than_peak(self):
         z = build_loop_system(GeometrySpec.preset("miso-2p", 0.1 * LAM, 0.15))
@@ -393,12 +395,14 @@ class TestSolutionRecord:
             for z in (link, np.array(link.entries)):
                 sol = solve_closed_form(z)
                 z_o = output_impedance(z)
-                i_t, i_r = optimal_currents(z, sol.r_load)
+                at_load = solve_closed_form(z, sol.r_load)
+                i_t, i_r = at_load.i_t, at_load.i_r
                 assert np.array_equal(sol.z_o, z_o)
                 assert np.array_equal(sol.u, mutual_q(z))
                 assert np.array_equal(sol.i_t, i_t)
                 zhat = loaded_matrix(z, -z_o.imag, sol.r_load)
-                p_tx = transmit_powers(np.append(i_t, i_r), port_impedance_matrices(zhat))
+                pims = port_impedance_matrices(zhat)
+                p_tx = powers_one_port_at_a_time(np.append(i_t, i_r), pims)
                 assert np.array_equal(sol.p_tx, p_tx[:-1])
                 assert_same_solution(sol, reference_closed_form(z))
 
@@ -439,12 +443,11 @@ class TestSolutionRecord:
         for z, row in zip(links, rows[:2] + rows[3:4] + rows[5:]):
             assert_same_solution(row, solve_closed_form(z))
 
-    @pytest.mark.parametrize("r_load", [0.0, -1.0, float("nan")])
+    @pytest.mark.parametrize("r_load", [0.0, -1.0, float("nan"), float("inf")])
     def test_a_load_that_is_not_positive_is_rejected(self, r_load):
         z = build_loop_system(GeometrySpec.preset("miso-2p", 0.1 * LAM, 0.3))
-        with pytest.raises(ValueError, match="load resistance must be positive"):
-            solve_closed_form(z, r_load)
+        for solve in (solve_closed_form, solve_min_loss_qp, build_problem, full_pipeline):
+            with pytest.raises(ValueError, match="load resistance must be positive"):
+                solve(z, r_load)
         with pytest.raises(ValueError, match="load resistance must be positive"):
             solve_closed_forms([z], r_load)
-        with pytest.raises(ValueError, match="load resistance must be positive"):
-            solve_min_loss_qp(z, r_load)

@@ -204,7 +204,7 @@ class TestFallback:
         assert res.form == "conic" and not res.tight
         assert same(res, ref)
         for name in ("status", "form", "tight", "epsilon", "p_relax", "r_load",
-                     "cmat", "cvec", "iterations", "kkt"):
+                     "cvec", "eta", "currents", "transmit_powers", "iterations", "kkt"):
             assert same(getattr(res, name), getattr(raw, name)), name
 
     def test_non_tight_row_reports_its_status(self, tmp_path):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from wptopt.circuit import GeometrySpec, Loading, apply_loading, build_loop_system
+from wptopt.circuit import GeometrySpec, build_loop_system
 from wptopt.pims import (
     PimEigensystem,
     pim_eigensystem,
@@ -30,10 +30,10 @@ def random_passive_matrix(rng, n, complex_mutuals=True):
 
 
 def loaded_preset(name, d=0.1 * LAM, theta=0.3, r_load=0.05):
-    z = build_loop_system(GeometrySpec.preset(name, d, theta))
-    x = np.zeros(z.n_ports)
-    x[-1] = -z.entries[-1, -1].imag
-    return apply_loading(z, Loading(x, r_load))
+    """Preset matrix with the receiver tuned to resonance and loaded by R_L."""
+    zhat = build_loop_system(GeometrySpec.preset(name, d, theta)).entries.copy()
+    zhat[-1, -1] += r_load - 1j * zhat[-1, -1].imag
+    return zhat
 
 
 class TestConstruction:
@@ -59,12 +59,12 @@ class TestConstruction:
         for name in PRESET_NAMES:
             zhat = loaded_preset(name)
             total = sum(port_impedance_matrices(zhat))
-            assert np.allclose(total, zhat.entries.real, atol=1e-15)
+            assert np.allclose(total, zhat.real, atol=1e-15)
 
     def test_receiver_pim_carries_load_resistance(self):
         zhat = loaded_preset("miso-2c", r_load=0.07)
         t_rx = port_impedance_matrices(zhat)[-1]
-        want = zhat.entries[-1, -1].real
+        want = zhat[-1, -1].real
         assert t_rx[-1, -1].real == pytest.approx(want, abs=1e-18)
         assert want == pytest.approx(
             build_loop_system(GeometrySpec.preset("miso-2c", 0.1 * LAM, 0.3))
@@ -109,7 +109,7 @@ class TestEigensystem:
         rng = np.random.default_rng(22)
         cases = [random_passive_matrix(rng, 4), random_passive_matrix(rng, 6)]
         for name in PRESET_NAMES:
-            cases.append(loaded_preset(name).entries)
+            cases.append(loaded_preset(name))
         for z in cases:
             z = np.asarray(getattr(z, "entries", z))
             pims = port_impedance_matrices(z)
@@ -147,7 +147,7 @@ class TestEigensystem:
             )
 
     def test_quadratic_forms(self):
-        z = loaded_preset("miso-3c").entries
+        z = loaded_preset("miso-3c")
         pims = port_impedance_matrices(z)
         for n, t in enumerate(pims):
             eig = pim_eigensystem(z, n)
@@ -162,7 +162,7 @@ class TestEigensystem:
 
     def test_indefiniteness_certificate(self):
         # the negative eigenvector strictly decreases the port power
-        z = loaded_preset("miso-2p").entries
+        z = loaded_preset("miso-2p")
         eig = pim_eigensystem(z, 0)
         t = port_impedance_matrices(z)[0]
         assert np.real(np.vdot(eig.v_minus, t @ eig.v_minus)) < 0.0
@@ -191,7 +191,7 @@ class TestSplit:
             assert np.allclose(tp - tm, t, atol=1e-12 * np.abs(t).max())
 
     def test_split_parts_are_psd_rank_one(self):
-        z = loaded_preset("miso-3p").entries
+        z = loaded_preset("miso-3p")
         for n, t in enumerate(port_impedance_matrices(z)):
             tp, tm = pim_split(t, n)
             for part in (tp, tm):
@@ -201,7 +201,7 @@ class TestSplit:
                 assert np.sum(eigs > 1e-12 * scale) <= 1
 
     def test_trace_difference_is_port_resistance(self):
-        z = loaded_preset("miso-2c").entries
+        z = loaded_preset("miso-2c")
         for n, t in enumerate(port_impedance_matrices(z)):
             tp, tm = pim_split(t, n)
             want = z[n, n].real
@@ -210,7 +210,7 @@ class TestSplit:
             )
 
     def test_split_infers_port_index(self):
-        z = loaded_preset("miso-2c").entries
+        z = loaded_preset("miso-2c")
         t = port_impedance_matrices(z)[1]
         tp, tm = pim_split(t)  # no port hint
         assert np.allclose(tp - tm, t, atol=1e-14)

@@ -281,13 +281,19 @@ class TestRecoverOperatingPoint:
         z = quasi_system("miso-3p")
         cf = solve_closed_form(z)
         c = np.concatenate([cf.i_t.real, [cf.i_r], cf.i_t.imag])
-        op = recover_operating_point(c, z, build_problem(z, cf.r_load))
-        assert op["x_r"] == pytest.approx(cf.x_r, abs=1e-9 * max(1.0, abs(cf.x_r)))
-        assert op["eta"] == pytest.approx(cf.eta, rel=1e-10)
-        i = op["currents"]
-        v = op["voltages"]
+        problem = build_problem(z, cf.r_load)
+        x_r = recover_operating_point(c, z, problem)
+        assert x_r == pytest.approx(cf.x_r, abs=1e-9 * max(1.0, abs(cf.x_r)))
+        rep = evaluate(problem, c)
+        assert 1.0 / (1.0 + rep.objective) == pytest.approx(cf.eta, rel=1e-10)
+        assert np.allclose(rep.tx_powers, cf.p_tx, atol=1e-10)
+        # the loaded matrix Z + j diag(0, ..., 0, x_r) + R_L e e^T nulls the
+        # receiver voltage
+        i = problem.current_from_real(c)
+        zhat = z.entries.copy()
+        zhat[-1, -1] += 1j * x_r + cf.r_load
+        v = zhat @ i
         assert abs(v[-1]) <= 1e-8 * np.linalg.norm(i) * np.linalg.norm(z.entries)
-        assert np.allclose(op["transmit_powers"], cf.p_tx, atol=1e-10)
 
     def test_infeasible_vector_rejected(self):
         z = quasi_system("miso-2p")

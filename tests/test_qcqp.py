@@ -12,7 +12,7 @@ from wptopt.circuit import (
     load_impedance_file,
     save_impedance_file,
 )
-from wptopt.closedform import optimal_currents, solve_closed_form, solve_min_loss_qp
+from wptopt.closedform import solve_closed_form, solve_min_loss_qp
 from wptopt.pims import port_impedance_matrices
 from wptopt.qcqp import (
     build_affine,
@@ -35,8 +35,8 @@ def random_passive(rng, n):
 def feasible_c(z, r_load):
     zmat = np.asarray(getattr(z, "entries", z))
     n = zmat.shape[0]
-    i_t, i_r = optimal_currents(zmat, r_load)
-    return np.concatenate([i_t.real, [i_r], i_t.imag])
+    sol = solve_closed_form(zmat, r_load)
+    return np.concatenate([sol.i_t.real, [sol.i_r], sol.i_t.imag])
 
 
 class TestRealify:
