@@ -72,6 +72,8 @@ EXIT_VALIDATION = 2
 EXIT_SOLVER = 3
 EXIT_IO = 4
 
+MAX_THETAS = 100_000  # angles one --theta-range may ask for
+
 SWEEP_COLUMNS = (
     "theta_deg",
     "d_frac",
@@ -166,8 +168,13 @@ def _parse_theta_range(text: str):
         raise argparse.ArgumentTypeError("theta step must be positive")
     if stop < start:
         raise argparse.ArgumentTypeError("theta range is empty")
-    n = int(math.floor((stop - start) / step + 1e-9)) + 1
-    return tuple(start + k * step for k in range(n))
+    # floor(span) + 1 angles; counted in floats, where a huge range is inf
+    span = (stop - start) / step + 1e-9
+    if not span < MAX_THETAS:
+        raise argparse.ArgumentTypeError(
+            f"theta range {text!r} gives more than {MAX_THETAS} angles"
+        )
+    return tuple(start + k * step for k in range(int(math.floor(span)) + 1))
 
 
 def _parse_d_list(text: str):

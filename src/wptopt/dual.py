@@ -141,7 +141,8 @@ class _Reduced:
         self.q0 = problem.q0
         self.qs = sign[:, None, None] * np.array(problem.q)  # s_n Q_n
         self.v = v
-        self.r_mat = problem.r_mat
+        self.n_tx = problem.n_tx  # the receiver current's index in c
+        self.half_rl = 0.5 * problem.r_load
         self.k_hat = a[0] / np.linalg.norm(a[0])  # the KVL row
         self.lam_scale = np.linalg.norm(self.qs, axis=(1, 2)) / np.linalg.norm(self.q0)
         self.hr0 = v.T @ self.q0 @ v
@@ -165,16 +166,19 @@ class _Reduced:
     def conic_dual_slack(self, lam, c):
         """Dual slack of the conic relaxation at lam.
 
-        With the received-power multiplier c^T H c, S0 = H - (c^T H c) R is
-        positive semidefinite on the KVL row's complement k-perp whenever Hr
-        is positive definite and c is the minimizer, and S0 c is parallel to
-        k.  The redundant KVL rows' multipliers y = S0 k / |k|^2 - beta k,
-        beta = k^T S0 k / (2 |k|^4), and none on the primary KVL row turn it
-        into P S0 P, P the projector onto k-perp: positive semidefinite on
-        the whole space, with c in its null space up to rounding.
+        With the received-power multiplier nu = c^T H c, S0 = H - nu R, R
+        the received-power row (R_L / 2 on the receiver's diagonal entry
+        alone), is positive semidefinite on the KVL row's complement k-perp
+        whenever Hr is positive definite and c is the minimizer, and S0 c is
+        parallel to k.  The redundant KVL rows' multipliers
+        y = S0 k / |k|^2 - beta k, beta = k^T S0 k / (2 |k|^4), and none on
+        the primary KVL row turn it into P S0 P, P the projector onto
+        k-perp: positive semidefinite on the whole space, with c in its null
+        space up to rounding.
         """
-        h = self.q0 - np.tensordot(lam, self.qs, 1)
-        s0 = h - float(c @ h @ c) * self.r_mat
+        s0 = self.q0 - np.tensordot(lam, self.qs, 1)  # H, then S0 in place
+        nu = float(c @ s0 @ c)
+        s0[self.n_tx, self.n_tx] -= nu * self.half_rl
         proj = np.eye(c.size) - np.outer(self.k_hat, self.k_hat)
         return proj @ s0 @ proj
 

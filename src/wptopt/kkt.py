@@ -1,16 +1,22 @@
-"""KKT audit of a semidefinite relaxation's solution.
+"""KKT audit of the semidefinite relaxation's solution.
 
-Recomputes every optimality residual of a primal matrix and its dual slack
-from the constraint data alone, normalized so that 1e-8 is a pass on every
-entry.  The pipeline audits each relaxation row with it, at the barrier's
-primal matrix or at the lift c c^T of a certified dual point.
+Recomputes every optimality residual of a primal matrix X and its dual
+slack from the QCQP data alone, normalized so that 1e-8 is a pass on every
+entry.  The relaxation's current equalities are the lifts of A c = b: the
+KVL row k = A[0] gives k^T X k = 0 and, X being symmetric, the redundant
+rows <u_j k^T + k u_j^T, X> = 2 (X k)_j = 0, and the receiver-current row
+gives unit received power (R_L / 2) X[n, n] = 1 (Vandenberghe & Boyd, SIAM
+Rev. 1996).  So the audit reads them off the KVL row and the load, with no
+constraint matrix built.  The pipeline audits each relaxation row with it,
+at the barrier's primal matrix or at the lift c c^T of a certified dual
+point.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["KktReport", "kkt_residuals"]
+__all__ = ["KktReport", "relaxation_audit"]
 
 
 @dataclass(frozen=True)
@@ -38,50 +44,39 @@ class KktReport:
         )
 
 
-def kkt_residuals(
-    c, y_ineq, dual_slack, primal_obj, *, eq_mats, eq_rhs, received, ineq_mats,
-    ineq_rhs, x_vec=None, affine=None,
-):
-    """The audit on stacked constraint matrices: equalities <A_i, X> = b_i
-    (`received` marks the received-power rows), inequalities <G_j, X> >= h_j
-    with multipliers `y_ineq`, and the optional affine block (A, b) on
-    `x_vec`.  `c` is the matrix iterate, `dual_slack` the dual slack matrix
-    and `primal_obj` the objective that scales complementary slackness.
+def relaxation_audit(problem, x_mat, lam, dual_slack, objective, constrain_powers=True):
+    """KKT residuals of the relaxation of `problem` at the matrix x_mat, with
+    multipliers lam on the power rows (none when not `constrain_powers`),
+    the dual slack matrix built from them, and `objective` = <Q0, x_mat>,
+    which scales complementary slackness.
     """
-    bordered = affine is not None and x_vec is not None
-    if bordered:
-        # affine form: the PSD constraint lives on the bordered matrix
-        d0 = c.shape[0]
-        full = np.empty((d0 + 1, d0 + 1))
-        full[:d0, :d0] = c
-        full[:d0, d0] = x_vec
-        full[d0, :d0] = x_vec
-        full[d0, d0] = 1.0
+    scale_x = 1.0 + float(np.abs(x_mat).max())
+    primal_psd = max(0.0, -float(np.linalg.eigvalsh(x_mat)[0])) / scale_x
+
+    # the KVL rows have right-hand side 0, so their 1 + |rhs| scale is 1
+    k = problem.a[0]
+    xk = x_mat @ k
+    eq_res = max(abs(float(k @ xk)), 2.0 * float(np.abs(xk).max()))
+    n = problem.n_tx
+    rp_res = abs(float(0.5 * problem.r_load * x_mat[n, n]) - 1.0) / 2.0
+
+    # each power row as <G, X> >= h
+    if not constrain_powers:
+        ineqs, ineq_rhs = np.zeros((0,) + x_mat.shape), np.zeros(0)
+    elif problem.power_caps is None:
+        ineqs, ineq_rhs = np.array(problem.q), np.zeros(problem.n_tx)
     else:
-        full = c
-    scale_x = 1.0 + float(np.abs(full).max())
-    primal_psd = max(0.0, -float(np.linalg.eigvalsh(full)[0])) / scale_x
-
-    flat = c.reshape(-1)
-    eq_dev = eq_mats.reshape(len(eq_rhs), flat.size) @ flat - eq_rhs
-    eq_res = np.abs(eq_dev) / (1.0 + np.abs(eq_rhs))
-    rp_res = float(eq_res[received].max(initial=0.0))
-    eq_res = float(eq_res[~received].max(initial=0.0))
-    if bordered:
-        a_blk, b_blk = affine
-        res = a_blk @ x_vec - b_blk
-        eq_res = max(
-            eq_res, float(np.abs(res).max()) / (1.0 + float(np.abs(b_blk).max()))
-        )
-
-    slack = ineq_mats.reshape(len(ineq_rhs), flat.size) @ flat - ineq_rhs
+        ineqs, ineq_rhs = -np.array(problem.q), -np.array(problem.power_caps)
+    flat = x_mat.reshape(-1)
+    slack = ineqs.reshape(len(ineq_rhs), flat.size) @ flat - ineq_rhs
     ineq_res = float((np.maximum(-slack, 0.0) / (1.0 + np.abs(ineq_rhs))).max(initial=0.0))
-    dual_sign = float(np.maximum(-np.asarray(y_ineq, dtype=float), 0.0).max(initial=0.0))
+    y_ineq = np.asarray(lam[: len(ineq_rhs)], dtype=float)
+    dual_sign = float(np.maximum(-y_ineq, 0.0).max(initial=0.0))
 
     q = 0.5 * (dual_slack + dual_slack.T)
     scale_q = 1.0 + float(np.abs(q).max())
     dual_psd = max(0.0, -float(np.linalg.eigvalsh(q)[0])) / scale_q
-    cs = abs(float(np.sum(q * full))) / (1.0 + abs(primal_obj))
+    cs = abs(float(np.sum(q * x_mat))) / (1.0 + abs(objective))
 
     return KktReport(
         primal_psd=primal_psd,

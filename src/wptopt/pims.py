@@ -26,9 +26,10 @@ def _entries(z) -> np.ndarray:
 def port_impedance_matrices(z) -> list[np.ndarray]:
     """All N port impedance matrices of a (loaded) impedance matrix.
 
-    Accepts an ImpedanceMatrix, LoadedImpedanceMatrix or a plain complex
-    symmetric array.  Returns Hermitian matrices T_n with
-    sum_n T_n == Re(Z) exactly up to rounding.
+    Accepts an ImpedanceMatrix or a plain complex symmetric array, such as
+    the loaded matrix (R_L added to the receiver's diagonal entry).
+    Returns Hermitian matrices T_n with sum_n T_n == Re(Z) exactly up to
+    rounding.
     """
     return list(_port_stack(_entries(z)))
 

@@ -37,7 +37,7 @@ import numpy as np
 from .circuit import ImpedanceMatrix, hash_matrix
 from .closedform import ClosedFormSolution, solve_closed_forms
 from .dual import solve_barrier, solve_dual
-from .kkt import kkt_residuals
+from .kkt import relaxation_audit
 from .qcqp import QcqpProblem, build_problem, evaluate
 
 __all__ = [
@@ -166,15 +166,16 @@ def recover_operating_point(c, z: ImpedanceMatrix, problem: QcqpProblem) -> floa
     power caps play no part.  Raises ValueError when c violates the
     current constraints.
     """
-    rep = evaluate(problem, c)
+    c = np.asarray(c, dtype=float)
+    kvl = float((problem.a @ c - problem.b)[0])
+    pl = float(0.5 * problem.r_load * c[problem.n_tx] ** 2 - 1.0)
     scale = 1.0 + float(np.abs(problem.b).max())
-    if abs(rep.kvl_residual) > 1e-6 * scale or abs(rep.pl_residual) > 1e-6:
+    if abs(kvl) > 1e-6 * scale or abs(pl) > 1e-6:
         raise ValueError(
             "vector violates the current constraints: "
-            f"kvl residual {rep.kvl_residual:.3e}, "
-            f"received-power residual {rep.pl_residual:.3e}"
+            f"kvl residual {kvl:.3e}, received-power residual {pl:.3e}"
         )
-    i = problem.current_from_real(np.asarray(c, dtype=float))
+    i = problem.current_from_real(c)
     ztr, zr = z.entries[:-1, -1], complex(z.entries[-1, -1])
     return float(-zr.imag - float(np.imag(ztr @ i[:-1])) / i[-1].real)
 
@@ -210,7 +211,7 @@ def solve_relaxation(problem: QcqpProblem, constrain_powers: bool = True):
     cvec = extract_solution(bp.x_mat, problem)
     eps = tightness_error(bp.x_mat, cvec)
     obj = float(np.sum(problem.q0 * bp.x_mat))
-    kkt = _audit(problem, bp.x_mat, bp.lam, bp.dual_slack, obj, constrain_powers)
+    kkt = relaxation_audit(problem, bp.x_mat, bp.lam, bp.dual_slack, obj, constrain_powers)
     tight = bool(eps <= TIGHTNESS_THRESHOLD)
     if tight and constrain_powers:
         finish = solve_dual(problem, bp.lam)
@@ -233,28 +234,6 @@ def solve_relaxation(problem: QcqpProblem, constrain_powers: bool = True):
     )
 
 
-def _audit(problem, cmat, lam, dual_slack, objective, constrain_powers=True):
-    """KKT residuals of the conic-form relaxation at the matrix cmat, with
-    multipliers lam on the power rows and the dual slack built from them;
-    `objective` is <Q0, cmat>."""
-    # the equality rows stacked: received power first, then the KVL rows;
-    # each power row as <G, X> >= h
-    eqs = np.array((problem.r_mat, problem.k0) + problem.k_redundant)
-    eq_rhs = np.zeros(len(eqs))
-    eq_rhs[0] = 1.0
-    if not constrain_powers:
-        ineqs, ineq_rhs = np.zeros((0,) + cmat.shape), np.zeros(0)
-    elif problem.power_caps is None:
-        ineqs, ineq_rhs = np.array(problem.q), np.zeros(problem.n_tx)
-    else:
-        ineqs, ineq_rhs = -np.array(problem.q), -np.array(problem.power_caps)
-    return kkt_residuals(
-        cmat, lam[: len(ineq_rhs)], dual_slack, objective,
-        eq_mats=eqs, eq_rhs=eq_rhs, received=np.arange(len(eqs)) == 0,
-        ineq_mats=ineqs, ineq_rhs=ineq_rhs,
-    )
-
-
 def _solve_dual(problem: QcqpProblem):
     """The constrained QCQP on its Lagrangian dual, as a raw SdrResult like
     :func:`solve_relaxation`'s, or None where the dual point does not
@@ -263,7 +242,7 @@ def _solve_dual(problem: QcqpProblem):
     if not dp.certified:
         return None
     c = dp.c
-    kkt = _audit(problem, np.outer(c, c), dp.lam, dp.dual_slack, dp.objective)
+    kkt = relaxation_audit(problem, np.outer(c, c), dp.lam, dp.dual_slack, dp.objective)
     if kkt.max_residual() > KKT_THRESHOLD:
         return None
     rep = evaluate(problem, c)

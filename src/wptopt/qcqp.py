@@ -6,9 +6,10 @@ phase is fixed to zero, which loses no generality because the whole current
 vector can be rotated by a common phase. Hermitian power matrices map to
 real symmetric M x M matrices with the same quadratic form.
 
-Two encodings of the receiver-side equalities are provided: an affine block
-(A, b) and the purely quadratic (conic) matrices used by the semidefinite
-relaxation, where redundant rank-two equalities sharpen the lifted problem.
+The receiver-side equalities are written once, as the affine block (A, b):
+the KVL row and the fixed receiver current.  The semidefinite relaxation
+lifts them from that row and the load (see :mod:`wptopt.kkt`) rather than
+from constraint matrices of its own.
 """
 
 import math
@@ -24,7 +25,6 @@ __all__ = [
     "EvaluationReport",
     "realify",
     "build_affine",
-    "build_conic",
     "build_problem",
     "evaluate",
 ]
@@ -73,11 +73,6 @@ def _realify_vector(c, n):
 # ---------------------------------------------------------------------------
 
 
-def _kvl_row(z, r_load):
-    zt, ztr, zr = partition(z)
-    return np.concatenate([ztr.real, [zr.real + r_load], -ztr.imag])
-
-
 def build_affine(z, r_load):
     """Affine equalities A c = b: Re(v_r) = 0 and i_r = sqrt(2/R_L).
 
@@ -88,34 +83,11 @@ def build_affine(z, r_load):
     n = zmat.shape[0]
     m = 2 * n - 1
     a = np.zeros((2, m))
-    a[0] = _kvl_row(zmat, r_load)
+    _, ztr, zr = partition(zmat)
+    a[0] = np.concatenate([ztr.real, [zr.real + r_load], -ztr.imag])  # the KVL row
     a[1, n - 1] = 1.0
     b = np.array([0.0, np.sqrt(2.0 / r_load)])
     return a, b
-
-
-def build_conic(z, r_load):
-    """Quadratic encodings of the same equalities for the lifted problem.
-
-    Returns (K0, K_list, R): tr(K0 C) = 0 encodes the KVL row (K0 = k k^T is
-    PSD rank one), tr(R C) = 1 encodes unit received power, and each
-    K[m] = u_m k^T + k u_m^T is a redundant equality tr(K[m] C) = 0 that is
-    implied at rank one but tightens the relaxation numerically.
-    """
-    zmat = np.asarray(getattr(z, "entries", z), dtype=complex)
-    n = zmat.shape[0]
-    m = 2 * n - 1
-    k = _kvl_row(zmat, r_load)
-    k0 = np.outer(k, k)
-    k_list = []
-    for j in range(m):
-        km = np.zeros((m, m))
-        km[j, :] += k
-        km[:, j] += k
-        k_list.append(km)
-    r = np.zeros((m, m))
-    r[n - 1, n - 1] = 0.5 * r_load
-    return k0, k_list, r
 
 
 # ---------------------------------------------------------------------------
@@ -128,8 +100,8 @@ class QcqpProblem:
     """Data of min c^T Q0 c s.t. c^T Q[n] c >= 0 (or <= cap), A c = b.
 
     q0 is the realified loss matrix (positive definite); q is the tuple of
-    realified transmitter port power matrices (indefinite). k0, k_redundant
-    and r_mat are the conic encodings used by the relaxation.
+    realified transmitter port power matrices (indefinite); A c = b are the
+    current equalities, A's first row the KVL row.
     """
 
     m: int
@@ -139,16 +111,10 @@ class QcqpProblem:
     q: tuple
     a: np.ndarray
     b: np.ndarray
-    k0: np.ndarray
-    k_redundant: tuple
-    r_mat: np.ndarray
     power_caps: tuple = field(default=None)
 
     def __post_init__(self):
-        for name in ("q0", "a", "b", "k0", "r_mat"):
-            arr = getattr(self, name)
-            arr.setflags(write=False)
-        for arr in self.q + self.k_redundant:
+        for arr in (self.q0, self.a, self.b) + self.q:
             arr.setflags(write=False)
 
     def current_from_real(self, c):
@@ -171,7 +137,6 @@ def build_problem(z, r_load, power_caps=None):
     pims = port_impedance_matrices(zloaded)
     q = tuple(realify(pims[j]) for j in range(n - 1))
     a, b = build_affine(zmat, r_load)
-    k0, k_list, r_mat = build_conic(zmat, r_load)
     caps = None
     if power_caps is not None:
         caps = tuple(float(v) for v in power_caps)
@@ -187,9 +152,6 @@ def build_problem(z, r_load, power_caps=None):
         q=q,
         a=a,
         b=b,
-        k0=k0,
-        k_redundant=tuple(k_list),
-        r_mat=r_mat,
         power_caps=caps,
     )
 

@@ -41,10 +41,12 @@ comes from one stacked product W A_i W over all rows, its svec rows
 gathered with `np.take`. The Schur matrix and every accepted iterate are
 tested with `np.isfinite` before they are factored.
 
-`check_kkt` audits a solution from the instance data alone, through
-`wptopt.kkt.kkt_residuals`.  `build_instance` writes a QCQP's relaxation in
-the conic form (the KVL and received-power rows as matrix equalities) or
-the affine form (A c = b on the bordered vector variable).
+`check_kkt` audits a solution from the instance data alone, on the stacked
+constraint matrices, with code of its own: it shares none with the
+package's audit (`wptopt.kkt.relaxation_audit`), which reads the same rows
+off the KVL row.  `build_instance` writes a QCQP's relaxation in the conic
+form (the KVL and received-power rows as matrix equalities, from
+`conic_rows`) or the affine form (A c = b on the bordered vector variable).
 """
 
 from dataclasses import dataclass, field
@@ -52,7 +54,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from wptopt.kkt import KktReport, kkt_residuals
+from wptopt.kkt import KktReport
 
 __all__ = [
     "SdpInstance",
@@ -60,7 +62,7 @@ __all__ = [
     "KktReport",
     "solve",
     "check_kkt",
-    "kkt_residuals",
+    "conic_rows",
     "build_instance",
     "DIM_CAP",
 ]
@@ -687,22 +689,85 @@ def check_kkt(instance, solution):
 
     The received-power entry singles out the equality labeled
     'received-power' (the unit-transfer row of the relaxation); for generic
-    instances it stays zero and the row is folded into `equalities`.
+    instances it stays zero and the row is folded into `equalities`.  With
+    an affine block the PSD constraint lives on the bordered matrix
+    [[X, c], [c^T, 1]], and A c = b counts among the equalities.
     """
     dim = instance.dim
     eqs, ineqs = instance.equalities, instance.inequalities
+    x_mat, x_vec = solution.x_mat, solution.x_vec
+    bordered = instance.affine is not None and x_vec is not None
+    if bordered:
+        full = np.empty((dim + 1, dim + 1))
+        full[:dim, :dim] = x_mat
+        full[:dim, dim] = x_vec
+        full[dim, :dim] = x_vec
+        full[dim, dim] = 1.0
+    else:
+        full = x_mat
+    scale_x = 1.0 + float(np.abs(full).max())
+    primal_psd = max(0.0, -float(np.linalg.eigvalsh(full)[0])) / scale_x
+
+    flat = x_mat.reshape(-1)
+    eq_mats = np.array([m for m, _, _ in eqs]).reshape(len(eqs), flat.size)
+    eq_rhs = np.array([rhs for _, rhs, _ in eqs])
+    received = np.array([label == "received-power" for *_, label in eqs], dtype=bool)
+    eq_res = np.abs(eq_mats @ flat - eq_rhs) / (1.0 + np.abs(eq_rhs))
+    rp_res = float(eq_res[received].max(initial=0.0))
+    eq_res = float(eq_res[~received].max(initial=0.0))
+    if bordered:
+        a_blk, b_blk = instance.affine
+        res = a_blk @ x_vec - b_blk
+        eq_res = max(
+            eq_res, float(np.abs(res).max()) / (1.0 + float(np.abs(b_blk).max()))
+        )
+
     # each inequality as <G, X> >= h
     sign = np.array([1.0 if sense == ">=" else -1.0 for _, sense, _, _ in ineqs])
-    return kkt_residuals(
-        solution.x_mat, solution.y_ineq, solution.dual_slack, solution.primal_obj,
-        eq_mats=np.array([m for m, _, _ in eqs]).reshape(-1, dim, dim),
-        eq_rhs=np.array([rhs for _, rhs, _ in eqs]),
-        received=np.array([label == "received-power" for *_, label in eqs], dtype=bool),
-        ineq_mats=sign[:, None, None] * np.array([m for m, *_ in ineqs]).reshape(-1, dim, dim),
-        ineq_rhs=sign * np.array([rhs for _, _, rhs, _ in ineqs]),
-        x_vec=solution.x_vec,
-        affine=instance.affine,
+    ineq_mats = sign[:, None] * np.array([m for m, *_ in ineqs]).reshape(len(ineqs), flat.size)
+    ineq_rhs = sign * np.array([rhs for _, _, rhs, _ in ineqs])
+    slack = ineq_mats @ flat - ineq_rhs
+    ineq_res = float((np.maximum(-slack, 0.0) / (1.0 + np.abs(ineq_rhs))).max(initial=0.0))
+    y_ineq = np.asarray(solution.y_ineq, dtype=float)
+    dual_sign = float(np.maximum(-y_ineq, 0.0).max(initial=0.0))
+
+    q = 0.5 * (solution.dual_slack + solution.dual_slack.T)
+    scale_q = 1.0 + float(np.abs(q).max())
+    dual_psd = max(0.0, -float(np.linalg.eigvalsh(q)[0])) / scale_q
+    cs = abs(float(np.sum(q * full))) / (1.0 + abs(solution.primal_obj))
+
+    return KktReport(
+        primal_psd=primal_psd,
+        equalities=eq_res,
+        received_power=rp_res,
+        inequalities=ineq_res,
+        dual_sign=dual_sign,
+        dual_psd=dual_psd,
+        comp_slack=cs,
     )
+
+
+def conic_rows(k, r_load):
+    """The relaxation's current equalities as matrices, from the KVL row k
+    (length M = 2N - 1) and the load.
+
+    Returns (K0, K_list, R): tr(K0 C) = 0 encodes the KVL row (K0 = k k^T is
+    PSD rank one), tr(R C) = 1 encodes unit received power, and each
+    K[m] = u_m k^T + k u_m^T is a redundant equality tr(K[m] C) = 0 that is
+    implied at rank one but tightens the relaxation numerically.
+    """
+    k = np.asarray(k, dtype=float)
+    m = k.size
+    k0 = np.outer(k, k)
+    k_list = []
+    for j in range(m):
+        km = np.zeros((m, m))
+        km[j, :] += k
+        km[:, j] += k
+        k_list.append(km)
+    r = np.zeros((m, m))
+    r[(m - 1) // 2, (m - 1) // 2] = 0.5 * r_load
+    return k0, k_list, r
 
 
 def build_instance(problem, form="conic", constrain_powers=True):
@@ -726,7 +791,8 @@ def build_instance(problem, form="conic", constrain_powers=True):
         )
     if form != "conic":
         raise ValueError(f"unknown relaxation form {form!r}")
-    eqs = [(problem.r_mat, 1.0, "received-power"), (problem.k0, 0.0, "kvl-primary")]
-    for m, km in enumerate(problem.k_redundant):
+    k0, k_list, r_mat = conic_rows(problem.a[0], problem.r_load)
+    eqs = [(r_mat, 1.0, "received-power"), (k0, 0.0, "kvl-primary")]
+    for m, km in enumerate(k_list):
         eqs.append((km, 0.0, f"kvl-redundant-{m}"))
     return SdpInstance(cost=problem.q0, equalities=tuple(eqs), inequalities=ineqs)

@@ -1,5 +1,6 @@
 """CLI behavior: exit codes, file round trips, determinism, pattern shapes."""
 
+import argparse
 import csv
 import json
 import math
@@ -113,6 +114,22 @@ class TestExitCodes:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert "theta range must be finite" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("spec", ["0:1e308:1e-300", "0:1e9:1e-3"])
+    def test_theta_range_with_too_many_angles(self, spec, tmp_path, capsys):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["sweep", "--preset", "siso", f"--theta-range={spec}", "--out", str(out)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"more than {cli.MAX_THETAS} angles" in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_theta_range_bound_is_inclusive(self):
+        top = cli.MAX_THETAS - 1
+        assert len(cli._parse_theta_range(f"0:{top}:1")) == cli.MAX_THETAS
+        with pytest.raises(argparse.ArgumentTypeError):
+            cli._parse_theta_range(f"0:{top + 1}:1")
 
     @pytest.mark.parametrize(
         "key, value", [("theta_deg", "abc"), ("theta_deg", None), ("d_frac", "abc"),

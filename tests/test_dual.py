@@ -7,16 +7,19 @@ import json
 import math
 import warnings
 from dataclasses import fields, is_dataclass
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sdp_oracle
 from retarded import retarded_loop_system
 from wptopt import cli, dual
 from wptopt.circuit import GeometrySpec, ImpedanceMatrix, matrix_to_json
 from wptopt.closedform import NoCouplingError, solve_closed_form
+from wptopt.kkt import relaxation_audit
 from wptopt.pipeline import (
     PipelineOptions,
     RelaxationError,
@@ -41,6 +44,24 @@ def random_system(seed, n):
     g = rng.standard_normal((n, n - 1))
     im = rng.standard_normal((n, n)) * 3.0
     return ImpedanceMatrix(g @ g.T + 0.05 * np.eye(n) + 1j * 0.5 * (im + im.T), 1e7)
+
+
+def audit_pair(problem, x_mat, lam, dual_slack, objective):
+    """The package's audit and the reference oracle's general audit on the
+    stacked conic rows, at the same point."""
+    ours = relaxation_audit(problem, x_mat, lam, dual_slack, objective)
+    point = SimpleNamespace(
+        x_mat=x_mat, x_vec=None, y_ineq=lam, dual_slack=dual_slack, primal_obj=objective
+    )
+    ref = sdp_oracle.check_kkt(sdp_oracle.build_instance(problem), point)
+    return ours, ref
+
+
+def assert_audits_agree(ours, ref, label):
+    for f in fields(ours):
+        a, b = getattr(ours, f.name), getattr(ref, f.name)
+        assert abs(a - b) <= 1e-12, (label, f.name, a, b)
+    assert (ours.max_residual() <= 1e-8) == (ref.max_residual() <= 1e-8), label
 
 
 def same(a, b):
@@ -138,6 +159,36 @@ class TestRetardedSweeps:
             assert 0 < res.iterations <= dual.MAX_STEPS, label
 
 
+class TestAuditAgreement:
+    """`relaxation_audit` reads the lifted equalities off the KVL row; the
+    reference oracle stacks them as matrices.  Both must give the same
+    residuals and the same verdict."""
+
+    def test_on_every_binding_row(self, binding_rows):
+        for label, z, res, ref in binding_rows:
+            problem = build_problem(z, res.r_load)
+            dp = dual.solve_dual(problem)
+            assert dp.certified, label
+            ours, oracle = audit_pair(
+                problem, np.outer(dp.c, dp.c), dp.lam, dp.dual_slack, dp.objective
+            )
+            assert ours == res.kkt, label
+            assert_audits_agree(ours, oracle, label)
+            bp = dual.solve_barrier(problem)
+            obj = float(np.sum(problem.q0 * bp.x_mat))
+            ours, oracle = audit_pair(problem, bp.x_mat, bp.lam, bp.dual_slack, obj)
+            assert ours == ref.kkt, label
+            assert_audits_agree(ours, oracle, label)
+
+    def test_on_the_non_tight_row(self):
+        z = ImpedanceMatrix(np.array(NOT_TIGHT_RE) + 1j * np.array(NOT_TIGHT_IM), 1e7)
+        problem = build_problem(z, solve_closed_form(z).r_load)
+        bp = dual.solve_barrier(problem)
+        obj = float(np.sum(problem.q0 * bp.x_mat))
+        ours, oracle = audit_pair(problem, bp.x_mat, bp.lam, bp.dual_slack, obj)
+        assert_audits_agree(ours, oracle, "not tight")
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -145,7 +196,8 @@ class TestRetardedSweeps:
     perm_seed=st.integers(0, 2**32 - 1),
 )
 def test_dual_on_random_passive_systems(relaxation_only, seed, n, perm_seed):
-    """Wherever the dual certifies, it is no worse than the relaxation, no
+    """Wherever the dual certifies, its row passes the KKT audit and keeps
+    every transmit power nonnegative; it is no worse than the relaxation, no
     better than the unconstrained closed form, and blind to port order."""
     z = random_system(seed, n)
     try:
@@ -156,6 +208,9 @@ def test_dual_on_random_passive_systems(relaxation_only, seed, n, perm_seed):
         return  # nothing binds, or the relaxation answers (see TestFallback)
     res = full_pipeline(z)
     assert res.form == "dual"
+    assert res.kkt.max_residual() <= 1e-8
+    scale = max(1.0, float(np.abs(res.transmit_powers).max()))
+    assert res.transmit_powers.min() >= -1e-9 * scale
     assert res.eta <= res.closed_form.eta * (1.0 + 1e-12)
     try:
         with relaxation_only():
@@ -168,7 +223,6 @@ def test_dual_on_random_passive_systems(relaxation_only, seed, n, perm_seed):
     perm = np.append(order, n - 1)
     permuted = full_pipeline(ImpedanceMatrix(z.entries[np.ix_(perm, perm)], z.frequency))
     assert permuted.eta == pytest.approx(res.eta, rel=1e-10)
-    scale = max(1.0, float(np.abs(res.transmit_powers).max()))
     assert np.allclose(permuted.transmit_powers, res.transmit_powers[order], atol=1e-9 * scale)
 
 

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from sdp_oracle import conic_rows
 from wptopt.circuit import (
     GeometrySpec,
     ImpedanceMatrix,
@@ -16,7 +17,6 @@ from wptopt.closedform import solve_closed_form, solve_min_loss_qp
 from wptopt.pims import port_impedance_matrices
 from wptopt.qcqp import (
     build_affine,
-    build_conic,
     build_problem,
     evaluate,
     realify,
@@ -30,6 +30,12 @@ def random_passive(rng, n):
     im = rng.standard_normal((n, n))
     z = (a @ a.T + n * np.eye(n)) + 1j * 0.5 * (im + im.T)
     return z
+
+
+def build_conic(z, r_load):
+    """The relaxation's conic rows of z at r_load, from its KVL row."""
+    a, _ = build_affine(z, r_load)
+    return conic_rows(a[0], r_load)
 
 
 def feasible_c(z, r_load):
@@ -166,7 +172,8 @@ class TestProblem:
         zloaded[-1, -1] += r_load
         pims = port_impedance_matrices(zloaded)
         acc = sum(realify(t) for t in pims)
-        assert np.allclose(acc - prob.r_mat, prob.q0, atol=1e-13 * np.abs(z).max())
+        _, _, r_mat = conic_rows(prob.a[0], prob.r_load)
+        assert np.allclose(acc - r_mat, prob.q0, atol=1e-13 * np.abs(z).max())
 
     def test_transmit_power_quadratic_forms_match_pims(self):
         rng = np.random.default_rng(6)

@@ -58,14 +58,7 @@ def miso_instance(preset="miso-2p", distance=None, r_load=None):
     z = build_loop_system(geom)
     cf = solve_closed_form(z) if r_load is None else solve_closed_form(z, r_load)
     prob = build_problem(z, cf.r_load)
-    eqs = [(prob.r_mat, 1.0, "received-power"), (prob.k0, 0.0, "kvl-primary")]
-    for m, km in enumerate(prob.k_redundant):
-        eqs.append((km, 0.0, f"kvl-redundant-{m}"))
-    ineqs = tuple(
-        (qn, ">=", 0.0, f"tx-power-{n}") for n, qn in enumerate(prob.q)
-    )
-    inst = SdpInstance(cost=prob.q0, equalities=tuple(eqs), inequalities=ineqs)
-    return inst, prob, z, cf
+    return build_instance(prob), prob, z, cf
 
 
 def random_spd(rng, d):
