@@ -47,6 +47,8 @@ PRESETS = ("siso", "miso-2p", "miso-3p", "miso-2c", "miso-3c")
 PRESET_FREQUENCY = 40.0e6
 PRESET_CONDUCTIVITY = 5.8e7
 
+MAX_COORDINATE = 1e150  # metres; loop-centre separations below 3.5e150 square finitely
+
 
 class GeometryError(ValueError):
     """Invalid loop geometry (overlapping or degenerate loops)."""
@@ -89,8 +91,11 @@ class Loop:
         if len(self.center) != 3:
             raise GeometryError("loop center must be a 3-vector")
         object.__setattr__(self, "center", tuple(float(v) for v in self.center))
-        if not all(math.isfinite(v) for v in self.center):
-            raise GeometryError(f"loop center must be finite, got {self.center}")
+        if not all(abs(v) <= MAX_COORDINATE for v in self.center):
+            raise GeometryError(
+                f"loop center must be finite and at most {MAX_COORDINATE:g} m from the "
+                f"origin along each axis, got {self.center}"
+            )
         if not (self.radius > 0.0 and math.isfinite(self.radius)):
             raise GeometryError(f"loop radius must be positive, got {self.radius}")
         if not (0.0 < self.wire_radius < self.radius):

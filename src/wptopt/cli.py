@@ -50,7 +50,7 @@ from .circuit import (
     matrix_from_json,
     save_impedance_file,
 )
-from .closedform import max_pte, solve_closed_form, solve_min_loss_qp
+from .closedform import NoCouplingError, max_pte, solve_closed_form, solve_min_loss_qp
 from .oracle import verify_identities
 from .pipeline import (
     ROW_ERRORS,
@@ -107,7 +107,11 @@ def _fmt(value) -> str:
     if isinstance(value, (float, np.floating)):
         v = float(value)
         return "nan" if math.isnan(v) else repr(v)
-    return str(value)
+    text = str(value)
+    # RFC 4180: a field holding a comma, a quote or a line break is quoted
+    if any(ch in text for ch in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 # ---------------------------------------------------------------- parsing
@@ -605,9 +609,9 @@ def cmd_validate(args) -> int:
         _, p_qp, _ = solve_min_loss_qp(z, cf.r_load)
         rel = abs(cf.p_loss - p_qp) / abs(p_qp)
         _check(checks, f"{name}:qp-agreement", rel <= 1e-9, f"rel={rel:.3e}")
-        problem = build_problem(z, cf.r_load)
+        problem = build_problem(z, cf.r_load, constrain_powers=False)
         try:
-            res = solve_relaxation(problem, constrain_powers=False)
+            res = solve_relaxation(problem)
             rel = abs(res.p_relax - p_qp) / abs(p_qp)
             ok = rel <= 1e-6 and res.tight and res.kkt.max_residual() <= 1e-8
             detail = f"rel={rel:.3e} eps={res.epsilon:.3e} kkt={res.kkt.max_residual():.3e}"
@@ -673,7 +677,9 @@ def main(argv=None) -> int:
     except CommandError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (GeometryError, SchemaError, PassivityError, json.JSONDecodeError) as exc:
+    except (
+        GeometryError, SchemaError, PassivityError, NoCouplingError, json.JSONDecodeError
+    ) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except RelaxationError as exc:

@@ -1,11 +1,12 @@
-"""Lagrangian dual of the minimum-loss QCQP, one multiplier per transmitter.
+"""Lagrangian dual of the minimum-loss QCQP, one multiplier per power row.
 
-The QCQP is  min c^T Q0 c  s.t.  A c = b,  s_n (c^T Q_n c - h_n) >= 0,  with
-s_n = +1, h_n = 0 for a nonnegative transmit power and s_n = -1, h_n = cap_n
-for a capped one.  Its Lagrangian dual function is
+The QCQP is  min c^T Q0 c  s.t.  A c = b,  c^T G_j c >= h_j,  with the signed
+power rows G_j = s_j Q_n, h_j of `wptopt.qcqp.power_rows`: s_j = +1, h_j = 0
+for a nonnegative transmit power and s_j = -1, h_j = -cap_n for a capped
+one.  Its Lagrangian dual function is
 
-    g(lam) = min_{A c = b} c^T H(lam) c + sum_n lam_n s_n h_n,
-    H(lam) = Q0 - sum_n lam_n s_n Q_n,
+    g(lam) = min_{A c = b} c^T H(lam) c + sum_j lam_j h_j,
+    H(lam) = Q0 - sum_j lam_j G_j,
 
 maximized over lam >= 0.  The Shor relaxation's dual is this same problem
 (Vandenberghe & Boyd, SIAM Rev. 1996), so a dual point settles everything
@@ -14,11 +15,11 @@ solution of A c = b,
 
 - H is positive definite on null(A) iff the reduced Hr = V^T H V has a
   Cholesky factor, and then c(lam) = c_p - V Hr^-1 V^T H c_p is the minimizer;
-- the gradient is  dg/dlam_n = -(s_n (p_n - h_n)),  p_n = c^T Q_n c;
-- the Hessian is  -2 B Hr^-1 B^T  with rows  B_n = s_n V^T Q_n c.
+- the gradient is  dg/dlam_j = -(c^T G_j c - h_j);
+- the Hessian is  -2 B Hr^-1 B^T  with rows  B_j = V^T G_j c.
 
 A feasible c(lam) whose multipliers close the duality gap
-(sum_n lam_n s_n (p_n - h_n) = c^T Q0 c - g(lam) = 0) is globally optimal,
+(sum_j lam_j (c^T G_j c - h_j) = c^T Q0 c - g(lam) = 0) is globally optimal,
 and the relaxation is tight at it: the paper's tightness test, reached
 without a semidefinite program.
 
@@ -28,7 +29,7 @@ fixes p_1 + p_2), where a projected Newton method that frees "lam > 0 or
 gradient > 0" keeps a multiplier that should be zero (Bertsekas, SIAM J.
 Control Optim. 1982).  Each step here instead maximizes the quadratic model
 exactly over lam + d >= 0 by enumerating the faces of the orthant (2^k of
-them for k transmitters), with Levenberg damping until the trial point
+them for k rows), with Levenberg damping until the trial point
 stays in the positive definite domain and either g rises or the projected
 gradient halves.  The ascent gives up as "stalled" after 15 steps without
 the projected gradient halving: a row whose relaxation is not tight has no
@@ -43,20 +44,20 @@ log-det barrier path (Boyd & Vandenberghe, Convex Optimization, ch. 11).
 The relaxation's redundant KVL rows force X k = 0, and range([V, c_p]) is
 k-perp, so in the basis [V, c_p] its dual constraint is the bordered matrix
 [[Hr, f], [f^T, kappa - nu]] >= 0, nu the received-power multiplier.  The
-best nu for a given t is g(lam) - lam.s h - 1/t, so the barrier is in lam
+best nu for a given t is g(lam) - lam.h - 1/t, so the barrier is in lam
 alone:
 
-    phi_t(lam) = t g(lam) + log det Hr(lam) + sum_n log lam_n,
+    phi_t(lam) = t g(lam) + log det Hr(lam) + sum_j log lam_j,
 
-whose log-det terms add -tr(Hr^-1 Hr_n) to the gradient and
+whose log-det terms add -tr(Hr^-1 Hr_j) to the gradient and
 -tr(Hr^-1 Hr_i Hr^-1 Hr_j) to the Hessian, from the Cholesky factor `at`
 already takes.  The primal matrix of the central path is
-c c^T + V Hr^-1 V^T / t, at a duality gap of (dim Hr + N)/t; g(lam) is the
+c c^T + V Hr^-1 V^T / t, at a duality gap of (dim Hr + k)/t; g(lam) is the
 certified bound.  The path starts near lam = 0 and t grows a hundredfold
-per centered point until that gap is 1e-12 of g.  Newton runs in at most
-N = 4 variables and converges where the ascent stalls: on the boundary of
-the positive definite domain.  Multipliers that run off past `LAM_LIMIT`
-mean the power caps admit no point.
+per centered point until that gap is 1e-12 of g.  Newton runs in k
+variables, one per power row, and converges where the ascent stalls: on the
+boundary of the positive definite domain.  Multipliers that run off past
+`LAM_LIMIT` mean the power caps admit no point.
 
 A certified point also yields the dual slack of the conic relaxation at
 lam, so the relaxation's KKT audit can check the lift c c^T.
@@ -80,7 +81,7 @@ STALL_STEPS = 15  # steps without the projected gradient halving: stalled
 GRAD_TOL = 1e-11  # projected gradient, relative to max(1, c^T Q0 c)
 SLACK_TOL = 1e-9  # constraint violation, relative to max(1, max|p|)
 GAP_TOL = 1e-12  # duality gap, relative to c^T Q0 c
-# lam_n |Q_n| / |Q0| above this: the ascent runs off towards an unbounded
+# lam_j |G_j| / |Q0| above this: the ascent runs off towards an unbounded
 # dual, which means no feasible point (it stays below 1 on the sweeps)
 LAM_LIMIT = 1e8
 # Levenberg damping, in units of the largest Hessian diagonal entry
@@ -131,22 +132,14 @@ class _Reduced:
         q, r = np.linalg.qr(a.T, mode="complete")
         rank = a.shape[0]
         self.cp = q[:, :rank] @ np.linalg.solve(r[:rank].T, problem.b)
-        v = q[:, rank:]
-        if problem.power_caps is None:
-            sign = np.ones(problem.n_tx)
-            self.rhs = np.zeros(problem.n_tx)
-        else:
-            sign = -np.ones(problem.n_tx)
-            self.rhs = -np.asarray(problem.power_caps, dtype=float)  # s_n h_n
-        self.q0 = problem.q0
-        self.qs = sign[:, None, None] * np.array(problem.q)  # s_n Q_n
-        self.v = v
+        self.v = v = q[:, rank:]
+        self.q0, self.qs, self.rhs = problem.q0, problem.g, problem.h  # Q0, G_j, h_j
         self.n_tx = problem.n_tx  # the receiver current's index in c
         self.half_rl = 0.5 * problem.r_load
         self.k_hat = a[0] / np.linalg.norm(a[0])  # the KVL row
         self.lam_scale = np.linalg.norm(self.qs, axis=(1, 2)) / np.linalg.norm(self.q0)
         self.hr0 = v.T @ self.q0 @ v
-        self.hrn = (v.T @ self.qs @ v).reshape(len(self.qs), -1)  # flat rows
+        self.hrn = (v.T @ self.qs @ v).reshape(self.rhs.size, v.shape[1] ** 2)  # flat rows
         self.f0 = v.T @ (self.q0 @ self.cp)
         self.fn = (self.qs @ self.cp) @ v
 
@@ -187,7 +180,7 @@ class _Reduced:
 class _Point:
     lam: np.ndarray
     c: np.ndarray
-    slack: np.ndarray  # s_n (p_n - h_n), >= 0 when feasible
+    slack: np.ndarray  # c^T G_j c - h_j, >= 0 when feasible
     obj: float
     value: float  # g(lam)
     hess: np.ndarray
@@ -196,7 +189,8 @@ class _Point:
     def pgrad(self):
         """Largest entry of the projected gradient of g on lam >= 0."""
         grad = -self.slack
-        return float(np.abs(np.where(self.lam > 0.0, grad, np.maximum(grad, 0.0))).max())
+        pg = np.where(self.lam > 0.0, grad, np.maximum(grad, 0.0))
+        return float(np.abs(pg).max(initial=0.0))
 
 
 def _inverse_cholesky_factor(mat):
@@ -288,7 +282,7 @@ def solve_dual(problem, lam=None):
     to lam >= 0 (default 0, where H = Q0 is positive definite); see module
     docs."""
     red = _Reduced(problem)
-    k = problem.n_tx
+    k = problem.h.size
     pt = red.at(np.zeros(k) if lam is None else np.maximum(lam, 0.0))
     if pt is None:
         nan = float("nan")
@@ -331,13 +325,13 @@ def solve_dual(problem, lam=None):
             reason = "diverging multipliers"
             break
 
-    p_scale = max(1.0, float(np.abs(pt.slack + red.rhs).max()))
+    p_scale = max(1.0, float(np.abs(pt.slack + red.rhs).max(initial=0.0)))
     gap = float(pt.lam @ pt.slack) / pt.obj
     # g(lam) bounds the loss from below at any lam >= 0 in the domain, so a
     # feasible c that closes the gap is optimal however the ascent ended:
     # near-singular rows can stall with the gap closed but the projected
     # gradient held above GRAD_TOL by rounding
-    if pt.slack.min() >= -SLACK_TOL * p_scale and abs(gap) <= GAP_TOL:
+    if pt.slack.min(initial=0.0) >= -SLACK_TOL * p_scale and abs(gap) <= GAP_TOL:
         reason = ""
     elif not reason:
         reason = "infeasible point"
@@ -374,17 +368,17 @@ class BarrierPoint:
     dual_slack: np.ndarray
 
 
-def solve_barrier(problem, constrain_powers=True):
+def solve_barrier(problem):
     """The semidefinite relaxation on its reduced dual; see module docs.
 
-    Maximizes phi_t(lam) = t g(lam) + log det Hr(lam) + sum_n log lam_n by
+    Maximizes phi_t(lam) = t g(lam) + log det Hr(lam) + sum_j log lam_j by
     damped Newton steps, t growing by `T_FACTOR` once a point is centered.
-    Without power constraints the relaxation is g(0), attained by the lift
-    c c^T of the minimizer at lam = 0.
+    Without power rows the relaxation is g of no multipliers, attained by
+    the lift c c^T of the minimizer of c^T Q0 c.
     """
     red = _Reduced(problem)
-    k = problem.n_tx
-    if not constrain_powers:
+    k = problem.h.size
+    if k == 0:
         pt = red.at(np.zeros(k))
         return BarrierPoint(
             "", pt.lam, pt.value, np.outer(pt.c, pt.c), 0, red.conic_dual_slack(pt.lam, pt.c)
@@ -408,7 +402,7 @@ def solve_barrier(problem, constrain_powers=True):
 
     steps, reason = 0, "step limit"
     while steps < BARRIER_STEPS:
-        m = pt.linv @ hrn @ pt.linv.T  # L^-1 Hr_n L^-T
+        m = pt.linv @ hrn @ pt.linv.T  # L^-1 Hr_j L^-T
         flat = m.reshape(k, -1)
         grad = -t * pt.slack - np.trace(m, axis1=1, axis2=2) + 1.0 / pt.lam
         neg_hess = -t * pt.hess + flat @ flat.T + np.diag(pt.lam**-2.0)
@@ -445,9 +439,9 @@ def solve_barrier(problem, constrain_powers=True):
     if not reason:
         # the primal matrix of the last Newton system: c c^T + V Hr^-1 V^T / t
         # taken to first order along the step d.  It meets the equality rows
-        # exactly and each power row with slack (1 - d_n / lam_n) / (t lam_n),
+        # exactly and each power row with slack (1 - d_j / lam_j) / (t lam_j),
         # and it is positive semidefinite, while the decrement is below 1
-        # dc = V Hr^-1 (d.f_n - sum_n d_n Hr_n u), c = c_p - V u
+        # dc = V Hr^-1 (d.f_j - sum_j d_j Hr_j u), c = c_p - V u
         rhs = d @ red.fn + np.tensordot(d, hrn, 1) @ (red.v.T @ pt.c)
         dc = red.v @ (pt.linv.T @ (pt.linv @ rhs))
         cross = np.outer(dc, pt.c)

@@ -7,7 +7,8 @@ KVL row k = A[0] gives k^T X k = 0 and, X being symmetric, the redundant
 rows <u_j k^T + k u_j^T, X> = 2 (X k)_j = 0, and the receiver-current row
 gives unit received power (R_L / 2) X[n, n] = 1 (Vandenberghe & Boyd, SIAM
 Rev. 1996).  So the audit reads them off the KVL row and the load, with no
-constraint matrix built.  The pipeline audits each relaxation row with it,
+constraint matrix built; the power rows are the problem's own
+<G_j, X> >= h_j.  The pipeline audits each relaxation row with it,
 at the barrier's primal matrix or at the lift c c^T of a certified dual
 point.
 """
@@ -33,22 +34,14 @@ class KktReport:
     comp_slack: float
 
     def max_residual(self):
-        return max(
-            self.primal_psd,
-            self.equalities,
-            self.received_power,
-            self.inequalities,
-            self.dual_sign,
-            self.dual_psd,
-            self.comp_slack,
-        )
+        return max(vars(self).values())
 
 
-def relaxation_audit(problem, x_mat, lam, dual_slack, objective, constrain_powers=True):
+def relaxation_audit(problem, x_mat, lam, dual_slack, objective):
     """KKT residuals of the relaxation of `problem` at the matrix x_mat, with
-    multipliers lam on the power rows (none when not `constrain_powers`),
-    the dual slack matrix built from them, and `objective` = <Q0, x_mat>,
-    which scales complementary slackness.
+    multipliers lam on its power rows <G_j, X> >= h_j, the dual slack matrix
+    built from them, and `objective` = <Q0, x_mat>, which scales
+    complementary slackness.
     """
     scale_x = 1.0 + float(np.abs(x_mat).max())
     primal_psd = max(0.0, -float(np.linalg.eigvalsh(x_mat)[0])) / scale_x
@@ -60,17 +53,10 @@ def relaxation_audit(problem, x_mat, lam, dual_slack, objective, constrain_power
     n = problem.n_tx
     rp_res = abs(float(0.5 * problem.r_load * x_mat[n, n]) - 1.0) / 2.0
 
-    # each power row as <G, X> >= h
-    if not constrain_powers:
-        ineqs, ineq_rhs = np.zeros((0,) + x_mat.shape), np.zeros(0)
-    elif problem.power_caps is None:
-        ineqs, ineq_rhs = np.array(problem.q), np.zeros(problem.n_tx)
-    else:
-        ineqs, ineq_rhs = -np.array(problem.q), -np.array(problem.power_caps)
-    flat = x_mat.reshape(-1)
-    slack = ineqs.reshape(len(ineq_rhs), flat.size) @ flat - ineq_rhs
-    ineq_res = float((np.maximum(-slack, 0.0) / (1.0 + np.abs(ineq_rhs))).max(initial=0.0))
-    y_ineq = np.asarray(lam[: len(ineq_rhs)], dtype=float)
+    h = problem.h
+    slack = problem.g.reshape(h.size, x_mat.size) @ x_mat.reshape(-1) - h
+    ineq_res = float((np.maximum(-slack, 0.0) / (1.0 + np.abs(h))).max(initial=0.0))
+    y_ineq = np.asarray(lam[: h.size], dtype=float)
     dual_sign = float(np.maximum(-y_ineq, 0.0).max(initial=0.0))
 
     q = 0.5 * (dual_slack + dual_slack.T)

@@ -1,20 +1,21 @@
 """End-to-end constrained optimization of a transfer link.
 
 Every row takes one path, named by its ``form``. The closed form is tried
-first; when it already satisfies the transmit-power constraints, or there
-are none (`constrain_powers=False`), it is returned unchanged ("closed-form";
-``skipped``). Otherwise the QCQP's binding row is solved on its Lagrangian
-dual ("dual"; see :mod:`wptopt.dual`): one multiplier per transmitter,
-certified by a positive definite reduced Hessian, a feasible point and a
-zero duality gap, and audited by the KKT check of the conic-form lift. A row
-the dual does not certify goes to the semidefinite relaxation ("conic"),
-solved by a log-det barrier path on the same dual, certified tight via the
-normalized rank-1 error, and its extracted vector is finished on the dual.
-A relaxation whose error exceeds `TIGHTNESS_THRESHOLD` gives status
-"not-tight": its point is not certified and may break the power
-constraints. Each path fills in the currents, transmit powers and
-efficiency of its solution vector; the receiver compensation reactance is
-then recovered from that vector and the impedance matrix.
+first; when it already meets the power rows of `wptopt.qcqp.power_rows`
+(none under `constrain_powers=False`), it is returned unchanged
+("closed-form"; ``skipped``). Otherwise the QCQP's binding row is solved on
+its Lagrangian dual ("dual"; see :mod:`wptopt.dual`): one multiplier per
+power row, certified by a positive definite reduced Hessian, a feasible
+point and a zero duality gap, and audited by the KKT check of the
+conic-form lift. A row the dual does not certify goes to the semidefinite
+relaxation ("conic"), solved by a log-det barrier path on the same dual,
+certified tight via the normalized rank-1 error, and its extracted vector
+is finished on the dual. A relaxation whose error exceeds
+`TIGHTNESS_THRESHOLD` gives status "not-tight": its point is not certified
+and may break the power constraints. Each path fills in the currents,
+transmit powers and efficiency of its solution vector; the receiver
+compensation reactance is then recovered from that vector and the
+impedance matrix.
 
 `solve_rows` runs many links at one load: their closed forms in stacked
 passes of up to `STACK_ROWS` links, then the binding rows one by one in
@@ -38,7 +39,7 @@ from .circuit import ImpedanceMatrix, hash_matrix
 from .closedform import ClosedFormSolution, solve_closed_forms
 from .dual import solve_barrier, solve_dual
 from .kkt import relaxation_audit
-from .qcqp import QcqpProblem, build_problem, evaluate
+from .qcqp import QcqpProblem, build_problem, current_residuals, evaluate, power_rows
 
 __all__ = [
     "PipelineOptions",
@@ -81,10 +82,8 @@ class PipelineOptions:
     constrain_powers: bool = True  # off: relax the current equalities only
 
     def __post_init__(self):
-        if self.power_caps is not None and not all(
-            math.isfinite(cap) for cap in self.power_caps
-        ):
-            raise ValueError(f"power caps must be finite, got {tuple(self.power_caps)}")
+        if self.power_caps is not None:  # finite, as power_rows checks them
+            power_rows(len(self.power_caps), self.power_caps)
 
 
 @dataclass
@@ -167,8 +166,7 @@ def recover_operating_point(c, z: ImpedanceMatrix, problem: QcqpProblem) -> floa
     current constraints.
     """
     c = np.asarray(c, dtype=float)
-    kvl = float((problem.a @ c - problem.b)[0])
-    pl = float(0.5 * problem.r_load * c[problem.n_tx] ** 2 - 1.0)
+    kvl, pl = current_residuals(problem, c)
     scale = 1.0 + float(np.abs(problem.b).max())
     if abs(kvl) > 1e-6 * scale or abs(pl) > 1e-6:
         raise ValueError(
@@ -180,7 +178,7 @@ def recover_operating_point(c, z: ImpedanceMatrix, problem: QcqpProblem) -> floa
     return float(-zr.imag - float(np.imag(ztr @ i[:-1])) / i[-1].real)
 
 
-def solve_relaxation(problem: QcqpProblem, constrain_powers: bool = True):
+def solve_relaxation(problem: QcqpProblem):
     """Solve the semidefinite relaxation and certify tightness.
 
     Returns a raw SdrResult: extraction and efficiency are filled in, the
@@ -199,9 +197,11 @@ def solve_relaxation(problem: QcqpProblem, constrain_powers: bool = True):
     enough to leave a binding power a few microwatts negative, and a
     certified dual point is feasible and globally optimal.  An uncertified
     finish keeps the extracted vector.  An epsilon above
-    ``TIGHTNESS_THRESHOLD`` gives status "not-tight".
+    ``TIGHTNESS_THRESHOLD`` gives status "not-tight".  The power rows are
+    the problem's own: build it with ``constrain_powers=False`` to relax the
+    current equalities alone.
     """
-    bp = solve_barrier(problem, constrain_powers)
+    bp = solve_barrier(problem)
     if bp.reason:
         status = {"diverging multipliers": "infeasible", "step limit": "max_iters"}
         raise RelaxationError(
@@ -211,27 +211,12 @@ def solve_relaxation(problem: QcqpProblem, constrain_powers: bool = True):
     cvec = extract_solution(bp.x_mat, problem)
     eps = tightness_error(bp.x_mat, cvec)
     obj = float(np.sum(problem.q0 * bp.x_mat))
-    kkt = relaxation_audit(problem, bp.x_mat, bp.lam, bp.dual_slack, obj, constrain_powers)
-    tight = bool(eps <= TIGHTNESS_THRESHOLD)
-    if tight and constrain_powers:
+    kkt = relaxation_audit(problem, bp.x_mat, bp.lam, bp.dual_slack, obj)
+    if eps <= TIGHTNESS_THRESHOLD:
         finish = solve_dual(problem, bp.lam)
         if finish.certified:
             cvec = finish.c
-    rep = evaluate(problem, cvec)
-    return SdrResult(
-        status="optimal" if tight else "not-tight",
-        form="conic",
-        epsilon=eps,
-        p_relax=bp.value,
-        eta=1.0 / (1.0 + rep.objective),
-        r_load=problem.r_load,
-        cvec=cvec,
-        currents=problem.current_from_real(cvec),
-        x_r=float("nan"),
-        transmit_powers=rep.tx_powers,
-        iterations=bp.steps,
-        kkt=kkt,
-    )
+    return _binding_row(problem, cvec, "conic", eps, bp.value, bp.steps, kkt)
 
 
 def _solve_dual(problem: QcqpProblem):
@@ -245,19 +230,26 @@ def _solve_dual(problem: QcqpProblem):
     kkt = relaxation_audit(problem, np.outer(c, c), dp.lam, dp.dual_slack, dp.objective)
     if kkt.max_residual() > KKT_THRESHOLD:
         return None
+    return _binding_row(problem, c, "dual", 0.0, dp.value, dp.steps, kkt)  # cc^T is rank one
+
+
+def _binding_row(problem: QcqpProblem, c, form, epsilon, p_relax, iterations, kkt):
+    """The raw SdrResult of a binding row's solution vector c, found on path
+    `form` with rank-one error `epsilon`: "not-tight" above
+    `TIGHTNESS_THRESHOLD`, else "optimal"."""
     rep = evaluate(problem, c)
     return SdrResult(
-        status="optimal",
-        form="dual",
-        epsilon=0.0,  # the lift cc^T is rank one
-        p_relax=dp.value,
+        status="optimal" if epsilon <= TIGHTNESS_THRESHOLD else "not-tight",
+        form=form,
+        epsilon=epsilon,
+        p_relax=p_relax,
         eta=1.0 / (1.0 + rep.objective),
         r_load=problem.r_load,
         cvec=c,
         currents=problem.current_from_real(c),
         x_r=float("nan"),
         transmit_powers=rep.tx_powers,
-        iterations=dp.steps,
+        iterations=iterations,
         kkt=kkt,
     )
 
@@ -309,12 +301,10 @@ def _finish(z: ImpedanceMatrix, cf: ClosedFormSolution, opts: PipelineOptions) -
     """The row of z given its closed form: the closed form itself where its
     powers are legal, else the dual or the relaxation."""
     r_load = cf.r_load
-    ok = float(cf.p_tx.min()) >= SKIP_TOLERANCE
-    if opts.power_caps is not None:
-        caps = np.asarray(opts.power_caps, dtype=float)
-        ok = ok and bool(np.all(cf.p_tx <= caps - SKIP_TOLERANCE))
-    # without power constraints the min-loss QP is the closed form itself
-    if ok or not opts.constrain_powers:
+    p = cf.p_tx.tolist()
+    rows = power_rows(len(p), opts.power_caps, opts.constrain_powers)
+    # without power rows the min-loss QP is the closed form itself
+    if all(sign * p[port] - rhs >= SKIP_TOLERANCE for port, sign, rhs in rows):
         return SdrResult(
             status="closed-form",
             form="closed-form",
@@ -327,9 +317,7 @@ def _finish(z: ImpedanceMatrix, cf: ClosedFormSolution, opts: PipelineOptions) -
             x_r=cf.x_r,
             transmit_powers=cf.p_tx,
             iterations=0,
-            delta_eta_db=0.0,
             delta_cr_rel=0.0,
-            kkt=None,
             closed_form=cf,
         )
     problem = build_problem(z, r_load, power_caps=opts.power_caps)

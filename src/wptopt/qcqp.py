@@ -9,7 +9,8 @@ real symmetric M x M matrices with the same quadratic form.
 The receiver-side equalities are written once, as the affine block (A, b):
 the KVL row and the fixed receiver current.  The semidefinite relaxation
 lifts them from that row and the load (see :mod:`wptopt.kkt`) rather than
-from constraint matrices of its own.
+from constraint matrices of its own.  The power rows c^T G_j c >= h_j are
+written once too, by `power_rows`, and every solver path reads them.
 """
 
 import math
@@ -25,8 +26,10 @@ __all__ = [
     "EvaluationReport",
     "realify",
     "build_affine",
+    "power_rows",
     "build_problem",
     "evaluate",
+    "current_residuals",
 ]
 
 
@@ -90,6 +93,23 @@ def build_affine(z, r_load):
     return a, b
 
 
+def power_rows(n_tx, power_caps=None, constrain_powers=True):
+    """The transmit-power rows sign * p[port] >= rhs, as a list of
+    (port, sign, rhs): p_n >= 0 for every transmitter, then -p_n >= -cap_n
+    for each under `power_caps`; none when the powers are not constrained."""
+    if not constrain_powers:
+        return []
+    rows = [(n, 1.0, 0.0) for n in range(n_tx)]
+    if power_caps is None:
+        return rows
+    caps = tuple(float(v) for v in power_caps)
+    if len(caps) != n_tx:
+        raise ValueError("one power cap per transmitter required")
+    if not all(math.isfinite(v) for v in caps):
+        raise ValueError(f"power caps must be finite, got {caps}")
+    return rows + [(n, -1.0, -cap) for n, cap in enumerate(caps)]
+
+
 # ---------------------------------------------------------------------------
 # problem record
 # ---------------------------------------------------------------------------
@@ -97,10 +117,11 @@ def build_affine(z, r_load):
 
 @dataclass(frozen=True)
 class QcqpProblem:
-    """Data of min c^T Q0 c s.t. c^T Q[n] c >= 0 (or <= cap), A c = b.
+    """Data of min c^T Q0 c s.t. c^T G[j] c >= h[j], A c = b.
 
     q0 is the realified loss matrix (positive definite); q is the tuple of
-    realified transmitter port power matrices (indefinite); A c = b are the
+    realified transmitter port power matrices (indefinite); g and h are the
+    power rows of `power_rows`, G[j] = sign_j Q[port_j]; A c = b are the
     current equalities, A's first row the KVL row.
     """
 
@@ -111,10 +132,12 @@ class QcqpProblem:
     q: tuple
     a: np.ndarray
     b: np.ndarray
+    g: np.ndarray
+    h: np.ndarray
     power_caps: tuple = field(default=None)
 
     def __post_init__(self):
-        for arr in (self.q0, self.a, self.b) + self.q:
+        for arr in (self.q0, self.a, self.b, self.g, self.h) + self.q:
             arr.setflags(write=False)
 
     def current_from_real(self, c):
@@ -122,8 +145,9 @@ class QcqpProblem:
         return _realify_vector(c, self.n_tx + 1)
 
 
-def build_problem(z, r_load, power_caps=None):
-    """Assemble the full QCQP data from an impedance matrix and load."""
+def build_problem(z, r_load, power_caps=None, constrain_powers=True):
+    """Assemble the full QCQP data from an impedance matrix and load, with
+    the power rows of `power_rows`."""
     if isinstance(z, ImpedanceMatrix):
         zmat = z.entries
     else:
@@ -136,14 +160,8 @@ def build_problem(z, r_load, power_caps=None):
     zloaded[-1, -1] += r_load
     pims = port_impedance_matrices(zloaded)
     q = tuple(realify(pims[j]) for j in range(n - 1))
+    rows = power_rows(n - 1, power_caps, constrain_powers)
     a, b = build_affine(zmat, r_load)
-    caps = None
-    if power_caps is not None:
-        caps = tuple(float(v) for v in power_caps)
-        if len(caps) != n - 1:
-            raise ValueError("one power cap per transmitter required")
-        if not all(math.isfinite(v) for v in caps):
-            raise ValueError(f"power caps must be finite, got {caps}")
     return QcqpProblem(
         m=2 * n - 1,
         n_tx=n - 1,
@@ -152,7 +170,9 @@ def build_problem(z, r_load, power_caps=None):
         q=q,
         a=a,
         b=b,
-        power_caps=caps,
+        g=np.array([sign * q[port] for port, sign, _ in rows]).reshape(-1, *q0.shape),
+        h=np.array([rhs for *_, rhs in rows]),
+        power_caps=None if power_caps is None else tuple(float(v) for v in power_caps),
     )
 
 
@@ -174,13 +194,12 @@ def evaluate(problem, c):
     c = np.asarray(c, dtype=float)
     obj = float(c @ problem.q0 @ c)
     powers = np.array([float(c @ qn @ c) for qn in problem.q])
-    res = problem.a @ c - problem.b
-    report = EvaluationReport(
-        objective=obj,
-        tx_powers=powers,
-        kvl_residual=float(res[0]),
-        pl_residual=float(0.5 * problem.r_load * c[problem.n_tx] ** 2 - 1.0),
-    )
-    report.tx_powers.setflags(write=False)
-    return report
+    powers.setflags(write=False)
+    return EvaluationReport(obj, powers, *current_residuals(problem, c))
+
+
+def current_residuals(problem, c):
+    """(KVL, received-power) residuals of the current equalities at c."""
+    kvl = float((problem.a @ c - problem.b)[0])
+    return kvl, float(0.5 * problem.r_load * c[problem.n_tx] ** 2 - 1.0)
 

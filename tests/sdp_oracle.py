@@ -770,19 +770,11 @@ def conic_rows(k, r_load):
     return k0, k_list, r
 
 
-def build_instance(problem, form="conic", constrain_powers=True):
-    """Assemble the solver instance for a QCQP in either relaxation form."""
-    if not constrain_powers:
-        ineqs = ()
-    elif problem.power_caps is not None:
-        ineqs = tuple(
-            (qn, "<=", float(cap), f"tx-power-{n}")
-            for n, (qn, cap) in enumerate(zip(problem.q, problem.power_caps))
-        )
-    else:
-        ineqs = tuple(
-            (qn, ">=", 0.0, f"tx-power-{n}") for n, qn in enumerate(problem.q)
-        )
+def build_instance(problem, form="conic"):
+    """Assemble the solver instance for a QCQP in either relaxation form,
+    with the problem's power rows <G_j, X> >= h_j."""
+    rows = enumerate(zip(problem.g, problem.h))
+    ineqs = tuple((gj, ">=", float(hj), f"power-row-{j}") for j, (gj, hj) in rows)
     if form == "affine":
         return SdpInstance(
             cost=problem.q0,

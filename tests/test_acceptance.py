@@ -23,6 +23,7 @@ from wptopt.circuit import (
     PRESET_FREQUENCY,
     PRESETS,
     GeometrySpec,
+    ImpedanceMatrix,
     build_loop_system,
     matrix_from_json,
     matrix_to_json,
@@ -35,7 +36,7 @@ from wptopt.closedform import (
 )
 from wptopt.dual import solve_barrier
 from wptopt.pims import pim_eigensystem, pim_split, port_impedance_matrices
-from wptopt.pipeline import full_pipeline, optimize_load, solve_relaxation
+from wptopt.pipeline import PipelineOptions, full_pipeline, optimize_load, solve_relaxation
 from wptopt.qcqp import build_problem
 
 LAM = C0 / PRESET_FREQUENCY
@@ -124,8 +125,8 @@ def test_criterion_2_convex_chain():
                 z = preset_system(name, d, theta)
                 cf = solve_closed_form(z)
                 _, p_qp, _ = solve_min_loss_qp(z, cf.r_load_opt)
-                problem = build_problem(z, cf.r_load_opt)
-                res = solve_relaxation(problem, constrain_powers=False)
+                problem = build_problem(z, cf.r_load_opt, constrain_powers=False)
+                res = solve_relaxation(problem)
                 desc = minimize_loss_descent(problem, candidate=p_qp)
                 gaps = [abs(res.p_relax - p_qp), abs(desc.objective - p_qp)]
                 if z.n_ports <= 3:
@@ -277,9 +278,11 @@ def test_criterion_7_kkt_duality(retarded_sweeps):
         if name != "siso":
             cases.append((retarded_system(name, 0.1, 45.0), True))
         for z, constrained in cases:
-            problem = build_problem(z, solve_closed_form(z).r_load_opt)
-            res = solve_relaxation(problem, constrain_powers=constrained)
-            x_mat = solve_barrier(problem, constrain_powers=constrained).x_mat
+            problem = build_problem(
+                z, solve_closed_form(z).r_load_opt, constrain_powers=constrained
+            )
+            res = solve_relaxation(problem)
+            x_mat = solve_barrier(problem).x_mat
             pobj = float(np.sum(problem.q0 * x_mat))
             gap = abs(pobj - res.p_relax) / (1.0 + abs(pobj) + abs(res.p_relax))
             n_solves += 1
@@ -319,15 +322,16 @@ def test_criterion_8_load_search():
     )
 
 
+def random_system(rng):
+    """A random passive 3-port of criterion 9."""
+    g = rng.standard_normal((3, 2))
+    re = g @ g.T + 0.05 * np.eye(3)
+    im = rng.standard_normal((3, 3)) * 3.0
+    return re + 1j * 0.5 * (im + im.T)
+
+
 def test_criterion_9_constrained_oracle():
     """Grid-plus-polish global search agrees with the relaxation optimum."""
-
-    def random_system(rng):
-        g = rng.standard_normal((3, 2))
-        re = g @ g.T + 0.05 * np.eye(3)
-        im = rng.standard_normal((3, 3)) * 3.0
-        return re + 1j * 0.5 * (im + im.T)
-
     worst = 0.0
     binding = 0
     for seed in range(10):
@@ -342,4 +346,28 @@ def test_criterion_9_constrained_oracle():
         "criterion-9 constrained-oracle",
         worst <= 1e-4 and binding >= 5,
         f"worst rel {worst:.2e} over 10 systems, {binding} with binding constraints",
+    )
+
+
+def test_criterion_9_under_caps():
+    """Caps keep the nonnegative rows: on the criterion-9 systems, capped
+    at twice the largest closed-form power, no transmitter absorbs power and
+    every row agrees with the grid oracle of the capped QCQP."""
+    worst, worst_neg, binding = 0.0, 0.0, 0
+    for seed in range(10):
+        z = ImpedanceMatrix(random_system(np.random.default_rng(seed)), 1e6)
+        cf = solve_closed_form(z)
+        caps = (2.0 * float(np.abs(cf.p_tx).max()),) * z.n_tx
+        res = full_pipeline(z, options=PipelineOptions(power_caps=caps))
+        binding += not res.skipped
+        p = res.transmit_powers
+        worst_neg = max(worst_neg, -float(p.min()) / max(1.0, float(np.abs(p).max())))
+        problem = build_problem(z, res.r_load, power_caps=caps)
+        rep = brute_force_qcqp(problem, candidate=res.p_relax)
+        worst = max(worst, abs(rep.objective - res.p_relax) / abs(res.p_relax))
+    report(
+        "criterion-9 under caps",
+        worst <= 1e-9 and worst_neg <= 1e-9 and binding >= 5,
+        f"worst rel {worst:.2e}, worst negative power {worst_neg:.2e} of max(1, max|p|), "
+        f"{binding} binding rows",
     )

@@ -21,6 +21,7 @@ from wptopt.circuit import (
     PRESET_FREQUENCY,
     GeometrySpec,
     ImpedanceMatrix,
+    build_loop_system,
     load_impedance_file,
     matrix_from_json,
     matrix_to_json,
@@ -159,6 +160,27 @@ class TestExitCodes:
         assert cli.main(["solve", "--preset", "miso-2p", *flags]) == 2
         err = capsys.readouterr().err
         assert message in err and "Traceback" not in err
+
+    def test_uncoupled_matrix_is_invalid_input(self, tmp_path, capsys):
+        z = build_loop_system(GeometrySpec.preset("siso", 0.1 * LAM))
+        dead = matrix_to_json(z)
+        dead["re"] = [[0.02, 0.0], [0.0, 0.02]]
+        dead["im"] = [[56.0, 0.0], [0.0, 56.0]]  # zero mutual: uncoupled
+        path = tmp_path / "dead.json"
+        path.write_text(json.dumps(dead))
+        assert cli.main(["solve", "--matrix", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "invalid input: receiver is uncoupled" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("theta", ["0", "90"])
+    def test_receiver_beyond_the_separation_bound(self, theta, capsys):
+        # once an OverflowError (90 deg) and an inf / inf in the quadrature (0 deg)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main(["solve", "--preset", "siso", "--d", "1e300", "--theta", theta])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "at most 1e+150 m from the origin" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("flag", [["--form", "conic"], ["--tol", "1e-8"]])
     def test_solver_knobs_are_gone(self, flag):
@@ -370,8 +392,6 @@ class TestSweep:
         assert len(a.splitlines()) == 8
 
     def test_partial_failure_keeps_going(self, tmp_path, capsys):
-        from wptopt.circuit import build_loop_system
-
         good = [
             {"theta_deg": theta,
              "matrix": matrix_to_json(build_loop_system(GeometrySpec.preset(
@@ -403,6 +423,26 @@ class TestSweep:
         assert row["eta"] == "nan"
         assert row["form"] == ""
         assert "theta=10.0" in capsys.readouterr().err
+
+    def test_capped_sweep_is_rfc4180_csv(self, family_file, tmp_path):
+        # the caps label and a family path holding a comma are quoted fields;
+        # caps keep every transmit power nonnegative
+        path = tmp_path / "a,b" / "family.json"
+        path.parent.mkdir()
+        path.write_text(open(family_file, encoding="utf-8").read())
+        out = tmp_path / "out"
+        assert cli.main(["sweep", "--matrix", str(path), "--constraints", "caps=1e6,1e6",
+                         "--out", str(out)]) == 0
+        with open(out / "sweep.csv", newline="") as fh:
+            header, *rows = list(csv.reader(fh))
+        assert len(rows) == 3 and {len(row) for row in rows} == {len(header)}
+        for row in rows:
+            rec = dict(zip(header, row))
+            assert rec["source"] == f"file:{path}"
+            assert rec["constraint_mode"] == "caps=1e6,1e6"
+            p = np.array([float(rec["p_t_1_w"]), float(rec["p_t_2_w"])])
+            assert p.min() >= -1e-9 * max(1.0, np.abs(p).max())
+        assert all(rec["skipped"] == "false" for rec in read_rows(out / "sweep.csv"))
 
     def test_a_sweep_writes_the_rows_of_its_points_swept_alone(self, tmp_path):
         assert cli.main(["sweep", "--preset", "miso-3p", "--theta-range=-90:90:10",

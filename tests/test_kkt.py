@@ -32,7 +32,7 @@ def certified():
     return z, problem, c_cf, point
 
 
-def audit(problem, point, x_mat=None, lam=None, dual_slack=None, constrain_powers=True):
+def audit(problem, point, x_mat=None, lam=None, dual_slack=None):
     """The audit at the certified point with the given parts replaced."""
     c = point.c
     return relaxation_audit(
@@ -41,7 +41,6 @@ def audit(problem, point, x_mat=None, lam=None, dual_slack=None, constrain_power
         point.lam if lam is None else lam,
         point.dual_slack if dual_slack is None else dual_slack,
         point.objective,
-        constrain_powers,
     )
 
 
@@ -73,7 +72,8 @@ def test_negative_transmit_power_breaks_the_inequalities(certified):
     assert rep.inequalities > TOL
     assert rep.inequalities == pytest.approx(-p_min, rel=1e-9)
     # without power constraints there is no inequality to break
-    assert audit(problem, point, x_mat=x_cf, constrain_powers=False).inequalities == 0.0
+    free = build_problem(z, problem.r_load, constrain_powers=False)
+    assert audit(free, point, x_mat=x_cf).inequalities == 0.0
     # and a cap below a transmit power breaks its row as well
     cap = 0.5 * float(evaluate(problem, point.c).tx_powers.max())
     capped = build_problem(z, problem.r_load, power_caps=(cap,) * problem.n_tx)

@@ -86,7 +86,12 @@ class TestBuildInstance:
         z = quasi_system()
         prob = build_problem(z, 10.0, power_caps=(3.0, 4.0))
         inst = build_instance(prob)
-        assert [(s, r) for _, s, r, _ in inst.inequalities] == [("<=", 3.0), ("<=", 4.0)]
+        # caps keep p_n >= 0 and add each cap as a power row of flipped sign
+        rows = [(s, r) for _, s, r, _ in inst.inequalities]
+        assert rows == [(">=", 0.0), (">=", 0.0), (">=", -3.0), (">=", -4.0)]
+        mats = [g for g, *_ in inst.inequalities]
+        for g, ref in zip(mats, prob.q + tuple(-qn for qn in prob.q)):
+            assert np.array_equal(g, ref)
 
     def test_affine_form_carries_current_rows(self):
         z = quasi_system()
@@ -98,8 +103,8 @@ class TestBuildInstance:
 
     def test_power_constraints_removable(self):
         z = quasi_system()
-        prob = build_problem(z, 10.0)
-        inst = build_instance(prob, constrain_powers=False)
+        prob = build_problem(z, 10.0, constrain_powers=False)
+        inst = build_instance(prob)
         assert inst.inequalities == ()
 
 
@@ -171,8 +176,8 @@ class TestSolveRelaxation:
     def test_unconstrained_matches_analytic_qp(self):
         z = quasi_system("miso-3p")
         r_load = solve_closed_form(z).r_load
-        prob = build_problem(z, r_load)
-        res = solve_relaxation(prob, constrain_powers=False)
+        prob = build_problem(z, r_load, constrain_powers=False)
+        res = solve_relaxation(prob)
         _, p_loss, _ = solve_min_loss_qp(z, r_load)
         assert res.p_relax == pytest.approx(p_loss, rel=1e-8)
         assert res.tight

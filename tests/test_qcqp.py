@@ -209,6 +209,18 @@ class TestProblem:
         with pytest.raises(ValueError, match="per transmitter"):
             build_problem(z, 0.05, power_caps=[1.0])
 
+    def test_power_rows_of_each_mode(self):
+        z = build_loop_system(GeometrySpec.preset("miso-2p", 0.1 * LAM, 0.0))
+        q = np.array(build_problem(z, 0.05).q)
+        for caps, constrain, g, h in [
+            (None, True, q, [0.0, 0.0]),
+            ((2.0, 3.0), True, np.concatenate([q, -q]), [0.0, 0.0, -2.0, -3.0]),
+            ((2.0, 3.0), False, q[:0], []),
+        ]:
+            prob = build_problem(z, 0.05, power_caps=caps, constrain_powers=constrain)
+            assert np.array_equal(prob.g, g) and np.array_equal(prob.h, h)
+            assert not prob.g.flags.writeable and not prob.h.flags.writeable
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_power_caps_rejected(self, bad):
         # they used to reach LAPACK inside the relaxation (dsyevd failed)

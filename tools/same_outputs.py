@@ -9,7 +9,8 @@ BLAS on one thread:
 - ``wptopt sweep`` of every family of every seed;
 - the CI quasi-static grid (theta -90:90:2, six distances) of all 5 presets;
 - the seed-0 miso-3p family with ``--rl optimize`` and with
-  ``--constraints none``;
+  ``--constraints none``, and the seed-0 miso-2p family with
+  ``--constraints caps=1e6,1e6``;
 - ``wptopt solve`` of the first point of the seed-0 miso-3p family, which
   binds, and ``wptopt validate``.
 
@@ -118,6 +119,8 @@ def jobs(seeds, paths, binding):
     out.append(("seed0/miso-3p-rl-optimize", ["sweep", "--matrix", family, "--rl", "optimize"]))
     out.append(("seed0/miso-3p-constraints-none",
                 ["sweep", "--matrix", family, "--constraints", "none"]))
+    out.append(("seed0/miso-2p-caps",
+                ["sweep", "--matrix", paths[0]["miso-2p"], "--constraints", "caps=1e6,1e6"]))
     out.append(("solve-binding", ["solve", "--matrix", binding]))
     out = [(name, argv + ["--out", name]) for name, argv in out]
     out.append(("validate", ["validate"]))
