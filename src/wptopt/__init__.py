@@ -33,6 +33,7 @@ from .circuit import (
 from .closedform import (
     ClosedFormSolution,
     NoCouplingError,
+    NonFiniteError,
     max_pte,
     mutual_q,
     optimal_load,
@@ -51,7 +52,6 @@ from .pipeline import (
     SdrResult,
     full_pipeline,
     optimize_load,
-    result_record,
     solve_relaxation,
     solve_rows,
 )
@@ -70,6 +70,7 @@ __all__ = [
     "LoadSearch",
     "Loop",
     "NoCouplingError",
+    "NonFiniteError",
     "PassivityError",
     "PimEigensystem",
     "PipelineOptions",
@@ -96,7 +97,6 @@ __all__ = [
     "pim_split",
     "port_impedance_matrices",
     "realify",
-    "result_record",
     "save_impedance_file",
     "solve_closed_form",
     "solve_closed_forms",

@@ -2,7 +2,8 @@
 
 Subcommands
 -----------
-solve       one operating point (preset geometry or ingested matrix file)
+solve       one preset or matrix-file point, the one-point case of sweep: its
+            record is the point's sweep row plus inputs hash, currents, policy
 sweep       theta sweep over a preset, or an ingested point family; writes
             sweep.csv plus polar-ready pattern CSVs and a provenance JSON
 validate    identity and agreement battery over all presets
@@ -35,6 +36,7 @@ import tempfile
 
 import numpy as np
 
+from . import __version__
 from .circuit import (
     C0,
     PRESET_FREQUENCY,
@@ -43,14 +45,15 @@ from .circuit import (
     GeometrySpec,
     PassivityError,
     SchemaError,
-    build_loop_system,
     build_loop_systems,
     hash_matrix,
     load_impedance_file,
     matrix_from_json,
     save_impedance_file,
 )
-from .closedform import NoCouplingError, max_pte, solve_closed_form, solve_min_loss_qp
+from .closedform import (
+    NoCouplingError, NonFiniteError, max_pte, solve_closed_form, solve_min_loss_qp
+)
 from .oracle import verify_identities
 from .pipeline import (
     ROW_ERRORS,
@@ -58,9 +61,7 @@ from .pipeline import (
     RelaxationError,
     build_problem,
     cap_r,
-    full_pipeline,
     optimize_load,
-    result_record,
     solve_relaxation,
     solve_rows,
 )
@@ -249,26 +250,33 @@ def _build_parser() -> argparse.ArgumentParser:
 # ---------------------------------------------------------------- helpers
 
 
-def _preset_geometry(name: str, d_frac: float, theta_deg: float) -> GeometrySpec:
+def _preset_systems(name: str, grid):
+    """The impedance matrices of a preset at (theta_deg, d_frac) points, from
+    one quadrature pass."""
     lam = C0 / PRESET_FREQUENCY
-    return GeometrySpec.preset(name, d_frac * lam, angle=math.radians(theta_deg))
+    return build_loop_systems(
+        GeometrySpec.preset(name, d_frac * lam, angle=math.radians(theta_deg))
+        for theta_deg, d_frac in grid
+    )
 
 
-def _preset_system(name: str, d_frac: float, theta_deg: float):
-    return build_loop_system(_preset_geometry(name, d_frac, theta_deg))
-
-
-def _load_family(path):
-    """Ingested sweep family: list of {theta_deg, d_frac?, matrix} points."""
+def _read_matrix_file(path, family: bool):
+    """The (theta_deg, d_frac, z) points of a --matrix file: a family of
+    {theta_deg, d_frac?, matrix} points, or one matrix at theta = d = NaN."""
     with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise SchemaError(f"{path}: not valid JSON: {exc}") from exc
     if isinstance(data, dict):
         data = data.get("points", data)
-    if not isinstance(data, list):
+    if isinstance(data, list) != family:
         raise SchemaError(
-            "sweep ingestion needs a list of {theta_deg, matrix} points; "
-            "single matrices are for `solve --matrix`"
+            "families (lists of {theta_deg, matrix} points) are for `sweep --matrix`, "
+            "single matrices for `solve --matrix`"
         )
+    if not family:
+        return [(float("nan"), float("nan"), matrix_from_json(data))]
     points = []
     for k, entry in enumerate(data):
         if not isinstance(entry, dict) or "matrix" not in entry or "theta_deg" not in entry:
@@ -283,25 +291,110 @@ def _load_family(path):
     return points
 
 
+def _points(args):
+    """Resolve the source flags into ((theta_deg, d_frac, z) points, source
+    label, transmitter count).  `solve` is the one-point case of `sweep`: the
+    grid [(--theta, --d)] of a preset, or one --matrix file at theta = d = NaN.
+    """
+    if (args.preset is None) == (args.matrix is None):
+        raise CommandError("pass exactly one of --preset or --matrix")
+    sweep = args.command == "sweep"
+    if args.matrix is not None:
+        if sweep and args.theta_range is not None:
+            raise CommandError(
+                "--theta-range applies to presets; ingested families carry their own angles"
+            )
+        points = _read_matrix_file(args.matrix, family=sweep)
+        source = f"file:{args.matrix}"
+    else:
+        if not sweep:
+            grid = [(args.theta, args.d)]
+        elif args.theta_range is None:
+            raise CommandError("preset sweeps need --theta-range START:STOP:STEP")
+        else:
+            grid = [(theta, d) for d in args.d for theta in args.theta_range]
+        systems = _preset_systems(args.preset, grid)
+        points = [(theta, d, z) for (theta, d), z in zip(grid, systems)]
+        source = f"preset:{args.preset}"
+    if not points:
+        raise CommandError("sweep is empty")
+    n_tx = points[0][2].n_tx
+    if any(z.n_tx != n_tx for _, _, z in points):
+        raise CommandError("all sweep points must have the same port count")
+    caps = args.constraints[2]
+    if caps is not None and len(caps) != n_tx:
+        raise CommandError(
+            f"caps list has {len(caps)} entries but the system has {n_tx} transmitters"
+        )
+    return points, source, n_tx
+
+
 def _pipeline_options(args) -> PipelineOptions:
     _, constrain, caps = args.constraints
     return PipelineOptions(power_caps=caps, constrain_powers=constrain)
 
 
-def _check_caps(caps, n_tx: int):
-    if caps is not None and len(caps) != n_tx:
-        raise CommandError(
-            f"caps list has {len(caps)} entries but the system has {n_tx} transmitters"
-        )
+def _solve_rows(zs, rl_policy, opts: PipelineOptions):
+    """Each link's (SdrResult or the `ROW_ERRORS` exception it raised,
+    LoadSearch or None), in input order.
 
-
-def _solve_point(z, rl_policy, opts: PipelineOptions):
-    """Return (result, LoadSearch or None); the search only for 'optimize'."""
+    A fixed or 'auto' load solves the links together (:func:`solve_rows`);
+    'optimize' searches the load of one link after another.
+    """
     if rl_policy == "optimize":
-        search = optimize_load(z, options=opts)
-        return search.result, search
-    r_load = None if rl_policy == "auto" else float(rl_policy)
-    return full_pipeline(z, r_load, opts), None
+        for z in zs:
+            try:
+                search = optimize_load(z, options=opts)
+            except ROW_ERRORS as exc:
+                yield exc, None
+            else:
+                yield search.result, search
+    else:
+        r_load = None if rl_policy == "auto" else float(rl_policy)
+        for res in solve_rows(zs, r_load, opts):
+            yield res, None
+
+
+def _row(theta_deg, d_frac, z, source, args, res):
+    """One point's row from its result or the exception it raised: the
+    `SWEEP_COLUMNS` values, the per-port powers under "powers" and, for a
+    failed row, the failure text under "error"."""
+    row = {
+        "theta_deg": theta_deg,
+        "d_frac": d_frac,
+        "source": source,
+        "matrix_sha256": hash_matrix(hashlib.sha256(), z).hexdigest(),
+        "constraint_mode": args.constraints[0],
+    }
+    if isinstance(res, Exception):
+        nan = float("nan")
+        status = res.status if isinstance(res, RelaxationError) else type(res).__name__
+        failed = {
+            "form": "",
+            "status": f"error:{status}",
+            "skipped": False,
+            "tight": False,
+            "iterations": 0,
+            "powers": [nan] * z.n_tx,
+            "error": str(res),
+        }
+        return dict.fromkeys(SWEEP_COLUMNS, nan) | row | failed
+    return row | {
+        "form": res.form,
+        "r_load_ohm": res.r_load,
+        "status": res.status,
+        "skipped": res.skipped,
+        "tight": res.tight,
+        "epsilon": res.epsilon,
+        "eta": res.eta,
+        "p_relax_w": res.p_relax,
+        "x_r_ohm": res.x_r,
+        "c_r_farad": cap_r(res.x_r, z.omega),
+        "delta_eta_db": res.delta_eta_db,
+        "delta_cr_rel": res.delta_cr_rel,
+        "iterations": res.iterations,
+        "powers": [float(p) for p in res.transmit_powers],
+    }
 
 
 def _ensure_out(path):
@@ -319,21 +412,16 @@ def _write_text(path, lines):
 # ---------------------------------------------------------------- solve
 
 
-def _describe(
-    res, search, z, source: str, theta_deg: float, d_frac: float, args
-) -> str:
+def _describe(res, search, z, source: str, theta_deg: float, d_frac: float, args) -> str:
     cf = res.closed_form
-    label, _, _ = args.constraints
     lines = [
         f"system        : {source}  ({z.n_tx} tx + 1 rx port)",
         f"operating pt  : theta = {_fmt(theta_deg)} deg, d = {_fmt(d_frac)} lambda",
-        f"constraints   : {label}   path: {res.form}",
+        f"constraints   : {args.constraints[0]}   path: {res.form}",
         f"R_L           : {_fmt(res.r_load)} ohm (policy: {args.rl})",
     ]
     if search is not None:
-        lines.append(
-            f"load search   : {search.method}, {search.evaluations} evaluations"
-        )
+        lines.append(f"load search   : {search.method}, {search.evaluations} evaluations")
     lines += [
         f"eta           : {_fmt(res.eta)}   loss at 1 W received: {_fmt(res.p_relax)} W",
         f"x_r           : {_fmt(res.x_r)} ohm   C_r: {_fmt(cap_r(res.x_r, z.omega))} F",
@@ -358,37 +446,22 @@ def _describe(
     return "\n".join(lines)
 
 
-def _get_system(args):
-    """Resolve the source flags into (z, source label, theta_deg, d_frac)."""
-    if (args.preset is None) == (args.matrix is None):
-        raise CommandError("pass exactly one of --preset or --matrix")
-    if args.matrix is not None:
-        z = load_impedance_file(args.matrix)
-        return z, f"file:{args.matrix}", float("nan"), float("nan")
-    theta = getattr(args, "theta", 0.0)
-    z = _preset_system(args.preset, args.d, theta)
-    return z, f"preset:{args.preset}", theta, args.d
-
-
 def cmd_solve(args) -> int:
-    z, source, theta_deg, d_frac = _get_system(args)
-    _, _, caps = args.constraints
-    _check_caps(caps, z.n_tx)
-    opts = _pipeline_options(args)
-    res, search = _solve_point(z, args.rl, opts)
+    ((theta_deg, d_frac, z),), source, _ = _points(args)
+    ((res, search),) = _solve_rows([z], args.rl, _pipeline_options(args))
+    if isinstance(res, Exception):
+        raise res
     print(_describe(res, search, z, source, theta_deg, d_frac, args))
-    record = result_record(res, z)
-    record.update(
-        {
-            "source": source,
-            "theta_deg": theta_deg,
-            "d_frac": d_frac,
-            "matrix_sha256": hash_matrix(hashlib.sha256(), z).hexdigest(),
-            "constraint_mode": args.constraints[0],
-            "form": res.form,
-            "rl_policy": str(args.rl),
-        }
-    )
+    row = _row(theta_deg, d_frac, z, source, args, res)
+    inputs = hash_matrix(hashlib.sha256(), z)  # the matrix, then the load
+    inputs.update(np.float64(res.r_load).tobytes())
+    record = {key: row[key] for key in SWEEP_COLUMNS} | {
+        "inputs_sha256": inputs.hexdigest(),
+        "transmit_powers_w": row["powers"],
+        "currents_re": res.currents.real.tolist(),
+        "currents_im": res.currents.imag.tolist(),
+        "rl_policy": str(args.rl),
+    }
     if search is not None:
         record["load_search_method"] = search.method
         record["load_search_evaluations"] = search.evaluations
@@ -405,106 +478,12 @@ def cmd_solve(args) -> int:
 # ---------------------------------------------------------------- sweep
 
 
-def _sweep_tasks(args):
-    """Expand the source flags into ordered (theta_deg, d_frac, z) triples."""
-    if (args.preset is None) == (args.matrix is None):
-        raise CommandError("pass exactly one of --preset or --matrix")
-    if args.matrix is not None:
-        if args.theta_range is not None:
-            raise CommandError(
-                "--theta-range applies to presets; ingested families carry their own angles"
-            )
-        points = _load_family(args.matrix)
-        source = f"file:{args.matrix}"
-    else:
-        if args.theta_range is None:
-            raise CommandError("preset sweeps need --theta-range START:STOP:STEP")
-        grid = [(theta, d) for d in args.d for theta in args.theta_range]
-        systems = build_loop_systems(
-            _preset_geometry(args.preset, d, theta) for theta, d in grid
-        )
-        points = [(theta, d, z) for (theta, d), z in zip(grid, systems)]
-        source = f"preset:{args.preset}"
-    if not points:
-        raise CommandError("sweep is empty")
-    n_tx = points[0][2].n_tx
-    for _, _, z in points:
-        if z.n_tx != n_tx:
-            raise CommandError("all sweep points must have the same port count")
-    return points, source, n_tx
-
-
-def _solve_rows(zs, rl_policy, opts: PipelineOptions):
-    """Each link's SdrResult, or the `ROW_ERRORS` exception it raised, in
-    input order.
-
-    A fixed or 'auto' load solves the links together (:func:`solve_rows`);
-    'optimize' searches the load of one link after another.
-    """
-    if rl_policy != "optimize":
-        yield from solve_rows(zs, None if rl_policy == "auto" else float(rl_policy), opts)
-        return
-    for z in zs:
-        try:
-            yield optimize_load(z, options=opts).result
-        except ROW_ERRORS as exc:
-            yield exc
-
-
-def _sweep_row(theta_deg, d_frac, z, source, args, res):
-    """One point's row from its result or the exception it raised: the
-    `SWEEP_COLUMNS` values, the per-port powers under "powers" and, for a
-    failed row, the failure text under "error"."""
-    row = {
-        "theta_deg": theta_deg,
-        "d_frac": d_frac,
-        "source": source,
-        "matrix_sha256": hash_matrix(hashlib.sha256(), z).hexdigest(),
-        "constraint_mode": args.constraints[0],
-    }
-    if isinstance(res, Exception):
-        nan = float("nan")
-        status = res.status if isinstance(res, RelaxationError) else type(res).__name__
-        failed = {
-            "form": "",
-            "status": f"error:{status}",
-            "skipped": False,
-            "tight": False,
-            "iterations": 0,
-            "powers": [nan] * z.n_tx,
-            "error": str(res),
-        }
-        return dict.fromkeys(SWEEP_COLUMNS, nan) | row | failed
-    row.update(
-        {
-            "form": res.form,
-            "r_load_ohm": res.r_load,
-            "status": res.status,
-            "skipped": res.skipped,
-            "tight": res.tight,
-            "epsilon": res.epsilon,
-            "eta": res.eta,
-            "p_relax_w": res.p_relax,
-            "x_r_ohm": res.x_r,
-            "c_r_farad": cap_r(res.x_r, z.omega),
-            "delta_eta_db": res.delta_eta_db,
-            "delta_cr_rel": res.delta_cr_rel,
-            "iterations": res.iterations,
-            "powers": [float(p) for p in res.transmit_powers],
-        }
-    )
-    return row
-
-
 def cmd_sweep(args) -> int:
-    points, source, n_tx = _sweep_tasks(args)
-    mode_label, _, caps = args.constraints
-    _check_caps(caps, n_tx)
-    opts = _pipeline_options(args)
-    results = _solve_rows([z for _, _, z in points], args.rl, opts)
+    points, source, n_tx = _points(args)
+    results = _solve_rows([z for _, _, z in points], args.rl, _pipeline_options(args))
     rows = [
-        _sweep_row(theta, d, z, source, args, res)
-        for (theta, d, z), res in zip(points, results)
+        _row(theta, d, z, source, args, res)
+        for (theta, d, z), (res, _) in zip(points, results)
     ]
 
     out_dir = _ensure_out(args.out or ".")
@@ -519,12 +498,12 @@ def cmd_sweep(args) -> int:
     _write_patterns(out_dir, rows)
     provenance = {
         "columns": list(SWEEP_COLUMNS + power_cols),
-        "constraint_mode": mode_label,
+        "constraint_mode": args.constraints[0],
         "inputs_sha256": _sweep_hash(points, args),
         "n_rows": len(rows),
         "rl_policy": str(args.rl),
         "source": source,
-        "version": _version(),
+        "version": __version__,
     }
     _write_text(
         os.path.join(out_dir, "sweep.json"),
@@ -575,12 +554,6 @@ def _sweep_hash(points, args) -> str:
     return h.hexdigest()
 
 
-def _version() -> str:
-    from . import __version__
-
-    return __version__
-
-
 # ---------------------------------------------------------------- validate
 
 
@@ -597,7 +570,7 @@ def cmd_validate(args) -> int:
         "eta_max(U=2)",
     )
     for name in PRESETS:
-        z = _preset_system(name, 0.1, 18.0)
+        (z,) = _preset_systems(name, [(18.0, 0.1)])
         rep = verify_identities(z)
         _check(
             checks,
@@ -642,7 +615,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_gen_matrix(args) -> int:
-    z = _preset_system(args.preset, args.d, args.theta)
+    (z,) = _preset_systems(args.preset, [(args.theta, args.d)])
     out_dir = _ensure_out(args.out)
     name = f"{args.preset}_d{args.d:g}_theta{args.theta:g}.json"
     path = os.path.join(out_dir, name)
@@ -677,9 +650,7 @@ def main(argv=None) -> int:
     except CommandError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (
-        GeometryError, SchemaError, PassivityError, NoCouplingError, json.JSONDecodeError
-    ) as exc:
+    except (GeometryError, SchemaError, PassivityError, NoCouplingError, NonFiniteError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except RelaxationError as exc:

@@ -24,6 +24,7 @@ solution is bit for bit the same alone or in a stack.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -35,6 +36,10 @@ from .pims import port_powers
 
 class NoCouplingError(ValueError):
     """The receiver is magnetically isolated; no power can be transferred."""
+
+
+class NonFiniteError(ValueError):
+    """A link's closed-form loss, load or powers overflow double range."""
 
 
 def _entries(z) -> np.ndarray:
@@ -158,7 +163,8 @@ def solve_closed_form(
     """Globally optimal unconstrained operating point of a link.
 
     When ``r_load`` is omitted the efficiency-optimal load is used.
-    Raises :class:`NoCouplingError` for an isolated receiver.  Accepts a
+    Raises :class:`NoCouplingError` for an isolated receiver and
+    :class:`NonFiniteError` for figures outside double range.  Accepts a
     plain complex matrix too, checked as an ImpedanceMatrix is (SchemaError
     or PassivityError on a bad one).
     """
@@ -173,10 +179,10 @@ def solve_closed_forms(zs, r_load: float | None = None) -> list:
     count.
 
     Returns, in input order, each link's ClosedFormSolution or the error
-    it alone raises (NoCouplingError, SchemaError, PassivityError); an
-    error stays with its own row.  Each solution is bit for bit the one
-    the link gets alone.  Raises ValueError for a load that is not
-    positive and finite.
+    it alone raises (NoCouplingError, NonFiniteError, SchemaError,
+    PassivityError); an error stays with its own row.  Each solution is bit
+    for bit the one the link gets alone.  Raises ValueError for a load that
+    is not positive and finite.
     """
     _check_load(r_load)
     out = [None] * len(zs)
@@ -199,25 +205,39 @@ def solve_closed_forms(zs, r_load: float | None = None) -> list:
 
 
 def _closed_form_rows(z, r_load):
-    """ClosedFormSolutions of a (K, N, N) stack of coupled links."""
+    """ClosedFormSolutions of a (K, N, N) stack of coupled links; a link out
+    of double range silently gets its error instead: NoCouplingError where
+    its coupling o U^2 underflows to 0, else NonFiniteError."""
     zt, ztr = z[:, :-1, :-1], z[:, :-1, -1]
-    z_o, u = _zo_u(z)
-    ro = z_o.real
-    r_opt = optimal_load(z_o, u)
-    rl = r_opt if r_load is None else np.full(len(z), float(r_load))
-    i_r = np.sqrt(2.0 / rl)
-    weight = (ro + rl) / (ro * u * u)
-    i_t = -_solve(zt.real, ztr.real + weight[:, None] * ztr.conj()) * i_r[:, None]
-    x_r = -z_o.imag
-    eta = resonant_pte(z_o, u, rl)
-    zhat = z.copy()
-    zhat[:, -1, -1] += 1j * x_r + rl
-    p_tx = port_powers(zhat, np.concatenate([i_t, i_r[:, None]], axis=1))[:, :-1]
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        z_o, u = _zo_u(z)
+        ro = z_o.real
+        r_opt = optimal_load(z_o, u)
+        rl = r_opt if r_load is None else np.full(len(z), float(r_load))
+        i_r = np.sqrt(2.0 / rl)
+        weight = (ro + rl) / (ro * u * u)
+        i_t = -_solve(zt.real, ztr.real + weight[:, None] * ztr.conj()) * i_r[:, None]
+        x_r = -z_o.imag
+        eta = resonant_pte(z_o, u, rl)
+        zhat = z.copy()
+        zhat[:, -1, -1] += 1j * x_r + rl
+        p_tx = port_powers(zhat, np.concatenate([i_t, i_r[:, None]], axis=1))[:, :-1]
+        finite = np.isfinite(r_opt) & np.isfinite(eta) & np.isfinite(p_tx).all(axis=1)
     rows = []
-    for k in range(len(z)):
+    for k, in_range in enumerate(finite.tolist()):
         # squares of Python floats (libm's pow): numpy's square of an array
         # differs from it in the last bit now and then
         r, o, uk = float(rl[k]), float(ro[k]), float(u[k])
+        try:
+            p_loss = (1.0 / r) * (o + (o + r) ** 2 / (o * uk * uk))
+        except ZeroDivisionError:
+            rows.append(NoCouplingError("receiver coupling underflows to 0"))
+            continue
+        except OverflowError:
+            p_loss = math.inf
+        if not (in_range and math.isfinite(p_loss)):
+            rows.append(NonFiniteError(f"loss at 1 W received overflows at R_L = {r!r} ohm"))
+            continue
         rows.append(
             ClosedFormSolution(
                 z_o=z_o[k],
@@ -226,7 +246,7 @@ def _closed_form_rows(z, r_load):
                 r_load_opt=float(r_opt[k]),
                 eta=float(eta[k]),
                 eta_max=float(max_pte(uk)),
-                p_loss=(1.0 / r) * (o + (o + r) ** 2 / (o * uk * uk)),
+                p_loss=p_loss,
                 i_t=i_t[k],
                 i_r=float(i_r[k]),
                 x_r=float(x_r[k]),

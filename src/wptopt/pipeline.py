@@ -28,14 +28,13 @@ to the relative width `LOAD_REL_TOL`, falling back to a grid scan if the
 efficiency profile fails the unimodality probe.
 """
 
-import hashlib
 import math
 import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .circuit import ImpedanceMatrix, hash_matrix
+from .circuit import ImpedanceMatrix
 from .closedform import ClosedFormSolution, solve_closed_forms
 from .dual import solve_barrier, solve_dual
 from .kkt import relaxation_audit
@@ -55,7 +54,6 @@ __all__ = [
     "optimize_load",
     "LoadSearch",
     "cap_r",
-    "result_record",
 ]
 
 SKIP_TOLERANCE = -1e-12  # watts; closed-form powers above this mean no SDR run
@@ -450,27 +448,3 @@ def optimize_load(
     best = max(cache, key=eta_at)
     return LoadSearch(float(best), cache[best], len(cache), "brent")
 
-
-def result_record(result: SdrResult, z: ImpedanceMatrix) -> dict:
-    """JSON-ready record of one pipeline run, keyed by an input hash."""
-    h = hash_matrix(hashlib.sha256(), z)
-    h.update(np.float64(result.r_load).tobytes())
-    i = np.asarray(result.currents, dtype=complex)
-    return {
-        "inputs_sha256": h.hexdigest(),
-        "r_load_ohm": result.r_load,
-        "eta": result.eta,
-        "epsilon": result.epsilon,
-        "tight": result.tight,
-        "skipped": result.skipped,
-        "status": result.status,
-        "transmit_powers_w": [float(p) for p in result.transmit_powers],
-        "currents_re": [float(v) for v in i.real],
-        "currents_im": [float(v) for v in i.imag],
-        "x_r_ohm": result.x_r,
-        "c_r_farad": cap_r(result.x_r, z.omega),
-        "p_relax_w": result.p_relax,
-        "delta_eta_db": result.delta_eta_db,
-        "delta_cr_rel": result.delta_cr_rel,
-        "iterations": result.iterations,
-    }

@@ -73,8 +73,10 @@ class TestExitCodes:
         path.write_text('{"frequency_hz": 1.0}')
         assert cli.main(["solve", "--matrix", str(path)]) == 2
 
-    def test_family_file_rejected_by_solve(self, family_file):
+    def test_family_file_rejected_by_solve(self, family_file, capsys):
         assert cli.main(["solve", "--matrix", family_file]) == 2
+        err = capsys.readouterr().err
+        assert "are for `sweep --matrix`" in err and "frequency_hz" not in err
 
     def test_caps_below_feasibility(self, capsys):
         code = cli.main(
@@ -182,6 +184,21 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "at most 1e+150 m from the origin" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [(["--preset", "siso", "--d", "1e100", "--theta", "90"], "coupling underflows"),
+         (["--preset", "miso-2p", "--rl", "1e154"], "overflows at R_L = 1e+154 ohm"),
+         (["--preset", "miso-2p", "--rl", "1e155"], "overflows at R_L = 1e+155 ohm")],
+    )
+    def test_closed_form_out_of_double_range(self, flags, message, capsys):
+        # once a ZeroDivisionError, an OverflowError and an infinite loss
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert cli.main(["solve", *flags]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "invalid input: " in err and message in err and "Traceback" not in err
+
     @pytest.mark.parametrize("flag", [["--form", "conic"], ["--tol", "1e-8"]])
     def test_solver_knobs_are_gone(self, flag):
         with pytest.raises(SystemExit) as exc:
@@ -264,6 +281,81 @@ class TestSolve:
         rec = json.loads((tmp_path / "solve.json").read_text())
         assert not any(key.startswith("load_search") for key in rec)
         assert "load search" not in capsys.readouterr().out
+
+
+class TestResultRecord:
+    def test_record_roundtrip_and_hash(self, tmp_path):
+        def record(run, *flags):
+            out = tmp_path / run
+            assert cli.main(["solve", "--preset", "miso-2p", *flags, "--out", str(out)]) == 0
+            text = (out / "solve.json").read_text()
+            return text, json.loads(text)
+
+        text, rec = record("a")
+        for key in (
+            "inputs_sha256",
+            "r_load_ohm",
+            "eta",
+            "epsilon",
+            "skipped",
+            "transmit_powers_w",
+            "currents_re",
+            "currents_im",
+            "x_r_ohm",
+            "c_r_farad",
+            "iterations",
+        ):
+            assert key in rec
+        assert json.loads(json.dumps(rec)) == rec
+        assert json.dumps(rec, indent=2, sort_keys=True) + "\n" == text
+        assert record("b")[1]["inputs_sha256"] == rec["inputs_sha256"]
+        _, other = record("c", "--rl", repr(2.0 * rec["r_load_ohm"]))
+        assert other["inputs_sha256"] != rec["inputs_sha256"]
+        assert other["matrix_sha256"] == rec["matrix_sha256"]
+
+
+class TestSolveIsTheOnePointSweep:
+    """solve.json agrees with the point's sweep.csv row on every shared key."""
+
+    @staticmethod
+    def assert_record_is_row(rec, row):
+        def field(value):  # the value as sweep.csv holds it, read back
+            return next(csv.reader([cli._fmt(value)]))[0]
+
+        assert set(cli.SWEEP_COLUMNS) <= set(rec)
+        for key in cli.SWEEP_COLUMNS:
+            assert field(rec[key]) == row[key], key
+        powers = [row[f"p_t_{k + 1}_w"] for k in range(len(rec["transmit_powers_w"]))]
+        assert [field(p) for p in rec["transmit_powers_w"]] == powers
+
+    def test_preset_point(self, tmp_path):
+        assert cli.main(["solve", "--preset", "miso-3p", "--theta", "30", "--d", "0.1",
+                         "--out", str(tmp_path / "solve")]) == 0
+        assert cli.main(["sweep", "--preset", "miso-3p", "--theta-range=30:30:1",
+                         "--d", "0.1", "--out", str(tmp_path / "sweep")]) == 0
+        rec = json.loads((tmp_path / "solve" / "solve.json").read_text())
+        (row,) = read_rows(tmp_path / "sweep" / "sweep.csv")
+        assert rec["form"] == "closed-form"
+        self.assert_record_is_row(rec, row)
+
+    @pytest.mark.parametrize(
+        "flags", [["--rl", "optimize"], ["--constraints", "caps=1e6,1e6"]]
+    )
+    def test_binding_family_point(self, flags, tmp_path):
+        geom = GeometrySpec.preset("miso-2p", 0.1 * LAM, angle=math.radians(45.0))
+        doc = matrix_to_json(retarded_loop_system(geom))
+        path = tmp_path / "point.json"  # one name for both files: rows carry the source
+        path.write_text(json.dumps(doc))
+        assert cli.main(["solve", "--matrix", str(path), *flags,
+                         "--out", str(tmp_path / "solve")]) == 0
+        # solve --matrix knows no angle or distance: the family point has none
+        path.write_text(json.dumps([{"theta_deg": math.nan, "matrix": doc}]))
+        assert cli.main(["sweep", "--matrix", str(path), *flags,
+                         "--out", str(tmp_path / "sweep")]) == 0
+        rec = json.loads((tmp_path / "solve" / "solve.json").read_text())
+        (row,) = read_rows(tmp_path / "sweep" / "sweep.csv")
+        assert rec["skipped"] is False
+        self.assert_record_is_row(rec, row)
 
 
 class TestGenMatrix:
@@ -459,6 +551,19 @@ class TestSweep:
                 assert head == header
                 alone.append(row)
         assert rows == alone
+
+    def test_a_coupling_out_of_double_range_fails_its_rows_alone(self, tmp_path, capsys):
+        def sweep(d, out):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                assert cli.main(["sweep", "--preset", "siso", "--d", d,
+                                 "--theta-range=0:90:45", "--out", str(out)]) == 0
+            return read_rows(out / "sweep.csv")
+
+        mixed = sweep("0.1,1e100", tmp_path / "mixed")
+        assert mixed[:3] == sweep("0.1", tmp_path / "near")
+        assert [row["status"] for row in mixed[3:]] == ["error:NoCouplingError"] * 3
+        assert "6 rows" in capsys.readouterr().out
 
     def test_pattern_split_per_distance(self, tmp_path):
         cli.main(["sweep", "--preset", "siso", "--d", "0.05,0.1",

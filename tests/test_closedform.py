@@ -16,6 +16,7 @@ from wptopt.circuit import (
 from wptopt.closedform import (
     ClosedFormSolution,
     NoCouplingError,
+    NonFiniteError,
     max_pte,
     mutual_q,
     optimal_load,
@@ -442,6 +443,35 @@ class TestSolutionRecord:
         assert isinstance(rows[4], SchemaError)
         for z, row in zip(links, rows[:2] + rows[3:4] + rows[5:]):
             assert_same_solution(row, solve_closed_form(z))
+
+    @pytest.mark.parametrize("r_load", [None, 0.7])
+    def test_a_coupling_that_underflows_is_its_rows_error(self, r_load):
+        # at 1e100 wavelengths U^2 underflows to 0: once a ZeroDivisionError
+        # that took the whole stack down, after divide-by-zero warnings
+        links = [z for z in self.links() if z.n_ports == 2]
+        far = build_loop_system(GeometrySpec.preset("siso", 1e100 * LAM, np.pi / 2))
+        zs = links[:1] + [far] + links[1:]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = solve_closed_forms(zs, r_load)
+            with pytest.raises(NoCouplingError, match="underflows"):
+                solve_closed_form(far, r_load)
+        assert isinstance(rows[1], NoCouplingError)
+        for z, row in zip(links, rows[:1] + rows[2:]):
+            assert_same_solution(row, solve_closed_form(z, r_load))
+            assert_same_solution(row, reference_closed_form(z, r_load))
+
+    @pytest.mark.parametrize("r_load", [1e154, 1e155, 1e300])
+    def test_a_loss_that_overflows_is_its_rows_error(self, r_load):
+        # 1e154 printed an infinite loss; 1e155 raised an OverflowError
+        z = build_loop_system(GeometrySpec.preset("miso-2p", 0.1 * LAM, 0.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            (row,) = solve_closed_forms([z], r_load)
+            with pytest.raises(NonFiniteError, match="overflows"):
+                solve_closed_form(z, r_load)
+        assert isinstance(row, NonFiniteError)
+        assert np.isfinite(solve_closed_form(z, 1e150).p_loss)  # large, but in range
 
     @pytest.mark.parametrize("r_load", [0.0, -1.0, float("nan"), float("inf")])
     def test_a_load_that_is_not_positive_is_rejected(self, r_load):

@@ -1,8 +1,7 @@
 """Relaxation pipeline: the reference solver's instance assembly,
-tightness, extraction, recovery, skip logic, load search and result
-records."""
+tightness, extraction, recovery, skip logic and load search."""
 
-import json
+import dataclasses
 import math
 import warnings
 
@@ -28,11 +27,24 @@ from wptopt.pipeline import (
     full_pipeline,
     optimize_load,
     recover_operating_point,
-    result_record,
     solve_relaxation,
     tightness_error,
 )
 from wptopt.qcqp import build_problem, evaluate
+
+
+def assert_same_bits(a, b, name="result"):
+    """a and b field by field, nested results too: arrays by their bytes,
+    every other value (floats, strings, counts) by its repr."""
+    if dataclasses.is_dataclass(a):
+        assert type(a) is type(b), name
+        for field in dataclasses.fields(a):
+            assert_same_bits(getattr(a, field.name), getattr(b, field.name),
+                             f"{name}.{field.name}")
+    elif isinstance(a, np.ndarray):
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+    else:
+        assert repr(a) == repr(b), name
 
 
 def quasi_system(preset="miso-2p", frac=0.1, theta_deg=0.0):
@@ -407,10 +419,7 @@ class TestFullPipeline:
         assert isinstance(rows[2], NoCouplingError)
         forms = set()
         for z, row in zip(zs[:2] + zs[3:], rows[:2] + rows[3:]):
-            alone = full_pipeline(z, r_load)
-            assert json.dumps(result_record(row, z)) == json.dumps(result_record(alone, z))
-            assert row.cvec.tobytes() == alone.cvec.tobytes()
-            assert row.form == alone.form
+            assert_same_bits(row, full_pipeline(z, r_load))
             forms.add(row.form)
         assert forms == {"closed-form", "dual"}
 
@@ -563,28 +572,3 @@ class TestOptimizeLoad:
         with pytest.raises(ValueError, match="bad load bounds"):
             optimize_load(None, bounds=bounds)
 
-
-class TestResultRecord:
-    def test_record_roundtrip_and_hash(self):
-        z = quasi_system("miso-2p")
-        res = full_pipeline(z)
-        rec = result_record(res, z)
-        for key in (
-            "inputs_sha256",
-            "r_load_ohm",
-            "eta",
-            "epsilon",
-            "skipped",
-            "transmit_powers_w",
-            "currents_re",
-            "currents_im",
-            "x_r_ohm",
-            "c_r_farad",
-            "iterations",
-        ):
-            assert key in rec
-        blob = json.dumps(rec)
-        assert json.loads(blob) == rec
-        assert rec["inputs_sha256"] == result_record(res, z)["inputs_sha256"]
-        other = full_pipeline(z, 2.0 * res.r_load)
-        assert result_record(other, z)["inputs_sha256"] != rec["inputs_sha256"]

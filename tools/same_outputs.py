@@ -11,8 +11,10 @@ BLAS on one thread:
 - the seed-0 miso-3p family with ``--rl optimize`` and with
   ``--constraints none``, and the seed-0 miso-2p family with
   ``--constraints caps=1e6,1e6``;
-- ``wptopt solve`` of the first point of the seed-0 miso-3p family, which
-  binds, and ``wptopt validate``.
+- ``wptopt solve`` of a preset point (closed form), and of the first point
+  of the seed-0 miso-3p family, which binds: as it is, with ``--rl
+  optimize``, with ``--rl 0.05`` and with ``--constraints none``;
+- ``wptopt gen-matrix`` of a preset point, and ``wptopt validate``.
 
 Each tree runs its jobs in one process, in the same order, with relative
 output paths.  A job's exit code, stdout and stderr (warnings without
@@ -121,7 +123,15 @@ def jobs(seeds, paths, binding):
                 ["sweep", "--matrix", family, "--constraints", "none"]))
     out.append(("seed0/miso-2p-caps",
                 ["sweep", "--matrix", paths[0]["miso-2p"], "--constraints", "caps=1e6,1e6"]))
+    out.append(("solve-preset", ["solve", "--preset", "miso-3p", "--theta", "30"]))
     out.append(("solve-binding", ["solve", "--matrix", binding]))
+    out.append(("solve-binding-rl-optimize",
+                ["solve", "--matrix", binding, "--rl", "optimize"]))
+    out.append(("solve-binding-rl-ohms", ["solve", "--matrix", binding, "--rl", "0.05"]))
+    out.append(("solve-binding-constraints-none",
+                ["solve", "--matrix", binding, "--constraints", "none"]))
+    out.append(("gen-matrix", ["gen-matrix", "--preset", "miso-3p", "--d", "0.07",
+                               "--theta", "33"]))
     out = [(name, argv + ["--out", name]) for name, argv in out]
     out.append(("validate", ["validate"]))
     return out
