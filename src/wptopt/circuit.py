@@ -234,6 +234,7 @@ def loop_resistance(loop: Loop, omega: float, wavelength: float) -> float:
 _N_LO, _N_HI = 12, 24  # the embedded Gauss-Legendre pair of every panel
 _FIRST_PANELS = 8  # panels of the first stage on every range
 _MAX_PANELS = 4000
+_RTOL = 1e-10  # relative tolerance of every mutual inductance
 _DELTA = 0.5  # near-tangent pairs: graded on [0, delta], plain on [delta, pi]
 _CHUNK_NODES = 2048  # nodes per first-stage integrand call, at most; bounds peak RSS
 _CACHE_SIZE = 8192  # pair keys kept, least recently used out first
@@ -488,26 +489,26 @@ def _quadrature(keys, rtol):
     return values
 
 
-_cache = collections.OrderedDict()  # (ra, rb, rho, h, rtol) -> M, oldest use first
+_cache = collections.OrderedDict()  # (ra, rb, rho, h) -> M, oldest use first
 _cache_lock = threading.Lock()
 
 
-def _mutual_values(keys, rtol):
+def _mutual_values(keys):
     """M of every pair key, read from the cache or computed in one
-    `_quadrature` pass over the distinct keys it lacks, which then fill it."""
+    `_quadrature` pass to `_RTOL` over the distinct keys it lacks, which then
+    fill it."""
     found = {}
     with _cache_lock:
         for key in keys:
-            ckey = key + (rtol,)
-            if key not in found and ckey in _cache:
-                _cache.move_to_end(ckey)
-                found[key] = _cache[ckey]
+            if key not in found and key in _cache:
+                _cache.move_to_end(key)
+                found[key] = _cache[key]
     missing = [key for key in dict.fromkeys(keys) if key not in found]
     if missing:
-        found.update(zip(missing, _quadrature(missing, rtol)))
+        found.update(zip(missing, _quadrature(missing, _RTOL)))
         with _cache_lock:
             for key in missing:
-                _cache[key + (rtol,)] = found[key]
+                _cache[key] = found[key]
             while len(_cache) > _CACHE_SIZE:
                 _cache.popitem(last=False)
     return [found[key] for key in keys]
@@ -524,14 +525,14 @@ def _pair_key(loop_a: Loop, loop_b: Loop):
     return ra, rb, rho, dz
 
 
-def mutual_inductance(loop_a: Loop, loop_b: Loop, rtol: float = 1e-10) -> float:
+def mutual_inductance(loop_a: Loop, loop_b: Loop) -> float:
     """Mutual inductance of two parallel circular loops, in henries.
 
     Evaluates the Neumann double line integral with the inner (source
     loop) integral in closed form and the outer one by adaptive
-    Gauss-Legendre quadrature to relative tolerance ``rtol``.
+    Gauss-Legendre quadrature to relative tolerance `_RTOL`.
     """
-    return _mutual_values([_pair_key(loop_a, loop_b)], rtol)[0]
+    return _mutual_values([_pair_key(loop_a, loop_b)])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -607,7 +608,7 @@ def partition(z: ImpedanceMatrix | np.ndarray):
     return m[:-1, :-1], m[:-1, -1], m[-1, -1]
 
 
-def build_loop_systems(geoms, rtol: float = 1e-10) -> list[ImpedanceMatrix]:
+def build_loop_systems(geoms) -> list[ImpedanceMatrix]:
     """Impedance matrices of loop arrangements at their design frequencies.
 
     The mutual inductances of all arrangements come from one quadrature
@@ -631,7 +632,7 @@ def build_loop_systems(geoms, rtol: float = 1e-10) -> list[ImpedanceMatrix]:
             for b in loops[i + 1:]
         ]
         shells.append((geom.frequency, omega, diag, pairs))
-    mutuals = _mutual_values(list(index), rtol)
+    mutuals = _mutual_values(list(index))
     systems = []
     for frequency, omega, diag, pairs in shells:
         n = len(diag)
@@ -648,9 +649,9 @@ def build_loop_systems(geoms, rtol: float = 1e-10) -> list[ImpedanceMatrix]:
     return systems
 
 
-def build_loop_system(geom: GeometrySpec, rtol: float = 1e-10) -> ImpedanceMatrix:
+def build_loop_system(geom: GeometrySpec) -> ImpedanceMatrix:
     """Impedance matrix of a loop arrangement at its design frequency."""
-    return build_loop_systems([geom], rtol)[0]
+    return build_loop_systems([geom])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -705,13 +706,17 @@ def matrix_from_json(doc: dict) -> ImpedanceMatrix:
     return ImpedanceMatrix(z, freq)
 
 
-def load_impedance_file(path) -> ImpedanceMatrix:
+def read_json(path):
+    """The JSON document in a file; SchemaError when it is not valid JSON."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            doc = json.load(fh)
+            return json.load(fh)
         except json.JSONDecodeError as exc:
             raise SchemaError(f"{path}: not valid JSON: {exc}") from exc
-    return matrix_from_json(doc)
+
+
+def load_impedance_file(path) -> ImpedanceMatrix:
+    return matrix_from_json(read_json(path))
 
 
 def save_impedance_file(z: ImpedanceMatrix, path) -> None:

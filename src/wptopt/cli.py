@@ -49,6 +49,7 @@ from .circuit import (
     hash_matrix,
     load_impedance_file,
     matrix_from_json,
+    read_json,
     save_impedance_file,
 )
 from .closedform import (
@@ -263,11 +264,7 @@ def _preset_systems(name: str, grid):
 def _read_matrix_file(path, family: bool):
     """The (theta_deg, d_frac, z) points of a --matrix file: a family of
     {theta_deg, d_frac?, matrix} points, or one matrix at theta = d = NaN."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"{path}: not valid JSON: {exc}") from exc
+    data = read_json(path)
     if isinstance(data, dict):
         data = data.get("points", data)
     if isinstance(data, list) != family:

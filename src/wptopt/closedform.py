@@ -25,7 +25,6 @@ solution is bit for bit the same alone or in a stack.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,8 +74,6 @@ def mutual_q(z) -> float:
     """Mutual quality factor U of the link; 0 flags an uncoupled receiver."""
     m = _entries(z)
     if not m[:-1, -1].any():
-        warnings.warn("receiver has no coupling to any transmitter (U = 0)",
-                      RuntimeWarning, stacklevel=2)
         return 0.0
     return float(_zo_u(m[None])[1][0])
 

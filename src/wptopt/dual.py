@@ -11,7 +11,8 @@ one.  Its Lagrangian dual function is
 maximized over lam >= 0.  The Shor relaxation's dual is this same problem
 (Vandenberghe & Boyd, SIAM Rev. 1996), so a dual point settles everything
 the SDR would: with V an orthonormal basis of null(A) and c_p a particular
-solution of A c = b,
+solution of A c = b, both from the reduced problem `wptopt.qcqp.build_problem`
+returns,
 
 - H is positive definite on null(A) iff the reduced Hr = V^T H V has a
   Cholesky factor, and then c(lam) = c_p - V Hr^-1 V^T H c_p is the minimizer;
@@ -59,8 +60,11 @@ variables, one per power row, and converges where the ascent stalls: on the
 boundary of the positive definite domain.  Multipliers that run off past
 `LAM_LIMIT` mean the power caps admit no point.
 
-A certified point also yields the dual slack of the conic relaxation at
-lam, so the relaxation's KKT audit can check the lift c c^T.
+Both solvers, and the ascent that finishes a barrier row, return a
+`DualPoint` and read one reduced problem: V, c_p and the projected
+matrices are computed once per row, by `build_problem`.  A certified point
+also yields the dual slack of the conic relaxation at lam, so the
+relaxation's KKT audit can check the lift c c^T.
 
 Only numpy is used: `np.linalg.cholesky` is the positive-definite test of
 Hr and of each face system, which are then solved through that factor
@@ -74,7 +78,7 @@ from itertools import product
 
 import numpy as np
 
-__all__ = ["BarrierPoint", "DualPoint", "solve_barrier", "solve_dual"]
+__all__ = ["DualPoint", "solve_barrier", "solve_dual"]
 
 MAX_STEPS = 60  # Newton steps before giving up on a row
 STALL_STEPS = 15  # steps without the projected gradient halving: stalled
@@ -96,17 +100,22 @@ LAM_START = 1e-3  # start multipliers, in units of 1 / lam_scale
 
 @dataclass(frozen=True)
 class DualPoint:
-    """Where the dual ascent stopped.
+    """Where the dual ascent or the barrier path stopped.
 
     ``c`` minimizes c^T H(lam) c on A c = b; ``value`` is g(lam), a lower
     bound on the loss whenever ``lam`` >= 0 and Hr is positive definite;
-    ``objective`` is c^T Q0 c and ``gap`` their difference over the
-    objective.  A start outside the positive definite domain leaves ``c``
-    None and the numbers NaN.  ``reason`` names why the ascent stopped,
-    empty when c is certified globally optimal within the gap and slack
-    tolerances.
+    ``objective`` is c^T Q0 c and ``gap`` the duality gap
+    sum_j lam_j (c^T G_j c - h_j) over the objective.  A start outside the
+    positive definite domain leaves ``c`` None and the numbers NaN.
+    ``reason`` names why the solver stopped, empty when it certified its
+    point: the ascent's c globally optimal within the gap and slack
+    tolerances, or the barrier's gap within `BARRIER_GAP`.
     ``dual_slack`` is the conic relaxation's dual slack at lam (see
-    `_Reduced.conic_dual_slack`), set on certified points only.
+    `_conic_dual_slack`), set on every point the barrier reaches and on
+    certified ascent points.  ``x_mat`` is the barrier's primal matrix of
+    the relaxation, the central path's c c^T + V Hr^-1 V^T / t corrected
+    along the last Newton step, whose gap to ``value`` is about
+    (dim Hr + N)/t; None on ascent points and uncertified barrier points.
     """
 
     reason: str
@@ -117,63 +126,47 @@ class DualPoint:
     gap: float
     steps: int
     dual_slack: np.ndarray | None
+    x_mat: np.ndarray | None = None
 
     @property
     def certified(self):
         return not self.reason
 
 
-class _Reduced:
-    """The QCQP restricted to the affine set A c = b: c = c_p + V y."""
+def _at(problem, lam):
+    """Everything the ascent and the barrier need at lam on the reduced
+    problem, or None outside the PD domain."""
+    hr = problem.hr0 - (lam @ problem.hrn).reshape(problem.hr0.shape)
+    linv = _inverse_cholesky_factor(hr)
+    if linv is None:
+        return None
+    c = problem.cp - problem.v @ (linv.T @ (linv @ (problem.f0 - lam @ problem.fn)))
+    qc = problem.g @ c
+    slack = qc @ c - problem.h
+    obj = float(c @ problem.q0 @ c)
+    g = qc @ problem.v @ linv.T  # B L^-T, so B Hr^-1 B^T = g g^T
+    return _Point(lam, c, slack, obj, obj - float(lam @ slack), -2.0 * (g @ g.T), linv)
 
-    def __init__(self, problem):
-        a = problem.a
-        # orthonormal bases of range(A^T) and of its complement null(A)
-        q, r = np.linalg.qr(a.T, mode="complete")
-        rank = a.shape[0]
-        self.cp = q[:, :rank] @ np.linalg.solve(r[:rank].T, problem.b)
-        self.v = v = q[:, rank:]
-        self.q0, self.qs, self.rhs = problem.q0, problem.g, problem.h  # Q0, G_j, h_j
-        self.n_tx = problem.n_tx  # the receiver current's index in c
-        self.half_rl = 0.5 * problem.r_load
-        self.k_hat = a[0] / np.linalg.norm(a[0])  # the KVL row
-        self.lam_scale = np.linalg.norm(self.qs, axis=(1, 2)) / np.linalg.norm(self.q0)
-        self.hr0 = v.T @ self.q0 @ v
-        self.hrn = (v.T @ self.qs @ v).reshape(self.rhs.size, v.shape[1] ** 2)  # flat rows
-        self.f0 = v.T @ (self.q0 @ self.cp)
-        self.fn = (self.qs @ self.cp) @ v
 
-    def at(self, lam):
-        """Everything the ascent needs at lam, or None outside the PD domain."""
-        hr = self.hr0 - (lam @ self.hrn).reshape(self.hr0.shape)
-        linv = _inverse_cholesky_factor(hr)
-        if linv is None:
-            return None
-        c = self.cp - self.v @ (linv.T @ (linv @ (self.f0 - lam @ self.fn)))
-        qc = self.qs @ c
-        slack = qc @ c - self.rhs
-        obj = float(c @ self.q0 @ c)
-        g = qc @ self.v @ linv.T  # B L^-T, so B Hr^-1 B^T = g g^T
-        return _Point(lam, c, slack, obj, obj - float(lam @ slack), -2.0 * (g @ g.T), linv)
+def _conic_dual_slack(problem, lam, c):
+    """Dual slack of the conic relaxation at lam.
 
-    def conic_dual_slack(self, lam, c):
-        """Dual slack of the conic relaxation at lam.
-
-        With the received-power multiplier nu = c^T H c, S0 = H - nu R, R
-        the received-power row (R_L / 2 on the receiver's diagonal entry
-        alone), is positive semidefinite on the KVL row's complement k-perp
-        whenever Hr is positive definite and c is the minimizer, and S0 c is
-        parallel to k.  The redundant KVL rows' multipliers
-        y = S0 k / |k|^2 - beta k, beta = k^T S0 k / (2 |k|^4), and none on
-        the primary KVL row turn it into P S0 P, P the projector onto
-        k-perp: positive semidefinite on the whole space, with c in its null
-        space up to rounding.
-        """
-        s0 = self.q0 - np.tensordot(lam, self.qs, 1)  # H, then S0 in place
-        nu = float(c @ s0 @ c)
-        s0[self.n_tx, self.n_tx] -= nu * self.half_rl
-        proj = np.eye(c.size) - np.outer(self.k_hat, self.k_hat)
-        return proj @ s0 @ proj
+    With the received-power multiplier nu = c^T H c, S0 = H - nu R, R
+    the received-power row (R_L / 2 on the receiver's diagonal entry
+    alone), is positive semidefinite on the KVL row's complement k-perp
+    whenever Hr is positive definite and c is the minimizer, and S0 c is
+    parallel to k.  The redundant KVL rows' multipliers
+    y = S0 k / |k|^2 - beta k, beta = k^T S0 k / (2 |k|^4), and none on
+    the primary KVL row turn it into P S0 P, P the projector onto
+    k-perp: positive semidefinite on the whole space, with c in its null
+    space up to rounding.
+    """
+    s0 = problem.q0 - np.tensordot(lam, problem.g, 1)  # H, then S0 in place
+    nu = float(c @ s0 @ c)
+    s0[problem.n_tx, problem.n_tx] -= nu * (0.5 * problem.r_load)
+    k_hat = problem.a[0] / np.linalg.norm(problem.a[0])  # the KVL row
+    proj = np.eye(c.size) - np.outer(k_hat, k_hat)
+    return proj @ s0 @ proj
 
 
 @dataclass
@@ -281,12 +274,10 @@ def solve_dual(problem, lam=None):
     """Maximize the Lagrangian dual of a constrained QCQP from lam, clipped
     to lam >= 0 (default 0, where H = Q0 is positive definite); see module
     docs."""
-    red = _Reduced(problem)
     k = problem.h.size
-    pt = red.at(np.zeros(k) if lam is None else np.maximum(lam, 0.0))
+    pt = _at(problem, np.zeros(k) if lam is None else np.maximum(lam, 0.0))
     if pt is None:
-        nan = float("nan")
-        return DualPoint("start outside the domain", lam, None, nan, nan, nan, 0, None)
+        return _outside(lam)
     steps = 0
     reason = "step limit"
     ref_pg, ref_step = np.inf, 0  # last projected gradient that halved
@@ -312,7 +303,7 @@ def solve_dual(problem, lam=None):
                 continue
             # multipliers sent to a face land on exact zeros
             lam_new = np.where(pt.lam + d <= 0.0, 0.0, pt.lam + d)
-            cand = red.at(lam_new)
+            cand = _at(problem, lam_new)
             if cand is not None and (cand.value > pt.value or cand.pgrad() <= 0.5 * pg):
                 trial = cand
                 break
@@ -321,11 +312,11 @@ def solve_dual(problem, lam=None):
             break
         pt = trial
         steps += 1
-        if (pt.lam * red.lam_scale).max() > LAM_LIMIT:
+        if (pt.lam * problem.lam_scale).max() > LAM_LIMIT:
             reason = "diverging multipliers"
             break
 
-    p_scale = max(1.0, float(np.abs(pt.slack + red.rhs).max(initial=0.0)))
+    p_scale = max(1.0, float(np.abs(pt.slack + problem.h).max(initial=0.0)))
     gap = float(pt.lam @ pt.slack) / pt.obj
     # g(lam) bounds the loss from below at any lam >= 0 in the domain, so a
     # feasible c that closes the gap is optimal however the ascent ended:
@@ -343,29 +334,8 @@ def solve_dual(problem, lam=None):
         objective=pt.obj,
         gap=gap,
         steps=steps,
-        dual_slack=None if reason else red.conic_dual_slack(pt.lam, pt.c),
+        dual_slack=None if reason else _conic_dual_slack(problem, pt.lam, pt.c),
     )
-
-
-
-@dataclass(frozen=True)
-class BarrierPoint:
-    """Where the barrier path stopped.
-
-    ``value`` is g(lam), a certified lower bound on the loss at any lam in
-    the domain; ``x_mat`` is the relaxation's primal matrix, the central
-    path's c c^T + V Hr^-1 V^T / t corrected along the last Newton step,
-    whose gap to ``value`` is about (dim Hr + N)/t; ``dual_slack`` the conic
-    relaxation's dual slack at lam.  ``reason`` is empty once that gap met
-    `BARRIER_GAP`; otherwise ``x_mat`` is None.
-    """
-
-    reason: str
-    lam: np.ndarray
-    value: float
-    x_mat: np.ndarray
-    steps: int
-    dual_slack: np.ndarray
 
 
 def solve_barrier(problem):
@@ -376,23 +346,20 @@ def solve_barrier(problem):
     Without power rows the relaxation is g of no multipliers, attained by
     the lift c c^T of the minimizer of c^T Q0 c.
     """
-    red = _Reduced(problem)
     k = problem.h.size
     if k == 0:
-        pt = red.at(np.zeros(k))
-        return BarrierPoint(
-            "", pt.lam, pt.value, np.outer(pt.c, pt.c), 0, red.conic_dual_slack(pt.lam, pt.c)
-        )
-    lam = LAM_START / red.lam_scale
+        pt = _at(problem, np.zeros(k))
+        return _barrier_point("", pt, 0, np.outer(pt.c, pt.c), problem)
+    lam = LAM_START / problem.lam_scale
     for _ in range(60):  # towards lam = 0, where Hr = V^T Q0 V is positive definite
-        pt = red.at(lam)
+        pt = _at(problem, lam)
         if pt is not None:
             break
         lam = 0.5 * lam
     else:
-        return BarrierPoint("start outside the domain", lam, math.nan, None, 0, None)
-    order = red.hr0.shape[0] + k
-    hrn = red.hrn.reshape((k,) + red.hr0.shape)
+        return _outside(lam)
+    order = problem.hr0.shape[0] + k
+    hrn = problem.hrn.reshape((k,) + problem.hr0.shape)
     t = order / (1e-3 * max(1.0, abs(pt.value)))
 
     def phi(p):
@@ -422,7 +389,7 @@ def solve_barrier(problem):
         while cand is None and s > 1e-12:
             lam_new = pt.lam + s * d
             if lam_new.min() > 0.0:
-                cand = red.at(lam_new)
+                cand = _at(problem, lam_new)
                 if cand is not None and phi(cand) < floor + 0.25 * s * dec:
                     cand = None
             s *= 0.5
@@ -431,7 +398,7 @@ def solve_barrier(problem):
             break
         pt = cand
         steps += 1
-        if (pt.lam * red.lam_scale).max() > LAM_LIMIT:
+        if (pt.lam * problem.lam_scale).max() > LAM_LIMIT:
             reason = "diverging multipliers"
             break
 
@@ -442,17 +409,31 @@ def solve_barrier(problem):
         # exactly and each power row with slack (1 - d_j / lam_j) / (t lam_j),
         # and it is positive semidefinite, while the decrement is below 1
         # dc = V Hr^-1 (d.f_j - sum_j d_j Hr_j u), c = c_p - V u
-        rhs = d @ red.fn + np.tensordot(d, hrn, 1) @ (red.v.T @ pt.c)
-        dc = red.v @ (pt.linv.T @ (pt.linv @ rhs))
+        rhs = d @ problem.fn + np.tensordot(d, hrn, 1) @ (problem.v.T @ pt.c)
+        dc = problem.v @ (pt.linv.T @ (pt.linv @ rhs))
         cross = np.outer(dc, pt.c)
-        v_lt = red.v @ pt.linv.T  # V L^-T, so V Hr^-1 V^T = v_lt v_lt^T
+        v_lt = problem.v @ pt.linv.T  # V L^-T, so V Hr^-1 V^T = v_lt v_lt^T
         core = np.eye(v_lt.shape[1]) + np.tensordot(d, m, 1)
         x_mat = np.outer(pt.c, pt.c) + cross + cross.T + v_lt @ core @ v_lt.T / t
-    return BarrierPoint(
+    return _barrier_point(reason, pt, steps, x_mat, problem)
+
+
+def _outside(lam):
+    """The DualPoint of a start outside the positive definite domain."""
+    nan = math.nan
+    return DualPoint("start outside the domain", lam, None, nan, nan, nan, 0, None)
+
+
+def _barrier_point(reason, pt, steps, x_mat, problem):
+    """The DualPoint of the barrier path stopped at pt."""
+    return DualPoint(
         reason=reason,
         lam=pt.lam,
+        c=pt.c,
         value=pt.value,
-        x_mat=x_mat,
+        objective=pt.obj,
+        gap=float(pt.lam @ pt.slack) / pt.obj,
         steps=steps,
-        dual_slack=red.conic_dual_slack(pt.lam, pt.c),
+        dual_slack=_conic_dual_slack(problem, pt.lam, pt.c),
+        x_mat=x_mat,
     )

@@ -10,7 +10,9 @@ point and a zero duality gap, and audited by the KKT check of the
 conic-form lift. A row the dual does not certify goes to the semidefinite
 relaxation ("conic"), solved by a log-det barrier path on the same dual,
 certified tight via the normalized rank-1 error, and its extracted vector
-is finished on the dual. A relaxation whose error exceeds
+is finished on the dual. The ascent, the barrier and the finish all read
+the one reduced problem `wptopt.qcqp.build_problem` makes for the row, so
+A c = b is factored once per row. A relaxation whose error exceeds
 `TIGHTNESS_THRESHOLD` gives status "not-tight": its point is not certified
 and may break the power constraints. Each path fills in the currents,
 transmit powers and efficiency of its solution vector; the receiver
@@ -29,7 +31,6 @@ efficiency profile fails the unimodality probe.
 """
 
 import math
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -160,12 +161,14 @@ def recover_operating_point(c, z: ImpedanceMatrix, problem: QcqpProblem) -> floa
     """Receiver compensation reactance x_r for a feasible real solution
     vector: the one that nulls the receiver voltage of its currents
     (receiver current real).  `problem` is the QCQP of z at its load; its
-    power caps play no part.  Raises ValueError when c violates the
-    current constraints.
+    power rows play no part.  Raises ValueError when c violates the
+    current constraints: the KVL residual is measured against the size of
+    the terms that row sums, sum_j |A_0j c_j|, so that it keeps its meaning
+    at any load and current scale.
     """
     c = np.asarray(c, dtype=float)
     kvl, pl = current_residuals(problem, c)
-    scale = 1.0 + float(np.abs(problem.b).max())
+    scale = float(np.abs(problem.a[0] * c).sum())
     if abs(kvl) > 1e-6 * scale or abs(pl) > 1e-6:
         raise ValueError(
             "vector violates the current constraints: "
@@ -235,18 +238,18 @@ def _binding_row(problem: QcqpProblem, c, form, epsilon, p_relax, iterations, kk
     """The raw SdrResult of a binding row's solution vector c, found on path
     `form` with rank-one error `epsilon`: "not-tight" above
     `TIGHTNESS_THRESHOLD`, else "optimal"."""
-    rep = evaluate(problem, c)
+    objective, powers = evaluate(problem, c)
     return SdrResult(
         status="optimal" if epsilon <= TIGHTNESS_THRESHOLD else "not-tight",
         form=form,
         epsilon=epsilon,
         p_relax=p_relax,
-        eta=1.0 / (1.0 + rep.objective),
+        eta=1.0 / (1.0 + objective),
         r_load=problem.r_load,
         cvec=c,
         currents=problem.current_from_real(c),
         x_r=float("nan"),
-        transmit_powers=rep.tx_powers,
+        transmit_powers=powers,
         iterations=iterations,
         kkt=kkt,
     )
@@ -345,67 +348,67 @@ class LoadSearch:
 _CGOLD = (3.0 - math.sqrt(5.0)) / 2.0
 
 
-def optimize_load(
-    z: ImpedanceMatrix,
-    bounds: tuple | None = None,
-    options: PipelineOptions | None = None,
-) -> LoadSearch:
+def optimize_load(z: ImpedanceMatrix, options: PipelineOptions | None = None) -> LoadSearch:
     """Outer load-resistance search wrapping the full pipeline.
 
-    With the default bracket (a decade either side of the unconstrained
-    optimal load R*) the first evaluation is at R*.  A row there that
-    skips the relaxation meets every constraint while reaching the
-    unconstrained optimum of currents and load together, so it is the exact
-    maximum of the efficiency over all loads ("closed-form", one
-    evaluation).  Otherwise, after a unimodality probe (the bracket's
-    geometric midpoint against its edges), Brent's safeguarded parabolic
-    search (Brent, *Algorithms for Minimization without Derivatives*, 1973,
-    ch. 5) maximizes the efficiency in ln R_L until the bracket is within
-    ``LOAD_REL_TOL`` relative ("brent").  A failed probe (interior no better
-    than the edges) drops to a logarithmic grid scan with a warning
-    ("grid").  A row whose relaxation is not tight is ranked by its
-    certified bound, and the best evaluated row is returned.
+    The first evaluation is at the unconstrained optimal load R*.  A row
+    there that skips the relaxation meets every constraint while reaching
+    the unconstrained optimum of currents and load together, so it is the
+    exact maximum of the efficiency over all loads ("closed-form", one
+    evaluation).  Otherwise `_bracket_search` maximizes the efficiency over
+    a decade either side of R*.  A row whose relaxation is not tight is
+    ranked by its certified bound, and the best evaluated row is returned.
     """
     opts = options or PipelineOptions()
-    cache = {}
+    first = full_pipeline(z, None, opts)  # at R*
+    if first.skipped:
+        return LoadSearch(first.r_load, first, 1, "closed-form")
+    mid = first.r_load
+    rows = {mid: first}
 
     def eta_at(rl):
-        if rl not in cache:
-            cache[rl] = full_pipeline(z, rl, opts)
-        res = cache[rl]
-        # a row whose relaxation is not tight may carry an infeasible point
-        # that beats every feasible one: rank it by its certified bound
-        return res.eta if res.tight else 1.0 / (1.0 + res.p_relax)
+        if rl not in rows:
+            rows[rl] = full_pipeline(z, rl, opts)
+        return _ranked_eta(rows[rl])
 
-    if bounds is not None:
-        lo, hi = float(bounds[0]), float(bounds[1])
-        if not (0.0 < lo < hi < math.inf):
-            raise ValueError(f"bad load bounds {bounds}")
-        mid = math.sqrt(lo * hi)
-    else:
-        first = full_pipeline(z, None, opts)  # at R*
-        if first.skipped:
-            return LoadSearch(first.r_load, first, 1, "closed-form")
-        mid = first.r_load
-        cache[mid] = first
-        lo, hi = mid / 10.0, mid * 10.0
+    best, method = _bracket_search(eta_at, mid / 10.0, mid, mid * 10.0)
+    return LoadSearch(float(best), rows[best], len(rows), method)
 
-    if eta_at(mid) < min(eta_at(lo), eta_at(hi)):
-        warnings.warn(
-            "efficiency profile failed the unimodality probe; using grid scan",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        grid = np.geomspace(lo, hi, 64)
-        best = max(grid, key=eta_at)
-        return LoadSearch(float(best), cache[best], len(cache), "grid")
+
+def _ranked_eta(res):
+    """The efficiency the load search ranks a row by.  A row whose
+    relaxation is not tight may carry an infeasible point that beats every
+    feasible one: it is ranked by its certified bound."""
+    return res.eta if res.tight else 1.0 / (1.0 + res.p_relax)
+
+
+def _bracket_search(eta_at, lo, mid, hi):
+    """(load, method) maximizing eta_at over [lo, hi], lo < mid < hi, each
+    load evaluated once.
+
+    After a unimodality probe (mid against the edges), Brent's safeguarded
+    parabolic search (Brent, *Algorithms for Minimization without
+    Derivatives*, 1973, ch. 5) maximizes eta in ln R_L until the bracket is
+    within ``LOAD_REL_TOL`` relative ("brent").  A failed probe (interior no
+    better than the edges) drops to a logarithmic grid scan ("grid").  The
+    best load evaluated is returned.
+    """
+    etas = {}
+
+    def eta(rl):
+        if rl not in etas:
+            etas[rl] = eta_at(rl)
+        return etas[rl]
+
+    if eta(mid) < min(eta(lo), eta(hi)):
+        return max(np.geomspace(lo, hi, 64), key=eta), "grid"
 
     # Brent's minimization of -eta over u = ln R_L; stops once the bracket
     # [a, b] is at most 4 tol = LOAD_REL_TOL wide
     tol = LOAD_REL_TOL / 4.0
     a, b = math.log(lo), math.log(hi)
     x = w = v = math.log(mid)
-    fx = fw = fv = -eta_at(mid)
+    fx = fw = fv = -eta(mid)
     d = e = 0.0
     while True:
         m = 0.5 * (a + b)
@@ -429,7 +432,7 @@ def optimize_load(
             e = (b if x < m else a) - x
             d = _CGOLD * e
         u = x + (d if abs(d) >= tol else math.copysign(tol, d))
-        fu = -eta_at(math.exp(u))
+        fu = -eta(math.exp(u))
         if fu <= fx:
             if u < x:
                 b = x
@@ -445,6 +448,5 @@ def optimize_load(
                 v, fv, w, fw = w, fw, u, fu
             elif fu <= fv or v == x or v == w:
                 v, fv = u, fu
-    best = max(cache, key=eta_at)
-    return LoadSearch(float(best), cache[best], len(cache), "brent")
+    return max(etas, key=eta), "brent"
 

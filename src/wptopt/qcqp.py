@@ -10,11 +10,12 @@ The receiver-side equalities are written once, as the affine block (A, b):
 the KVL row and the fixed receiver current.  The semidefinite relaxation
 lifts them from that row and the load (see :mod:`wptopt.kkt`) rather than
 from constraint matrices of its own.  The power rows c^T G_j c >= h_j are
-written once too, by `power_rows`, and every solver path reads them.
+written once too, by `power_rows`, and every solver path reads them.  So
+is the problem reduced to A c = b, by `build_problem` (see `QcqpProblem`).
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,7 +24,6 @@ from .pims import port_impedance_matrices
 
 __all__ = [
     "QcqpProblem",
-    "EvaluationReport",
     "realify",
     "build_affine",
     "power_rows",
@@ -117,15 +117,21 @@ def power_rows(n_tx, power_caps=None, constrain_powers=True):
 
 @dataclass(frozen=True)
 class QcqpProblem:
-    """Data of min c^T Q0 c s.t. c^T G[j] c >= h[j], A c = b.
+    """Data of min c^T Q0 c s.t. c^T G[j] c >= h[j], A c = b, and the same
+    problem reduced to the affine set A c = b, c = c_p + V y.
 
     q0 is the realified loss matrix (positive definite); q is the tuple of
     realified transmitter port power matrices (indefinite); g and h are the
     power rows of `power_rows`, G[j] = sign_j Q[port_j]; A c = b are the
     current equalities, A's first row the KVL row.
+
+    The reduction, from one QR factorization of A^T, is what every solver
+    of `wptopt.dual` reads: c_p solves A c = b, the columns of V are an
+    orthonormal basis of null(A), hr0 is V^T Q0 V and hrn the flat rows of
+    V^T G_j V, f0 is V^T Q0 c_p and fn the rows (G_j c_p)^T V, and
+    lam_scale is |G_j| / |Q0|, the unit of each power row's multiplier.
     """
 
-    m: int
     n_tx: int
     r_load: float
     q0: np.ndarray
@@ -134,10 +140,17 @@ class QcqpProblem:
     b: np.ndarray
     g: np.ndarray
     h: np.ndarray
-    power_caps: tuple = field(default=None)
+    cp: np.ndarray
+    v: np.ndarray
+    hr0: np.ndarray
+    hrn: np.ndarray
+    f0: np.ndarray
+    fn: np.ndarray
+    lam_scale: np.ndarray
 
     def __post_init__(self):
-        for arr in (self.q0, self.a, self.b, self.g, self.h) + self.q:
+        reduced = (self.cp, self.v, self.hr0, self.hrn, self.f0, self.fn, self.lam_scale)
+        for arr in (self.q0, self.a, self.b, self.g, self.h) + self.q + reduced:
             arr.setflags(write=False)
 
     def current_from_real(self, c):
@@ -146,8 +159,12 @@ class QcqpProblem:
 
 
 def build_problem(z, r_load, power_caps=None, constrain_powers=True):
-    """Assemble the full QCQP data from an impedance matrix and load, with
-    the power rows of `power_rows`."""
+    """Assemble the QCQP data from an impedance matrix and load, with the
+    power rows of `power_rows`, and reduce it to the affine set once.
+
+    The transmitter port matrices are those of Z itself: a transmitter's
+    row of Z never holds the receiver's diagonal entry, where the load adds.
+    """
     if isinstance(z, ImpedanceMatrix):
         zmat = z.entries
     else:
@@ -156,23 +173,32 @@ def build_problem(z, r_load, power_caps=None, constrain_powers=True):
     if not 0.0 < r_load < math.inf:
         raise ValueError(f"load resistance must be positive and finite, got {r_load}")
     q0 = realify(zmat.real)
-    zloaded = zmat.copy()
-    zloaded[-1, -1] += r_load
-    pims = port_impedance_matrices(zloaded)
-    q = tuple(realify(pims[j]) for j in range(n - 1))
+    q = tuple(realify(t) for t in port_impedance_matrices(zmat)[:-1])
     rows = power_rows(n - 1, power_caps, constrain_powers)
+    g = np.array([sign * q[port] for port, sign, _ in rows]).reshape(-1, *q0.shape)
+    h = np.array([rhs for *_, rhs in rows])
     a, b = build_affine(zmat, r_load)
+    # orthonormal bases of range(A^T) and of its complement null(A)
+    qa, ra = np.linalg.qr(a.T, mode="complete")
+    rank = a.shape[0]
+    cp = qa[:, :rank] @ np.linalg.solve(ra[:rank].T, b)
+    v = qa[:, rank:]
     return QcqpProblem(
-        m=2 * n - 1,
         n_tx=n - 1,
         r_load=float(r_load),
         q0=q0,
         q=q,
         a=a,
         b=b,
-        g=np.array([sign * q[port] for port, sign, _ in rows]).reshape(-1, *q0.shape),
-        h=np.array([rhs for *_, rhs in rows]),
-        power_caps=None if power_caps is None else tuple(float(v) for v in power_caps),
+        g=g,
+        h=h,
+        cp=cp,
+        v=v,
+        hr0=v.T @ q0 @ v,
+        hrn=(v.T @ g @ v).reshape(h.size, v.shape[1] ** 2),
+        f0=v.T @ (q0 @ cp),
+        fn=(g @ cp) @ v,
+        lam_scale=np.linalg.norm(g, axis=(1, 2)) / np.linalg.norm(q0),
     )
 
 
@@ -181,25 +207,15 @@ def build_problem(z, r_load, power_caps=None, constrain_powers=True):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EvaluationReport:
-    objective: float
-    tx_powers: np.ndarray
-    kvl_residual: float
-    pl_residual: float
-
-
 def evaluate(problem, c):
-    """Objective, per-port powers and constraint residuals at a point c."""
+    """(c^T Q0 c, the transmit powers c^T Q_n c) at a point c."""
     c = np.asarray(c, dtype=float)
-    obj = float(c @ problem.q0 @ c)
     powers = np.array([float(c @ qn @ c) for qn in problem.q])
     powers.setflags(write=False)
-    return EvaluationReport(obj, powers, *current_residuals(problem, c))
+    return float(c @ problem.q0 @ c), powers
 
 
 def current_residuals(problem, c):
     """(KVL, received-power) residuals of the current equalities at c."""
     kvl = float((problem.a @ c - problem.b)[0])
     return kvl, float(0.5 * problem.r_load * c[problem.n_tx] ** 2 - 1.0)
-

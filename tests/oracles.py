@@ -58,16 +58,18 @@ def _reduced_basis(problem):
     """Particular solution and orthonormal null-space basis of A c = b."""
     c0, *_ = np.linalg.lstsq(problem.a, problem.b, rcond=None)
     v = null_space(problem.a)
-    if v.shape[1] != problem.m - problem.a.shape[0]:
+    if v.shape[1] != problem.q0.shape[0] - problem.a.shape[0]:
         raise ValueError("affine rows of the instance are rank deficient")
     return c0, v
 
 
-def _power_violations(problem, powers):
-    viol = np.maximum(0.0, -powers)
-    if problem.power_caps is not None:
-        viol = np.maximum(viol, powers - np.asarray(problem.power_caps))
-    return viol
+def _row_slacks(problem, c):
+    """c^T G_j c - h_j of every power row of the problem, >= 0 when met."""
+    return np.array([float(c @ (gj @ c)) for gj in problem.g]) - problem.h
+
+
+def _power_violation(problem, c):
+    return float(np.maximum(0.0, -_row_slacks(problem, c)).max(initial=0.0))
 
 
 def _gap(objective, candidate):
@@ -83,17 +85,18 @@ def brute_force_qcqp(problem, resolution=GRID_RESOLUTION, candidate=None):
     affine rows leaves at most three free coordinates. The scan box is
     centered on the unconstrained reduced optimum with half-width ten times
     the norm of that point; if no grid point is feasible the box is widened
-    once before giving up.
+    once before giving up.  The constraints are the problem's own power rows
+    c^T G_j c >= h_j, none when it was built with unconstrained powers.
     """
-    if problem.m - 2 > 3:
+    free = problem.q0.shape[0] - 2
+    if free > 3:
         raise ValueError(
             "grid oracle supports at most 3 free coordinates "
-            f"(got {problem.m - 2}); use minimize_loss_descent or the SDR"
+            f"(got {free}); use minimize_loss_descent or the SDR"
         )
     if resolution < 3:
         raise ValueError("resolution must be at least 3")
     c0, v = _reduced_basis(problem)
-    free = v.shape[1]
 
     # unconstrained optimum of the reduced strictly convex quadratic; it
     # fixes both the scan center and the scale of the search box
@@ -111,14 +114,9 @@ def brute_force_qcqp(problem, resolution=GRID_RESOLUTION, candidate=None):
         pts = np.stack([g.ravel() for g in mesh], axis=1)
         cs = c0[None, :] + pts @ v.T
         obj = np.einsum("pi,ij,pj->p", cs, problem.q0, cs)
-        powers = np.stack(
-            [np.einsum("pi,ij,pj->p", cs, qn, cs) for qn in problem.q], axis=1
-        )
+        slacks = np.einsum("pi,jik,pk->pj", cs, problem.g, cs) - problem.h
         evaluations += pts.shape[0]
-        feasible = (powers >= -FEASIBILITY_TOL).all(axis=1)
-        if problem.power_caps is not None:
-            caps = np.asarray(problem.power_caps)
-            feasible &= (powers <= caps[None, :] + FEASIBILITY_TOL).all(axis=1)
+        feasible = (slacks >= -FEASIBILITY_TOL).all(axis=1)
         if feasible.any():
             masked = np.where(feasible, obj, np.inf)
             order = np.argsort(masked, kind="stable")  # stable: grid-index tie-break
@@ -133,27 +131,16 @@ def brute_force_qcqp(problem, resolution=GRID_RESOLUTION, candidate=None):
             "the constraints are likely infeasible"
         )
 
-    caps = np.asarray(problem.power_caps) if problem.power_caps is not None else None
-
-    def _powers(c):
-        return np.array([float(c @ (qn @ c)) for qn in problem.q])
-
     def penalized(t, weight):
         c = c0 + v @ t
         qc = problem.q0 @ c
         val = float(c @ qc)
         grad = 2.0 * (v.T @ qc)
-        for j, qn in enumerate(problem.q):
-            pj = float(c @ (qn @ c))
-            lo = max(0.0, -pj)
-            if lo > 0.0:
-                val += weight * lo * lo
-                grad -= 4.0 * weight * lo * (v.T @ (qn @ c))
-            if caps is not None:
-                hi = max(0.0, pj - caps[j])
-                if hi > 0.0:
-                    val += weight * hi * hi
-                    grad += 4.0 * weight * hi * (v.T @ (qn @ c))
+        for gj, hj in zip(problem.g, problem.h):
+            viol = max(0.0, hj - float(c @ (gj @ c)))
+            if viol > 0.0:
+                val += weight * viol * viol
+                grad -= 4.0 * weight * viol * (v.T @ (gj @ c))
         return val, grad
 
     def _restore(t):
@@ -162,16 +149,13 @@ def brute_force_qcqp(problem, resolution=GRID_RESOLUTION, candidate=None):
         nonlocal evaluations
         for _ in range(6):
             c = c0 + v @ t
-            p = _powers(c)
+            slack = _row_slacks(problem, c)
             evaluations += 1
             res, rows = [], []
-            for j, qn in enumerate(problem.q):
-                if p[j] < 0.0:
-                    res.append(-p[j])
-                    rows.append(2.0 * (v.T @ (qn @ c)))
-                elif caps is not None and p[j] > caps[j]:
-                    res.append(caps[j] - p[j])
-                    rows.append(2.0 * (v.T @ (qn @ c)))
+            for gj, sj in zip(problem.g, slack):
+                if sj < 0.0:
+                    res.append(-sj)
+                    rows.append(2.0 * (v.T @ (gj @ c)))
             if not rows:
                 break
             dt, *_ = np.linalg.lstsq(np.stack(rows), np.array(res), rcond=None)
@@ -182,7 +166,7 @@ def brute_force_qcqp(problem, resolution=GRID_RESOLUTION, candidate=None):
     # homotopy start at the unconstrained optimum, weight escalating tenfold
     # per round from an objective-scaled base
     starts.append(t_star)
-    viol = float(_power_violations(problem, _powers(c0 + v @ best_t)).max())
+    viol = _power_violation(problem, c0 + v @ best_t)
     for t0 in starts:
         t_cur = t0.copy()
         weight = max(1.0, abs(best_obj))
@@ -197,7 +181,7 @@ def brute_force_qcqp(problem, resolution=GRID_RESOLUTION, candidate=None):
         t_cur = _restore(t_cur)
         c_ref = c0 + v @ t_cur
         obj_ref = float(c_ref @ problem.q0 @ c_ref)
-        viol_ref = float(_power_violations(problem, _powers(c_ref)).max())
+        viol_ref = _power_violation(problem, c_ref)
         # refinement never hands back a worse or infeasible answer
         if viol_ref <= FEASIBILITY_TOL and obj_ref <= best_obj:
             best_t, best_obj, viol = t_cur, obj_ref, viol_ref

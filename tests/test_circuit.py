@@ -153,8 +153,8 @@ class TestMutualInductance:
     def test_tangent_pair_is_finite_and_stable(self):
         # adjacent planar-preset loops touch exactly; the integral is finite
         a, b = make_loop(), make_loop(x=2 * R_LOOP)
-        m1 = mutual_inductance(a, b, rtol=1e-9)
-        m2 = mutual_inductance(a, b, rtol=1e-12)
+        key = circuit._pair_key(a, b)
+        (m1,), (m2,) = circuit._quadrature([key], 1e-9), circuit._quadrature([key], 1e-12)
         assert m1 < 0.0  # coplanar loops couple negatively
         assert m1 == pytest.approx(m2, rel=1e-9)
 
@@ -285,22 +285,22 @@ class TestQuadratureBits:
 
     def test_the_cache_serves_repeated_pairs(self, monkeypatch):
         a, b = make_loop(), make_loop(x=0.013 * LAM, z=0.021 * LAM)
-        first = mutual_inductance(a, b, rtol=1e-11)
+        first = mutual_inductance(a, b)
         with monkeypatch.context() as m:
             m.setattr(circuit, "_quadrature", lambda *args: pytest.fail("cache miss"))
-            assert mutual_inductance(b, a, rtol=1e-11) == first
+            assert mutual_inductance(b, a) == first
             key = circuit._pair_key(a, b)
-            assert circuit._mutual_values([key] * 3, 1e-11) == [first] * 3
+            assert circuit._mutual_values([key] * 3) == [first] * 3
 
     def test_the_cache_drops_the_least_recently_used_pair(self, monkeypatch):
         monkeypatch.setattr(circuit, "_cache", collections.OrderedDict())
         monkeypatch.setattr(circuit, "_CACHE_SIZE", 3)
         r = R_LOOP
         keys = [(r, r, 0.0, h * r) for h in (3.0, 4.0, 5.0, 6.0)]
-        circuit._mutual_values(keys[:3], 1e-10)
-        circuit._mutual_values(keys[:1], 1e-10)  # the oldest, used again
-        circuit._mutual_values(keys[3:], 1e-10)
-        assert list(circuit._cache) == [k + (1e-10,) for k in (keys[2], keys[0], keys[3])]
+        circuit._mutual_values(keys[:3])
+        circuit._mutual_values(keys[:1])  # the oldest, used again
+        circuit._mutual_values(keys[3:])
+        assert list(circuit._cache) == [keys[2], keys[0], keys[3]]
 
 
 class TestLoopParameters:
@@ -309,7 +309,7 @@ class TestLoopParameters:
         # by one wire radius
         loop = make_loop()
         formula = loop_self_inductance(loop)
-        neumann = mutual_inductance(loop, make_loop(z=WIRE), rtol=1e-12)
+        (neumann,) = circuit._quadrature([circuit._pair_key(loop, make_loop(z=WIRE))], 1e-12)
         assert formula == pytest.approx(neumann, rel=0.02)
 
     def test_resistance_scales(self):

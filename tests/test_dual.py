@@ -79,14 +79,13 @@ class TestDerivatives:
     def test_gradient_and_hessian_match_differences(self):
         z = retarded_system("miso-3p", 0.1, -40.0)
         problem = build_problem(z, solve_closed_form(z).r_load)
-        red = dual._Reduced(problem)
         # inside the positive definite domain, which is convex and holds 0
         lam = 0.5 * dual.solve_dual(problem).lam + 1e-3
-        pt = red.at(lam)
+        pt = dual._at(problem, lam)
         h = 1e-6
         for j in range(lam.size):
             step = h * np.eye(lam.size)[j]
-            up, down = red.at(lam + step), red.at(lam - step)
+            up, down = dual._at(problem, lam + step), dual._at(problem, lam - step)
             grad = (up.value - down.value) / (2.0 * h)
             assert grad == pytest.approx(-pt.slack[j], rel=1e-6, abs=1e-9)
             col = (up.slack - down.slack) / (2.0 * h)  # d(-grad)/dlam_j
@@ -154,7 +153,7 @@ class TestRetardedSweeps:
     def test_rows_carry_their_certificate(self, binding_rows):
         for label, z, res, _ in binding_rows:
             assert res.kkt.max_residual() <= 1e-8, label
-            obj = evaluate(build_problem(z, res.r_load), res.cvec).objective
+            obj, _ = evaluate(build_problem(z, res.r_load), res.cvec)
             assert abs(obj - res.p_relax) <= 1e-12 * obj, label
             assert 0 < res.iterations <= dual.MAX_STEPS, label
 
@@ -369,3 +368,23 @@ def test_near_null_loads_are_decided_clearly(relaxation_only):
         res = full_pipeline(z, rl)
         assert (res.form, res.status) == ("conic", "optimal"), rl
         assert res.transmit_powers.min() >= -1e-9, rl
+
+
+def test_stalled_rows_factor_the_current_rows_once(monkeypatch):
+    """A row the ascent stalls on goes to the barrier and then to the
+    finish; all three read the one reduced problem, so A c = b is factored
+    once per row."""
+    z = retarded_system("miso-3p", 0.1, -54.0)
+    qr = np.linalg.qr
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return qr(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", counted)
+    for rl in np.geomspace(0.06, 0.08, 21)[6:13]:
+        calls.clear()
+        res = full_pipeline(z, rl)
+        assert (res.form, res.status) == ("conic", "optimal"), rl
+        assert len(calls) == 1, rl

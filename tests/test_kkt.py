@@ -67,7 +67,7 @@ def test_off_unit_received_power_breaks_its_row(certified):
 def test_negative_transmit_power_breaks_the_inequalities(certified):
     z, problem, c_cf, point = certified
     x_cf = np.outer(c_cf, c_cf)
-    p_min = float(evaluate(problem, c_cf).tx_powers.min())
+    p_min = float(evaluate(problem, c_cf)[1].min())
     rep = audit(problem, point, x_mat=x_cf)
     assert rep.inequalities > TOL
     assert rep.inequalities == pytest.approx(-p_min, rel=1e-9)
@@ -75,7 +75,7 @@ def test_negative_transmit_power_breaks_the_inequalities(certified):
     free = build_problem(z, problem.r_load, constrain_powers=False)
     assert audit(free, point, x_mat=x_cf).inequalities == 0.0
     # and a cap below a transmit power breaks its row as well
-    cap = 0.5 * float(evaluate(problem, point.c).tx_powers.max())
+    cap = 0.5 * float(evaluate(problem, point.c)[1].max())
     capped = build_problem(z, problem.r_load, power_caps=(cap,) * problem.n_tx)
     assert audit(capped, point).inequalities > TOL
 

@@ -70,7 +70,7 @@ def single_transmitter_point(problem, port, rng):
     i_r = problem.b[1]
     const = k[n_tx] * i_r
     a_re, a_im = k[port], k[n_tx + 1 + port]
-    c = np.zeros(problem.m)
+    c = np.zeros(problem.q0.shape[0])
     c[n_tx] = i_r
     if abs(a_re) >= abs(a_im):
         c[n_tx + 1 + port] = rng.uniform(-2.0, 2.0)
@@ -90,7 +90,7 @@ class TestBuildInstance:
         assert labels[0] == "received-power"
         assert labels[1] == "kvl-primary"
         assert all(lbl.startswith("kvl-redundant-") for lbl in labels[2:])
-        assert len(labels) == 2 + prob.m
+        assert len(labels) == 2 + prob.q0.shape[0]
         senses = [s for _, s, _, lbl in inst.inequalities]
         assert senses == [">="] * prob.n_tx
 
@@ -110,7 +110,7 @@ class TestBuildInstance:
         prob = build_problem(z, 10.0)
         inst = build_instance(prob, form="affine")
         a, b = inst.affine
-        assert a.shape == (2, prob.m)
+        assert a.shape == (2, prob.q0.shape[0])
         assert not inst.equalities
 
     def test_power_constraints_removable(self):
@@ -211,9 +211,9 @@ class TestSolveRelaxation:
         rng = np.random.default_rng(7)
         for trial in range(20):
             c = single_transmitter_point(prob, trial % prob.n_tx, rng)
-            rep = evaluate(prob, c)
-            assert rep.tx_powers.min() >= -1e-12
-            assert res.p_relax <= rep.objective + 1e-9
+            objective, powers = evaluate(prob, c)
+            assert powers.min() >= -1e-12
+            assert res.p_relax <= objective + 1e-9
 
     def test_non_optimal_status_raises(self, monkeypatch):
         z = quasi_system("miso-2p")
@@ -301,9 +301,9 @@ class TestRecoverOperatingPoint:
         problem = build_problem(z, cf.r_load)
         x_r = recover_operating_point(c, z, problem)
         assert x_r == pytest.approx(cf.x_r, abs=1e-9 * max(1.0, abs(cf.x_r)))
-        rep = evaluate(problem, c)
-        assert 1.0 / (1.0 + rep.objective) == pytest.approx(cf.eta, rel=1e-10)
-        assert np.allclose(rep.tx_powers, cf.p_tx, atol=1e-10)
+        objective, powers = evaluate(problem, c)
+        assert 1.0 / (1.0 + objective) == pytest.approx(cf.eta, rel=1e-10)
+        assert np.allclose(powers, cf.p_tx, atol=1e-10)
         # the loaded matrix Z + j diag(0, ..., 0, x_r) + R_L e e^T nulls the
         # receiver voltage
         i = problem.current_from_real(c)
@@ -315,8 +315,26 @@ class TestRecoverOperatingPoint:
     def test_infeasible_vector_rejected(self):
         z = quasi_system("miso-2p")
         prob = build_problem(z, 10.0)
-        c = np.ones(prob.m)
+        c = np.ones(prob.q0.shape[0])
         with pytest.raises(ValueError, match="residual"):
+            recover_operating_point(c, z, prob)
+
+    def test_large_fixed_load_is_measured_against_its_terms(self):
+        # at R_L = 1e6 ohm the KVL row sums terms of order 1e3; against an
+        # absolute 1e-6 (1 + max|b|) this certified row failed with a
+        # residual of 5.6e-6
+        z = retarded_system("miso-3p", 0.1, -66.0)
+        res = full_pipeline(z, 1e6)
+        assert not res.skipped and res.tight
+        p = res.transmit_powers
+        assert p.min() >= -1e-9 * max(1.0, float(np.abs(p).max()))
+        # a vector off the KVL row by 1e-5 of those terms still raises
+        prob = build_problem(z, 1e6)
+        k = prob.a[0]
+        assert recover_operating_point(res.cvec, z, prob) == res.x_r
+        c = res.cvec.copy()
+        c[0] += 1e-5 * float(np.abs(k * c).sum()) / k[0]
+        with pytest.raises(ValueError, match="kvl residual"):
             recover_operating_point(c, z, prob)
 
 
@@ -359,7 +377,7 @@ class TestFullPipeline:
         z = retarded_system("miso-3c", theta_deg=18.0)
         res = full_pipeline(z)
         prob = build_problem(z, res.r_load)
-        obj = evaluate(prob, res.cvec).objective
+        obj, _ = evaluate(prob, res.cvec)
         assert obj == pytest.approx(res.p_relax, rel=1e-8)
 
     def test_relaxation_bounded_below_by_unconstrained(self):
@@ -439,16 +457,19 @@ class FakeRow:
         self.p_relax = 1.0 / (eta if bound is None else bound) - 1.0
 
 
-def fake_pipeline(monkeypatch, row_at):
-    """Route optimize_load's evaluations to row_at(rl); returns the log."""
+def bracket_search(row_at, lo, hi):
+    """The load search's `_bracket_search` over [lo, hi] from the geometric
+    midpoint, each load's row from row_at(rl) ranked as `optimize_load`
+    ranks it: (load, method, the loads evaluated in call order)."""
     calls = []
 
-    def fake(z, rl, opts):
+    def eta_at(rl):
         calls.append(rl)
-        return row_at(rl)
+        return wptopt.pipeline._ranked_eta(row_at(rl))
 
-    monkeypatch.setattr(wptopt.pipeline, "full_pipeline", fake)
-    return calls
+    best, method = wptopt.pipeline._bracket_search(eta_at, lo, math.sqrt(lo * hi), hi)
+    assert len(set(calls)) == len(calls)  # each load evaluated once
+    return best, method, calls
 
 
 class TestOptimizeLoad:
@@ -503,32 +524,29 @@ class TestOptimizeLoad:
             dist = v * v if skew == 0.0 else math.expm1(skew * v) - skew * v
             return FakeRow(rl, 1.0 / (2.0 + dist))
 
-        with pytest.MonkeyPatch.context() as mp:
-            fake_pipeline(mp, row_at)
-            search = wptopt.pipeline.optimize_load(None, bounds=(lo, hi))
-        assert search.method == "brent"
-        assert search.evaluations <= 29
+        best, method, calls = bracket_search(row_at, lo, hi)
+        assert method == "brent"
+        assert len(calls) <= 29
         r_peak = math.exp(u_peak)
-        assert abs(search.r_load - r_peak) <= LOAD_REL_TOL * r_peak
+        assert abs(best - r_peak) <= LOAD_REL_TOL * r_peak
 
-    def test_non_tight_probe_is_ranked_by_its_bound(self, monkeypatch):
+    def test_non_tight_probe_is_ranked_by_its_bound(self):
         # on this bracket the dual stalls and some relaxations are not tight
         # (near R_L = 0.0680 ohm the relaxation's extracted point has a
         # power of about -8 W); a non-tight row must not win the search
         z = retarded_system("miso-3p", theta_deg=-54.0)
-        rows = []
+        rows = {}
 
-        def spy(*args):
-            rows.append(full_pipeline(*args))
-            return rows[-1]
+        def row_at(rl):
+            rows[rl] = full_pipeline(z, rl)
+            return rows[rl]
 
-        monkeypatch.setattr(wptopt.pipeline, "full_pipeline", spy)
-        search = optimize_load(z, bounds=(0.066, 0.070))
-        assert search.result.tight
-        assert search.result.transmit_powers.min() >= -1e-9
-        assert any(not r.tight and r is not search.result for r in rows)
+        best, _, _ = bracket_search(row_at, 0.066, 0.070)
+        assert rows[best].tight
+        assert rows[best].transmit_powers.min() >= -1e-9
+        assert any(not r.tight for r in rows.values())
 
-    def test_non_tight_start_loses_to_its_bound(self, monkeypatch):
+    def test_non_tight_start_loses_to_its_bound(self):
         # the start point's extracted efficiency tops the profile, but its
         # certified bound sits below the tight rows around it
         u_peak = math.log(3.0)
@@ -539,36 +557,20 @@ class TestOptimizeLoad:
                 return FakeRow(rl, 0.9, tight=False, bound=0.5 * eta)
             return FakeRow(rl, eta)
 
-        calls = fake_pipeline(monkeypatch, row_at)
-        search = wptopt.pipeline.optimize_load(None, bounds=(1.0, 100.0))
+        best, method, calls = bracket_search(row_at, 1.0, 100.0)
         assert calls[0] == 10.0
-        assert search.method == "brent"
-        assert search.result.tight
-        assert search.r_load == pytest.approx(3.0, rel=LOAD_REL_TOL)
+        assert method == "brent"
+        assert best == pytest.approx(3.0, rel=LOAD_REL_TOL)
 
-    def test_grid_fallback_on_non_unimodal_profile(self, monkeypatch):
-        import wptopt.pipeline as pl
+    def test_grid_fallback_on_non_unimodal_profile(self):
+        # valley at the geometric midpoint so the bracket probe fails; the
+        # method is the whole report, with no warning
+        def row_at(rl):
+            return FakeRow(rl, 0.1 + 0.1 * (math.log(rl) - math.log(10.0)) ** 2)
 
-        class Fake:
-            # valley at the geometric midpoint so the bracket probe fails
-            def __init__(self, rl):
-                self.eta = 0.1 + 0.1 * (math.log(rl) - math.log(10.0)) ** 2
-                self.r_load = rl
-                self.tight = True
-
-        monkeypatch.setattr(pl, "full_pipeline", lambda z, rl, opts: Fake(rl))
-        with pytest.warns(RuntimeWarning, match="unimodality"):
-            search = pl.optimize_load(None, bounds=(1.0, 100.0))
-        assert search.method == "grid"
-        assert search.evaluations >= 64
-
-    def test_bad_bounds_rejected(self):
-        with pytest.raises(ValueError, match="bounds"):
-            optimize_load(None, bounds=(5.0, 1.0))
-
-    @pytest.mark.parametrize("bounds", [(1.0, math.inf), (math.nan, 2.0)])
-    def test_non_finite_bounds_rejected(self, bounds):
-        # (1, inf) used to pass and end in a LAPACK LinAlgError
-        with pytest.raises(ValueError, match="bad load bounds"):
-            optimize_load(None, bounds=bounds)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, method, calls = bracket_search(row_at, 1.0, 100.0)
+        assert method == "grid"
+        assert len(calls) >= 64
 

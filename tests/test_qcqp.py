@@ -18,6 +18,7 @@ from wptopt.pims import port_impedance_matrices
 from wptopt.qcqp import (
     build_affine,
     build_problem,
+    current_residuals,
     evaluate,
     realify,
 )
@@ -153,7 +154,7 @@ class TestProblem:
         z = build_loop_system(GeometrySpec.preset("miso-3c", 0.1 * LAM, 0.2))
         prob = build_problem(z, 0.05)
         assert np.linalg.eigvalsh(prob.q0).min() > 0.0
-        assert prob.m == 7 and prob.n_tx == 3 and len(prob.q) == 3
+        assert prob.q0.shape == (7, 7) and prob.n_tx == 3 and len(prob.q) == 3
 
     def test_qn_indefinite(self):
         for name in ["siso", "miso-2p", "miso-3c"]:
@@ -205,7 +206,7 @@ class TestProblem:
     def test_power_caps_stored_and_validated(self):
         z = build_loop_system(GeometrySpec.preset("miso-2p", 0.1 * LAM, 0.0))
         prob = build_problem(z, 0.05, power_caps=[2.0, 3.0])
-        assert prob.power_caps == (2.0, 3.0)
+        assert np.array_equal(-prob.h[prob.n_tx:], [2.0, 3.0])
         with pytest.raises(ValueError, match="per transmitter"):
             build_problem(z, 0.05, power_caps=[1.0])
 
@@ -229,20 +230,52 @@ class TestProblem:
             build_problem(z, 10.0, power_caps=(bad, 1.0))
 
 
+    def test_transmitter_rows_ignore_the_load(self):
+        # a transmitter's row of Z never holds the receiver's diagonal entry,
+        # where the load adds, so Z and the loaded matrix give the same bits
+        for name in ["siso", "miso-2p", "miso-3c"]:
+            z = build_loop_system(GeometrySpec.preset(name, 0.1 * LAM, 0.4))
+            loaded = z.entries.copy()
+            loaded[-1, -1] += 0.05
+            prob = build_problem(z, 0.05)
+            want = [realify(t) for t in port_impedance_matrices(loaded)[:-1]]
+            assert all(np.array_equal(q, w) for q, w in zip(prob.q, want, strict=True))
+
+    @pytest.mark.parametrize("caps", [None, (2.0, 3.0, 4.0)])
+    def test_reduced_problem(self, caps):
+        z = build_loop_system(GeometrySpec.preset("miso-3c", 0.1 * LAM, 0.2))
+        prob = build_problem(z, 0.05, power_caps=caps)
+        v, cp = prob.v, prob.cp
+        assert v.shape == (7, 5)
+        assert np.allclose(v.T @ v, np.eye(5), atol=1e-14)
+        assert np.abs(prob.a @ v).max() <= 1e-12 * np.abs(prob.a).max()
+        assert np.allclose(prob.a @ cp, prob.b, rtol=0, atol=1e-14)
+        k = prob.h.size
+        assert np.array_equal(prob.hr0, v.T @ prob.q0 @ v)
+        assert np.array_equal(prob.hrn, (v.T @ prob.g @ v).reshape(k, 25))
+        assert np.array_equal(prob.f0, v.T @ (prob.q0 @ cp))
+        assert np.array_equal(prob.fn, (prob.g @ cp) @ v)
+        scale = np.linalg.norm(prob.g, axis=(1, 2)) / np.linalg.norm(prob.q0)
+        assert np.array_equal(prob.lam_scale, scale)
+        for arr in (cp, v, prob.hr0, prob.hrn, prob.f0, prob.fn, prob.lam_scale):
+            assert not arr.flags.writeable
+
+
 class TestEvaluate:
     def test_reports_on_feasible_and_infeasible_points(self):
         z = build_loop_system(GeometrySpec.preset("miso-3p", 0.1 * LAM, 0.25))
         r_load = 0.06
         prob = build_problem(z, r_load)
         c = feasible_c(z, r_load)
-        rep = evaluate(prob, c)
-        assert abs(rep.kvl_residual) <= 1e-9
-        assert abs(rep.pl_residual) <= 1e-12
-        assert rep.objective > 0.0
+        objective, powers = evaluate(prob, c)
+        kvl, pl = current_residuals(prob, c)
+        assert abs(kvl) <= 1e-9
+        assert abs(pl) <= 1e-12
+        assert objective > 0.0
         sol = solve_closed_form(z, r_load)
-        assert np.allclose(rep.tx_powers, sol.p_tx, rtol=1e-9)
-        bad = evaluate(prob, np.ones(prob.m))
-        assert abs(bad.kvl_residual) > 0.0 and abs(bad.pl_residual) > 0.0
+        assert np.allclose(powers, sol.p_tx, rtol=1e-9)
+        kvl, pl = current_residuals(prob, np.ones(prob.q0.shape[0]))
+        assert abs(kvl) > 0.0 and abs(pl) > 0.0
 
 
 class TestHarvestingExample:
@@ -261,6 +294,6 @@ class TestHarvestingExample:
         assert sol.p_tx.min() < 0.0
         prob = build_problem(zin, sol.r_load)
         c = np.concatenate([sol.i_t.real, [sol.i_r], sol.i_t.imag])
-        rep = evaluate(prob, c)
-        assert rep.tx_powers.min() < 0.0
-        assert np.allclose(rep.tx_powers, sol.p_tx, rtol=1e-9)
+        _, powers = evaluate(prob, c)
+        assert powers.min() < 0.0
+        assert np.allclose(powers, sol.p_tx, rtol=1e-9)
