@@ -594,11 +594,9 @@ def checked_entries(entries) -> np.ndarray:
     return z
 
 
-def hash_matrix(h, z: ImpedanceMatrix):
-    """Feed Z's entries and frequency to the hash object ``h``; return ``h``."""
-    h.update(np.ascontiguousarray(z.entries).tobytes())
-    h.update(np.float64(z.frequency).tobytes())
-    return h
+def matrix_bytes(z: ImpedanceMatrix) -> bytes:
+    """The bytes that identify Z in a hash: its entries, then its frequency."""
+    return np.ascontiguousarray(z.entries).tobytes() + np.float64(z.frequency).tobytes()
 
 
 def partition(z: ImpedanceMatrix | np.ndarray):

@@ -18,11 +18,12 @@ fractions of the operating wavelength.  Output files use a fixed column
 order and shortest round-trip float formatting, so identical inputs produce
 byte-identical files; every sweep row carries the load, constraint mode and
 matrix hash needed to re-solve it in isolation.  A sweep builds the
-matrices of its preset points in one quadrature pass and the closed forms
-of its rows in stacked passes (``pipeline.STACK_ROWS`` rows each); the
-binding rows then go to the dual and the relaxation one after another in
-input order (under ``--rl optimize``, each row's load search).  Every row
-is bit for bit what its point gives swept alone.
+matrices of its preset points in one quadrature pass, and solves its rows
+in blocks of ``pipeline.STACK_ROWS``: the closed forms in stacked passes,
+then the binding rows of each port count together, their dual ascents in
+lockstep (under ``--rl optimize``, each row's load search, one after
+another).  Rows come out in input order, and every row is bit for bit what
+its point gives swept alone.
 """
 
 import argparse
@@ -46,7 +47,7 @@ from .circuit import (
     PassivityError,
     SchemaError,
     build_loop_systems,
-    hash_matrix,
+    matrix_bytes,
     load_impedance_file,
     matrix_from_json,
     read_json,
@@ -60,12 +61,12 @@ from .pipeline import (
     ROW_ERRORS,
     PipelineOptions,
     RelaxationError,
-    build_problem,
     cap_r,
     optimize_load,
     solve_relaxation,
     solve_rows,
 )
+from .qcqp import build_problem
 
 __all__ = ["main"]
 
@@ -352,15 +353,16 @@ def _solve_rows(zs, rl_policy, opts: PipelineOptions):
             yield res, None
 
 
-def _row(theta_deg, d_frac, z, source, args, res):
+def _row(theta_deg, d_frac, z, z_bytes, source, args, res):
     """One point's row from its result or the exception it raised: the
     `SWEEP_COLUMNS` values, the per-port powers under "powers" and, for a
-    failed row, the failure text under "error"."""
+    failed row, the failure text under "error".  z_bytes is
+    `matrix_bytes` of z."""
     row = {
         "theta_deg": theta_deg,
         "d_frac": d_frac,
         "source": source,
-        "matrix_sha256": hash_matrix(hashlib.sha256(), z).hexdigest(),
+        "matrix_sha256": hashlib.sha256(z_bytes).hexdigest(),
         "constraint_mode": args.constraints[0],
     }
     if isinstance(res, Exception):
@@ -449,8 +451,9 @@ def cmd_solve(args) -> int:
     if isinstance(res, Exception):
         raise res
     print(_describe(res, search, z, source, theta_deg, d_frac, args))
-    row = _row(theta_deg, d_frac, z, source, args, res)
-    inputs = hash_matrix(hashlib.sha256(), z)  # the matrix, then the load
+    z_bytes = matrix_bytes(z)
+    row = _row(theta_deg, d_frac, z, z_bytes, source, args, res)
+    inputs = hashlib.sha256(z_bytes)  # the matrix, then the load
     inputs.update(np.float64(res.r_load).tobytes())
     record = {key: row[key] for key in SWEEP_COLUMNS} | {
         "inputs_sha256": inputs.hexdigest(),
@@ -478,9 +481,10 @@ def cmd_solve(args) -> int:
 def cmd_sweep(args) -> int:
     points, source, n_tx = _points(args)
     results = _solve_rows([z for _, _, z in points], args.rl, _pipeline_options(args))
+    blobs = [matrix_bytes(z) for _, _, z in points]  # each matrix serialized once
     rows = [
-        _row(theta, d, z, source, args, res)
-        for (theta, d, z), (res, _) in zip(points, results)
+        _row(theta, d, z, z_bytes, source, args, res)
+        for (theta, d, z), z_bytes, (res, _) in zip(points, blobs, results)
     ]
 
     out_dir = _ensure_out(args.out or ".")
@@ -496,7 +500,7 @@ def cmd_sweep(args) -> int:
     provenance = {
         "columns": list(SWEEP_COLUMNS + power_cols),
         "constraint_mode": args.constraints[0],
-        "inputs_sha256": _sweep_hash(points, args),
+        "inputs_sha256": _sweep_hash(points, blobs, args),
         "n_rows": len(rows),
         "rl_policy": str(args.rl),
         "source": source,
@@ -541,12 +545,14 @@ def _write_patterns(out_dir, rows):
         _write_text(os.path.join(out_dir, f"pattern_power{tag}.csv"), pow_lines)
 
 
-def _sweep_hash(points, args) -> str:
+def _sweep_hash(points, blobs, args) -> str:
+    """The sweep's inputs hash: each point's angle, distance and
+    `matrix_bytes` (blobs), then the constraint mode and load policy."""
     h = hashlib.sha256()
-    for theta, d, z in points:
+    for (theta, d, _), z_bytes in zip(points, blobs):
         h.update(np.float64(theta).tobytes())
         h.update(np.float64(d).tobytes())
-        hash_matrix(h, z)
+        h.update(z_bytes)
     h.update(repr((args.constraints[0], str(args.rl))).encode())
     return h.hexdigest()
 

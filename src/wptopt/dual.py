@@ -62,23 +62,38 @@ boundary of the positive definite domain.  Multipliers that run off past
 
 Both solvers, and the ascent that finishes a barrier row, return a
 `DualPoint` and read one reduced problem: V, c_p and the projected
-matrices are computed once per row, by `build_problem`.  A certified point
-also yields the dual slack of the conic relaxation at lam, so the
-relaxation's KKT audit can check the lift c c^T.
+matrices are computed once per row, by `wptopt.qcqp.build_problems`.  A
+certified point also yields the dual slack of the conic relaxation at lam,
+so the relaxation's KKT audit can check the lift c c^T.
+
+`solve_duals` runs the ascent of every row of a stack of problems (a
+block's binding rows of one port count) in lockstep.  The ascent is
+written once, as a generator per row (`_ascent`) that asks for what it
+needs evaluated: its point at a trial lam, and its model step.  Each turn
+evaluates the asks of all rows still ascending as stacks: `_at_rows` for
+the points, and the guessed face of `_model_step` for the steps, a row
+whose guessed face is not the maximizer taking its step through
+`_model_step` itself.  The last row still ascending, and so the one row of
+`solve_dual`, is answered by `_at` and `_model_step` alone.  Stacked
+numpy gives each matrix the bits it gets alone, so every row's point is
+bit for bit the one it reaches alone.
 
 Only numpy is used: `np.linalg.cholesky` is the positive-definite test of
 Hr and of each face system, which are then solved through that factor
-(face systems of order 1 and 2 inline).
+(face systems of order 1 and 2 inline, with the same elementwise
+arithmetic on stacks).  A stacked factorization fails as a whole when one
+matrix fails, so such a stack is factored again one matrix at a time.
 """
 
 import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
+from typing import NamedTuple
 
 import numpy as np
 
-__all__ = ["DualPoint", "solve_barrier", "solve_dual"]
+__all__ = ["DualPoint", "solve_barrier", "solve_dual", "solve_duals"]
 
 MAX_STEPS = 60  # Newton steps before giving up on a row
 STALL_STEPS = 15  # steps without the projected gradient halving: stalled
@@ -144,12 +159,34 @@ def _at(problem, lam):
     qc = problem.g @ c
     slack = qc @ c - problem.h
     obj = float(c @ problem.q0 @ c)
+    lam_slack = float(lam @ slack)
     g = qc @ problem.v @ linv.T  # B L^-T, so B Hr^-1 B^T = g g^T
-    return _Point(lam, c, slack, obj, obj - float(lam @ slack), -2.0 * (g @ g.T), linv)
+    return _Points(lam, c, slack, obj, obj - lam_slack, lam_slack, -2.0 * (g @ g.T), linv)
 
 
-def _conic_dual_slack(problem, lam, c):
-    """Dual slack of the conic relaxation at lam.
+def _at_rows(problems, lam, rows):
+    """`_at` of the problems[rows] of a stack at the rows of lam, with the
+    same arithmetic, as stacked `_Points` and a mask of the rows inside the
+    PD domain (the points of the others mean nothing)."""
+    p = problems
+    hr0, hrn, f0, fn, cp, v, g, h, q0 = (
+        p.hr0[rows], p.hrn[rows], p.f0[rows], p.fn[rows], p.cp[rows], p.v[rows], p.g[rows],
+        p.h[rows], p.q0[rows],
+    )
+    hr = hr0 - (lam[:, None] @ hrn)[:, 0].reshape(hr0.shape)
+    linv, inside = _inverse_cholesky_factors(hr)
+    c = cp - (v @ (linv.mT @ (linv @ (f0 - (lam[:, None] @ fn)[:, 0])[..., None])))[..., 0]
+    qc = (g @ c[:, None, :, None])[..., 0]
+    slack = (qc @ c[..., None])[..., 0] - h
+    obj = (c[:, None] @ q0 @ c[..., None])[:, 0, 0]
+    lam_slack = (lam[:, None] @ slack[..., None])[:, 0, 0]
+    g = qc @ v @ linv.mT
+    return _Points(lam, c, slack, obj, obj - lam_slack, lam_slack, -2.0 * (g @ g.mT), linv), inside
+
+
+def _conic_dual_slack(problems, lam, c, rows=slice(None)):
+    """Dual slack of the conic relaxation at lam, for the problems[rows] of
+    a stack (rows=None: a single problem as a stack of one).
 
     With the received-power multiplier nu = c^T H c, S0 = H - nu R, R
     the received-power row (R_L / 2 on the receiver's diagonal entry
@@ -161,21 +198,28 @@ def _conic_dual_slack(problem, lam, c):
     k-perp: positive semidefinite on the whole space, with c in its null
     space up to rounding.
     """
-    s0 = problem.q0 - np.tensordot(lam, problem.g, 1)  # H, then S0 in place
-    nu = float(c @ s0 @ c)
-    s0[problem.n_tx, problem.n_tx] -= nu * (0.5 * problem.r_load)
-    k_hat = problem.a[0] / np.linalg.norm(problem.a[0])  # the KVL row
-    proj = np.eye(c.size) - np.outer(k_hat, k_hat)
+    n_rows, m = c.shape
+    g = problems.g[rows].reshape(n_rows, lam.shape[1], m * m)
+    s0 = problems.q0[rows] - (lam[:, None] @ g)[:, 0].reshape(n_rows, m, m)  # H, then S0
+    nu = (c[:, None] @ s0 @ c[..., None])[:, 0, 0]
+    n = problems.n_tx
+    s0[:, n, n] -= nu * (0.5 * np.asarray(problems.r_load)[rows])
+    k = problems.a[rows][:, 0]  # the KVL row
+    k_hat = k / np.sqrt(k[:, None] @ k[..., None])[:, 0]
+    proj = np.eye(m) - k_hat[:, :, None] * k_hat[:, None, :]
     return proj @ s0 @ proj
 
 
-@dataclass
-class _Point:
+class _Points(NamedTuple):
+    """What `_at` finds at lam, or `_at_rows` at a stack of rows, whose
+    fields then carry a leading row axis."""
+
     lam: np.ndarray
     c: np.ndarray
     slack: np.ndarray  # c^T G_j c - h_j, >= 0 when feasible
-    obj: float
-    value: float  # g(lam)
+    obj: np.ndarray
+    value: np.ndarray  # g(lam)
+    lam_slack: np.ndarray  # lam . slack
     hess: np.ndarray
     linv: np.ndarray  # inverse Cholesky factor of Hr
 
@@ -184,6 +228,11 @@ class _Point:
         grad = -self.slack
         pg = np.where(self.lam > 0.0, grad, np.maximum(grad, 0.0))
         return float(np.abs(pg).max(initial=0.0))
+
+    def row(self, i):
+        """Point i alone, its scalars as Python floats."""
+        lam, c, slack, obj, value, lam_slack, hess, linv = (arr[i] for arr in self)
+        return _Points(lam, c, slack, float(obj), float(value), float(lam_slack), hess, linv)
 
 
 def _inverse_cholesky_factor(mat):
@@ -197,6 +246,31 @@ def _inverse_cholesky_factor(mat):
         return np.linalg.inv(np.linalg.cholesky(mat))
     except np.linalg.LinAlgError:
         return None
+
+
+def _inverse_cholesky_factors(mat):
+    """`_inverse_cholesky_factor` of each matrix of a stack, as (the
+    factors, 0 for a matrix that fails, and a mask of those that pass).
+
+    numpy's stacked Cholesky factorization fails as a whole when one matrix
+    fails.  The matrices whose least eigenvalue is positive are then
+    factored again as a stack, and the others one at a time, as is a stack
+    that fails again."""
+    try:
+        return np.linalg.inv(np.linalg.cholesky(mat)), np.ones(len(mat), bool)
+    except np.linalg.LinAlgError:
+        pass
+    linv, passed = np.zeros(mat.shape), np.zeros(len(mat), bool)
+    likely = np.linalg.eigvalsh(mat)[:, 0] > 0.0
+    rows = range(len(mat))
+    if 1 < likely.sum() < len(mat):
+        linv[likely], passed[likely] = _inverse_cholesky_factors(mat[likely])
+        rows = np.flatnonzero(~likely).tolist()
+    for i in rows:
+        factor = _inverse_cholesky_factor(mat[i])
+        if factor is not None:
+            linv[i], passed[i] = factor, True
+    return linv, passed
 
 
 def _cholesky_solve(mat, rhs):
@@ -221,6 +295,28 @@ def _cholesky_solve(mat, rhs):
     l22 = math.sqrt(t)
     x1 = (float(rhs[1]) - l21 * y0) / l22 / l22
     return np.array([(y0 - l21 * x1) / l11, x1])
+
+
+def _cholesky_solves(mat, rhs):
+    """`_cholesky_solve` of each matrix and right-hand side of a stack, as
+    (the solutions, a mask of the matrices that pass the Cholesky test),
+    with the same arithmetic."""
+    if rhs.shape[1] > 2:
+        linv, passed = _inverse_cholesky_factors(mat)
+        return (linv.mT @ (linv @ rhs[..., None]))[..., 0], passed
+    with np.errstate(all="ignore"):  # the rows that fail are masked
+        a = mat[:, 0, 0]
+        passed = a > 0.0
+        l11 = np.sqrt(a)
+        y0 = rhs[:, 0] / l11
+        if rhs.shape[1] == 1:
+            return (y0 / l11)[:, None], passed
+        l21 = mat[:, 1, 0] / l11
+        t = mat[:, 1, 1] - l21 * l21
+        passed &= t > 0.0
+        l22 = np.sqrt(t)
+        x1 = (rhs[:, 1] - l21 * y0) / l22 / l22
+        return np.stack([(y0 - l21 * x1) / l11, x1], axis=1), passed
 
 
 @lru_cache(maxsize=None)
@@ -270,14 +366,61 @@ def _model_step(lam, grad, neg_hess):
     return best
 
 
-def solve_dual(problem, lam=None):
-    """Maximize the Lagrangian dual of a constrained QCQP from lam, clipped
-    to lam >= 0 (default 0, where H = Q0 is positive definite); see module
-    docs."""
-    k = problem.h.size
-    pt = _at(problem, np.zeros(k) if lam is None else np.maximum(lam, 0.0))
+def _model_steps(lam, grad, neg_hess):
+    """`_model_step` of each row of a stack, as a list.  The rows' guessed
+    faces are solved as stacks, one per face, with the same arithmetic; a
+    row whose guessed face does not give the maximizer takes its step
+    through `_model_step`."""
+    if len(lam) == 1:
+        return [_model_step(lam[0], grad[0], neg_hess[0])]
+    out = [None] * len(lam)
+    guess = (lam > 0.0) | (grad > 0.0)
+    code = guess @ (1 << np.arange(lam.shape[1]))
+    for face in sorted(set(code.tolist())):
+        sel = np.flatnonzero(code == face)
+        free, fixed = np.flatnonzero(guess[sel[0]]), np.flatnonzero(~guess[sel[0]])
+        d, done = _face_steps(lam[sel], grad[sel], neg_hess[sel], free, fixed)
+        for i, step in zip(sel[done].tolist(), d[done]):
+            out[i] = step
+        for i in sel[~done].tolist():
+            out[i] = _model_step(lam[i], grad[i], neg_hess[i])
+    return out
+
+
+def _face_steps(lam, grad, neg_hess, free, fixed):
+    """The model's optimum on one face of `_model_step`, for each row of a
+    stack: (d, a mask of the rows where d is the orthant maximizer)."""
+    d = -lam
+    passed = np.ones(len(lam), bool)
+    if free.size:
+        # operands of @ laid out row by row, as `_model_step`'s are: numpy
+        # lays a mixed slice-and-index result out stack axis last, which
+        # BLAS cannot take, and its own loop rounds differently
+        cross = np.ascontiguousarray(neg_hess[:, free[:, None], fixed])
+        rhs = grad[:, free] - (cross @ np.ascontiguousarray(d[:, fixed, None]))[..., 0]
+        sub = np.ascontiguousarray(neg_hess[:, free[:, None], free])
+        d_free, passed = _cholesky_solves(sub, np.ascontiguousarray(rhs))
+        passed &= ~(lam[:, free] + d_free < 0.0).any(axis=1)
+        d[:, free] = np.where(passed[:, None], d_free, d[:, free])
+    model_grad = grad - (neg_hess @ d[..., None])[..., 0]
+    return d, passed & (model_grad[:, fixed] <= 0.0).all(axis=1)
+
+
+_STEP, _AT = "step", "at"  # what an ascent asks to have evaluated
+
+
+def _ascent(lam, lam_scale, h):
+    """The dual ascent of one problem from lam, as a generator of what it
+    needs evaluated: it yields (_AT, lam), to be sent `_at` of the problem
+    there, and (_STEP, (lam, grad, neg_hess)), to be sent `_model_step` of
+    that model.  Returns (reason, the point it stopped at, its steps, the
+    duality gap there), or None when lam is outside the domain; lam_scale
+    and h are the problem's.
+    """
+    pt = yield _AT, lam
     if pt is None:
-        return _outside(lam)
+        return None
+    k = lam.size
     steps = 0
     reason = "step limit"
     ref_pg, ref_step = np.inf, 0  # last projected gradient that halved
@@ -285,9 +428,7 @@ def solve_dual(problem, lam=None):
         pg = pt.pgrad()
         if pg <= 0.5 * ref_pg:
             ref_pg, ref_step = pg, steps
-        if pg <= GRAD_TOL * max(1.0, pt.obj) and (
-            abs(float(pt.lam @ pt.slack)) <= GAP_TOL * pt.obj
-        ):
+        if pg <= GRAD_TOL * max(1.0, pt.obj) and abs(pt.lam_slack) <= GAP_TOL * pt.obj:
             reason = ""
             break
         if steps - ref_step >= STALL_STEPS:
@@ -298,12 +439,12 @@ def solve_dual(problem, lam=None):
         trial = None
         for mu in _DAMPING:
             neg_hess = mu * hess_scale * np.eye(k) - pt.hess
-            d = _model_step(pt.lam, grad, neg_hess)
+            d = yield _STEP, (pt.lam, grad, neg_hess)
             if d is None:
                 continue
             # multipliers sent to a face land on exact zeros
             lam_new = np.where(pt.lam + d <= 0.0, 0.0, pt.lam + d)
-            cand = _at(problem, lam_new)
+            cand = yield _AT, lam_new
             if cand is not None and (cand.value > pt.value or cand.pgrad() <= 0.5 * pg):
                 trial = cand
                 break
@@ -312,12 +453,12 @@ def solve_dual(problem, lam=None):
             break
         pt = trial
         steps += 1
-        if (pt.lam * problem.lam_scale).max() > LAM_LIMIT:
+        if (pt.lam * lam_scale).max() > LAM_LIMIT:
             reason = "diverging multipliers"
             break
 
-    p_scale = max(1.0, float(np.abs(pt.slack + problem.h).max(initial=0.0)))
-    gap = float(pt.lam @ pt.slack) / pt.obj
+    p_scale = max(1.0, float(np.abs(pt.slack + h).max(initial=0.0)))
+    gap = pt.lam_slack / pt.obj
     # g(lam) bounds the loss from below at any lam >= 0 in the domain, so a
     # feasible c that closes the gap is optimal however the ascent ended:
     # near-singular rows can stall with the gap closed but the projected
@@ -326,16 +467,90 @@ def solve_dual(problem, lam=None):
         reason = ""
     elif not reason:
         reason = "infeasible point"
-    return DualPoint(
-        reason=reason,
-        lam=pt.lam,
-        c=pt.c,
-        value=pt.value,
-        objective=pt.obj,
-        gap=gap,
-        steps=steps,
-        dual_slack=None if reason else _conic_dual_slack(problem, pt.lam, pt.c),
-    )
+    return reason, pt, steps, gap
+
+
+def solve_dual(problem, lam=None):
+    """Maximize the Lagrangian dual of a constrained QCQP from lam, clipped
+    to lam >= 0 (default 0, where H = Q0 is positive definite); see module
+    docs.  The one-problem case of `solve_duals`."""
+    return solve_duals(problem.stack(), None if lam is None else np.asarray(lam)[None])[0]
+
+
+def solve_duals(problems, lam=None):
+    """`solve_dual` of each problem of a stack (see
+    `wptopt.qcqp.QcqpProblem`) from the rows of lam, as a list of
+    DualPoints.
+
+    The rows ascend in lockstep: every row runs its own `_ascent`, and what
+    they ask for at each turn is evaluated as one stack per kind (their
+    points, and their guessed faces), as are the dual slacks of the rows
+    that certify.  The last row still ascending, and so the row of a stack
+    of one, is answered by `_at` and `_model_step` themselves.  Each row's
+    point is bit for bit the one it reaches alone.
+    """
+    n_rows, k = problems.h.shape
+    start = np.zeros((n_rows, k)) if lam is None else np.maximum(lam, 0.0)
+    ascents, asks, ends = {}, {}, {}
+    for i in range(n_rows):
+        ascents[i] = _ascent(start[i], problems.lam_scale[i], problems.h[i])
+        _advance(ascents, asks, ends, i, None)
+    while len(asks) > 1:
+        for i, answer in _answers(problems, asks).items():
+            _advance(ascents, asks, ends, i, answer)
+    for i, ask in asks.items():  # the last row ascends alone
+        ends[i] = _alone(ascents[i], ask, problems.row(i))
+
+    out = [None] * n_rows
+    certified = sorted(i for i, end in ends.items() if end is not None and not end[0])
+    slacks = {}
+    if certified:
+        lam_c = np.array([ends[i][1].lam for i in certified])
+        c_c = np.array([ends[i][1].c for i in certified])
+        rows = slice(None) if len(certified) == n_rows else np.array(certified)
+        slacks = dict(zip(certified, _conic_dual_slack(problems, lam_c, c_c, rows)))
+    for i, end in ends.items():
+        if end is None:
+            out[i] = _outside(None if lam is None else lam[i])
+            continue
+        reason, pt, steps, gap = end
+        out[i] = DualPoint(reason, pt.lam, pt.c, pt.value, pt.obj, gap, steps, slacks.get(i))
+    return out
+
+
+def _answers(problems, asks):
+    """What the rows of a stack ask, evaluated as one stack per kind."""
+    answers = {}
+    steps = [i for i, (kind, _) in asks.items() if kind is _STEP]
+    if steps:
+        models = (np.array(parts) for parts in zip(*(asks[i][1] for i in steps)))
+        answers.update(zip(steps, _model_steps(*models)))
+    ats = [i for i, (kind, _) in asks.items() if kind is _AT]
+    if ats:
+        rows = slice(None) if len(ats) == len(problems.h) else np.array(ats)
+        cands, passed = _at_rows(problems, np.array([asks[i][1] for i in ats]), rows)
+        answers.update((i, cands.row(j) if passed[j] else None) for j, i in enumerate(ats))
+    return answers
+
+
+def _alone(ascent, ask, problem):
+    """Drive one row's ascent to its end with `_at` and `_model_step`."""
+    while True:
+        kind, arg = ask
+        answer = _model_step(*arg) if kind is _STEP else _at(problem, arg)
+        try:
+            ask = ascent.send(answer)
+        except StopIteration as stop:
+            return stop.value
+
+
+def _advance(ascents, asks, ends, i, answer):
+    """Send row i's ascent its answer; file what it asks next, or its end."""
+    try:
+        asks[i] = ascents[i].send(answer)
+    except StopIteration as stop:
+        asks.pop(i, None)
+        ends[i] = stop.value
 
 
 def solve_barrier(problem):
@@ -434,6 +649,6 @@ def _barrier_point(reason, pt, steps, x_mat, problem):
         objective=pt.obj,
         gap=float(pt.lam @ pt.slack) / pt.obj,
         steps=steps,
-        dual_slack=_conic_dual_slack(problem, pt.lam, pt.c),
+        dual_slack=_conic_dual_slack(problem, pt.lam[None], pt.c[None], None)[0],
         x_mat=x_mat,
     )

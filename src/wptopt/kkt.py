@@ -41,35 +41,46 @@ def relaxation_audit(problem, x_mat, lam, dual_slack, objective):
     """KKT residuals of the relaxation of `problem` at the matrix x_mat, with
     multipliers lam on its power rows <G_j, X> >= h_j, the dual slack matrix
     built from them, and `objective` = <Q0, x_mat>, which scales
-    complementary slackness.
+    complementary slackness.  The one-point case of `relaxation_audits`.
     """
-    scale_x = 1.0 + float(np.abs(x_mat).max())
-    primal_psd = max(0.0, -float(np.linalg.eigvalsh(x_mat)[0])) / scale_x
+    (report,) = relaxation_audits(
+        problem, x_mat[None], np.asarray(lam)[None], dual_slack[None], [objective], None
+    )
+    return report
+
+
+def relaxation_audits(problems, x_mat, lam, dual_slack, objective, rows=slice(None)):
+    """`relaxation_audit` of the problems[rows] of a stack (see
+    `wptopt.qcqp.QcqpProblem`; rows=None takes a single problem as a stack
+    of one) at a stack of points, as a list of KktReports, each bit for bit
+    the report of its point alone."""
+    n_rows = len(x_mat)
+    # X and the symmetric part of the dual slack: their PSD residuals
+    both = np.concatenate([x_mat, 0.5 * (dual_slack + dual_slack.mT)])
+    low = -np.linalg.eigvalsh(both)[:, 0]
+    psd = np.where(low > 0.0, low, 0.0) / (1.0 + np.abs(both).reshape(2 * n_rows, -1).max(axis=1))
 
     # the KVL rows have right-hand side 0, so their 1 + |rhs| scale is 1
-    k = problem.a[0]
-    xk = x_mat @ k
-    eq_res = max(abs(float(k @ xk)), 2.0 * float(np.abs(xk).max()))
-    n = problem.n_tx
-    rp_res = abs(float(0.5 * problem.r_load * x_mat[n, n]) - 1.0) / 2.0
+    k = problems.a[rows][:, 0]
+    xk = (x_mat @ k[..., None])[..., 0]
+    k_xk = np.abs((k[:, None] @ xk[..., None])[:, 0, 0])
+    xk_max = 2.0 * np.abs(xk).max(axis=1)
+    n = problems.n_tx
+    r_load = np.asarray(problems.r_load)[rows]
 
-    h = problem.h
-    slack = problem.g.reshape(h.size, x_mat.size) @ x_mat.reshape(-1) - h
-    ineq_res = float((np.maximum(-slack, 0.0) / (1.0 + np.abs(h))).max(initial=0.0))
-    y_ineq = np.asarray(lam[: h.size], dtype=float)
-    dual_sign = float(np.maximum(-y_ineq, 0.0).max(initial=0.0))
+    g, h = problems.g[rows], problems.h[rows]
+    flat = g.reshape(g.shape[:2] + (x_mat[0].size,))
+    slack = (flat @ x_mat.reshape(n_rows, -1, 1))[..., 0] - h
+    y_ineq = np.asarray(lam, dtype=float)[:, : h.shape[1]]
 
-    q = 0.5 * (dual_slack + dual_slack.T)
-    scale_q = 1.0 + float(np.abs(q).max())
-    dual_psd = max(0.0, -float(np.linalg.eigvalsh(q)[0])) / scale_q
-    cs = abs(float(np.sum(q * x_mat))) / (1.0 + abs(objective))
-
-    return KktReport(
-        primal_psd=primal_psd,
-        equalities=eq_res,
-        received_power=rp_res,
-        inequalities=ineq_res,
-        dual_sign=dual_sign,
-        dual_psd=dual_psd,
-        comp_slack=cs,
+    columns = (
+        psd[:n_rows],
+        np.where(xk_max > k_xk, xk_max, k_xk),  # Python's max of the two
+        np.abs(0.5 * r_load * x_mat[:, n, n] - 1.0) / 2.0,
+        (np.maximum(-slack, 0.0) / (1.0 + np.abs(h))).max(axis=1, initial=0.0),
+        np.maximum(-y_ineq, 0.0).max(axis=1, initial=0.0),
+        psd[n_rows:],
+        np.abs((both[n_rows:] * x_mat).reshape(n_rows, -1).sum(axis=1))
+        / (1.0 + np.abs(objective)),
     )
+    return [KktReport(*row) for row in zip(*(col.tolist() for col in columns))]

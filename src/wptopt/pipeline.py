@@ -11,7 +11,7 @@ conic-form lift. A row the dual does not certify goes to the semidefinite
 relaxation ("conic"), solved by a log-det barrier path on the same dual,
 certified tight via the normalized rank-1 error, and its extracted vector
 is finished on the dual. The ascent, the barrier and the finish all read
-the one reduced problem `wptopt.qcqp.build_problem` makes for the row, so
+the one reduced problem `wptopt.qcqp.build_problems` makes for the row, so
 A c = b is factored once per row. A relaxation whose error exceeds
 `TIGHTNESS_THRESHOLD` gives status "not-tight": its point is not certified
 and may break the power constraints. Each path fills in the currents,
@@ -19,9 +19,13 @@ transmit powers and efficiency of its solution vector; the receiver
 compensation reactance is then recovered from that vector and the
 impedance matrix.
 
-`solve_rows` runs many links at one load: their closed forms in stacked
-passes of up to `STACK_ROWS` links, then the binding rows one by one in
-input order.  `full_pipeline` is its one-link case.
+`solve_rows` runs many links at one load, in blocks of up to `STACK_ROWS`
+links: their closed forms in stacked passes, then the binding rows of each
+port count together, as stacks: the problems, the dual ascent in lockstep
+(`wptopt.dual.solve_duals`), the KKT audit and the operating points.  A
+row the dual does not certify goes to the relaxation alone.  The rows come
+out in input order, each bit for bit its one-row result.  `full_pipeline`
+is its one-link case.
 
 `optimize_load` searches the load resistance. When the closed form at the
 unconstrained optimal load R* is feasible it is the answer in one
@@ -37,9 +41,9 @@ import numpy as np
 
 from .circuit import ImpedanceMatrix
 from .closedform import ClosedFormSolution, solve_closed_forms
-from .dual import solve_barrier, solve_dual
-from .kkt import relaxation_audit
-from .qcqp import QcqpProblem, build_problem, current_residuals, evaluate, power_rows
+from .dual import solve_barrier, solve_dual, solve_duals
+from .kkt import relaxation_audit, relaxation_audits
+from .qcqp import QcqpProblem, build_problems, current_residuals, evaluate, power_rows
 
 __all__ = [
     "PipelineOptions",
@@ -166,17 +170,31 @@ def recover_operating_point(c, z: ImpedanceMatrix, problem: QcqpProblem) -> floa
     the terms that row sums, sum_j |A_0j c_j|, so that it keeps its meaning
     at any load and current scale.
     """
-    c = np.asarray(c, dtype=float)
-    kvl, pl = current_residuals(problem, c)
-    scale = float(np.abs(problem.a[0] * c).sum())
-    if abs(kvl) > 1e-6 * scale or abs(pl) > 1e-6:
-        raise ValueError(
-            "vector violates the current constraints: "
-            f"kvl residual {kvl:.3e}, received-power residual {pl:.3e}"
-        )
-    i = problem.current_from_real(c)
-    ztr, zr = z.entries[:-1, -1], complex(z.entries[-1, -1])
-    return float(-zr.imag - float(np.imag(ztr @ i[:-1])) / i[-1].real)
+    c = np.asarray(c, dtype=float)[None]
+    stack = problem.stack()
+    (x_r,) = _receiver_reactances(stack, c, stack.current_from_real(c), z.entries[None])
+    if isinstance(x_r, Exception):
+        raise x_r
+    return x_r
+
+
+def _receiver_reactances(problems, c, i, z):
+    """`recover_operating_point` of each row of a stack of problems at the
+    rows of c, whose currents are i, with their (K, N, N) impedance
+    matrices z: each row's x_r, or the ValueError it raises."""
+    kvl, pl = current_residuals(problems, c)
+    scale = np.abs(problems.a[:, 0] * c).sum(axis=1)
+    ztr, zr = z[:, :-1, -1], z[:, -1, -1]
+    x_r = -zr.imag - (ztr[:, None] @ i[:, :-1, None])[:, 0, 0].imag / i[:, -1].real
+    out = []
+    for row_kvl, row_pl, row_scale, row_x_r in zip(*(a.tolist() for a in (kvl, pl, scale, x_r))):
+        if abs(row_kvl) > 1e-6 * row_scale or abs(row_pl) > 1e-6:
+            row_x_r = ValueError(
+                "vector violates the current constraints: "
+                f"kvl residual {row_kvl:.3e}, received-power residual {row_pl:.3e}"
+            )
+        out.append(row_x_r)
+    return out
 
 
 def solve_relaxation(problem: QcqpProblem):
@@ -217,42 +235,77 @@ def solve_relaxation(problem: QcqpProblem):
         finish = solve_dual(problem, bp.lam)
         if finish.certified:
             cvec = finish.c
-    return _binding_row(problem, cvec, "conic", eps, bp.value, bp.steps, kkt)
+    stack = problem.stack()
+    (row,) = _binding_rows(stack, cvec[None], "conic", [eps], [bp.value], [bp.steps], [kkt])
+    return row
 
 
-def _solve_dual(problem: QcqpProblem):
-    """The constrained QCQP on its Lagrangian dual, as a raw SdrResult like
-    :func:`solve_relaxation`'s, or None where the dual point does not
-    certify or the KKT audit of its conic-form lift cc^T fails."""
-    dp = solve_dual(problem)
-    if not dp.certified:
-        return None
-    c = dp.c
-    kkt = relaxation_audit(problem, np.outer(c, c), dp.lam, dp.dual_slack, dp.objective)
-    if kkt.max_residual() > KKT_THRESHOLD:
-        return None
-    return _binding_row(problem, c, "dual", 0.0, dp.value, dp.steps, kkt)  # cc^T is rank one
-
-
-def _binding_row(problem: QcqpProblem, c, form, epsilon, p_relax, iterations, kkt):
-    """The raw SdrResult of a binding row's solution vector c, found on path
-    `form` with rank-one error `epsilon`: "not-tight" above
-    `TIGHTNESS_THRESHOLD`, else "optimal"."""
-    objective, powers = evaluate(problem, c)
-    return SdrResult(
-        status="optimal" if epsilon <= TIGHTNESS_THRESHOLD else "not-tight",
-        form=form,
-        epsilon=epsilon,
-        p_relax=p_relax,
-        eta=1.0 / (1.0 + objective),
-        r_load=problem.r_load,
-        cvec=c,
-        currents=problem.current_from_real(c),
-        x_r=float("nan"),
-        transmit_powers=powers,
-        iterations=iterations,
-        kkt=kkt,
+def _solve_dual(problems):
+    """The constrained QCQP of each row of a stack on its Lagrangian dual,
+    as raw SdrResults like :func:`solve_relaxation`'s, None where the dual
+    point does not certify or the KKT audit of its conic-form lift cc^T
+    fails.  The ascent, the audit and the rows are stacked."""
+    points = solve_duals(problems)
+    out = [None] * len(points)
+    certified = [i for i, dp in enumerate(points) if dp.certified]
+    if not certified:
+        return out
+    dps = [points[i] for i in certified]
+    c = np.array([dp.c for dp in dps])
+    lam = np.array([dp.lam for dp in dps])
+    slack = np.array([dp.dual_slack for dp in dps])
+    rows = _rows(certified, len(points))
+    kkts = relaxation_audits(
+        problems, c[:, :, None] * c[:, None, :], lam, slack, [dp.objective for dp in dps], rows
     )
+    keep = [j for j, kkt in enumerate(kkts) if kkt.max_residual() <= KKT_THRESHOLD]
+    if keep:
+        rows = _rows([certified[j] for j in keep], len(points))
+        dps = [dps[j] for j in keep]
+        solved = _binding_rows(
+            problems if isinstance(rows, slice) else problems.take(rows),
+            c[keep],
+            "dual",
+            [0.0] * len(keep),  # cc^T is rank one
+            [dp.value for dp in dps],
+            [dp.steps for dp in dps],
+            [kkts[j] for j in keep],
+        )
+        for j, row in zip(keep, solved):
+            out[certified[j]] = row
+    return out
+
+
+def _rows(rows, n):
+    """Index of the given rows of a stack of n: a slice when they are all."""
+    return slice(None) if len(rows) == n else np.array(rows)
+
+
+def _binding_rows(problems, c, form, epsilon, p_relax, iterations, kkt):
+    """The raw SdrResults of the binding rows of a stack of problems at the
+    rows of c, found on path `form` with rank-one errors `epsilon`:
+    "not-tight" above `TIGHTNESS_THRESHOLD`, else "optimal"."""
+    objective, powers = evaluate(problems, c)
+    currents = problems.current_from_real(c)
+    eta = (1.0 / (1.0 + objective)).tolist()
+    r_load = problems.r_load.tolist()
+    return [
+        SdrResult(
+            status="optimal" if epsilon[j] <= TIGHTNESS_THRESHOLD else "not-tight",
+            form=form,
+            epsilon=epsilon[j],
+            p_relax=p_relax[j],
+            eta=eta[j],
+            r_load=r_load[j],
+            cvec=c[j],
+            currents=currents[j],
+            x_r=float("nan"),
+            transmit_powers=powers[j],
+            iterations=iterations[j],
+            kkt=kkt[j],
+        )
+        for j in range(len(c))
+    ]
 
 
 def cap_r(x_r: float, omega: float) -> float:
@@ -278,9 +331,12 @@ def solve_rows(zs, r_load: float | None = None, options: PipelineOptions | None 
     """:func:`full_pipeline` of every link, at one load (None: each link's
     R*), as an iterator over the rows in input order.
 
-    The closed forms come from stacked passes over up to `STACK_ROWS`
-    links; the rows whose powers break the constraints then go to the dual
-    and relaxation one by one.  Each row yields its SdrResult, or the
+    The links go in blocks of up to `STACK_ROWS`.  A block's closed forms
+    come from stacked passes; the rows whose powers break the constraints
+    are then solved together, one stack per port count: their problems, the
+    dual ascent in lockstep, the KKT audit and the operating points.  A row
+    the dual does not certify goes to the relaxation alone.  Each row is
+    bit for bit what the link gives alone, and yields its SdrResult or the
     `ROW_ERRORS` exception it raised: an error stays with its own row.
     Rows are produced as they are consumed, so a caller that keeps only
     what it needs of each holds one block of results at a time.
@@ -289,52 +345,94 @@ def solve_rows(zs, r_load: float | None = None, options: PipelineOptions | None 
     zs = list(zs)
     for start in range(0, len(zs), STACK_ROWS):
         block = zs[start:start + STACK_ROWS]
-        for z, row in zip(block, solve_closed_forms(block, r_load)):
-            if not isinstance(row, Exception):
-                try:
-                    row = _finish(z, row, opts)
-                except ROW_ERRORS as exc:
-                    row = exc
-            yield row
+        rows = solve_closed_forms(block, r_load)
+        binding = {}  # port count -> the positions of its binding rows
+        for k, cf in enumerate(rows):
+            if isinstance(cf, Exception):
+                continue
+            try:
+                rows[k] = _closed_form_row(cf, opts)
+            except ROW_ERRORS as exc:
+                rows[k] = exc
+            if rows[k] is None:
+                binding.setdefault(cf.p_tx.size, []).append((k, cf))
+        for group in binding.values():
+            ks, cfs = zip(*group)
+            for k, row in zip(ks, _solve_binding([block[k] for k in ks], cfs, opts)):
+                rows[k] = row
+        yield from rows
 
 
-def _finish(z: ImpedanceMatrix, cf: ClosedFormSolution, opts: PipelineOptions) -> SdrResult:
-    """The row of z given its closed form: the closed form itself where its
-    powers are legal, else the dual or the relaxation."""
-    r_load = cf.r_load
+def _closed_form_row(cf: ClosedFormSolution, opts: PipelineOptions):
+    """The closed form's own row where its powers are legal, else None."""
     p = cf.p_tx.tolist()
     rows = power_rows(len(p), opts.power_caps, opts.constrain_powers)
     # without power rows the min-loss QP is the closed form itself
-    if all(sign * p[port] - rhs >= SKIP_TOLERANCE for port, sign, rhs in rows):
-        return SdrResult(
-            status="closed-form",
-            form="closed-form",
-            epsilon=0.0,
-            p_relax=cf.p_loss,
-            eta=cf.eta,
-            r_load=r_load,
-            cvec=np.concatenate([cf.i_t.real, [cf.i_r], cf.i_t.imag]),
-            currents=np.concatenate([cf.i_t, [cf.i_r]]),
-            x_r=cf.x_r,
-            transmit_powers=cf.p_tx,
-            iterations=0,
-            delta_cr_rel=0.0,
-            closed_form=cf,
-        )
-    problem = build_problem(z, r_load, power_caps=opts.power_caps)
-    res = _solve_dual(problem)
-    if res is None:
-        res = solve_relaxation(problem)
-    x_r = recover_operating_point(res.cvec, z, problem)
-    cr_cf = cap_r(cf.x_r, z.omega)
-    cr_sdr = cap_r(x_r, z.omega)
-    return replace(
-        res,
-        x_r=x_r,
-        delta_eta_db=10.0 * math.log10(cf.eta / res.eta),
-        delta_cr_rel=(cr_sdr - cr_cf) / cr_cf if math.isfinite(cr_cf) else float("nan"),
+    if not all(sign * p[port] - rhs >= SKIP_TOLERANCE for port, sign, rhs in rows):
+        return None
+    return SdrResult(
+        status="closed-form",
+        form="closed-form",
+        epsilon=0.0,
+        p_relax=cf.p_loss,
+        eta=cf.eta,
+        r_load=cf.r_load,
+        cvec=np.concatenate([cf.i_t.real, [cf.i_r], cf.i_t.imag]),
+        currents=np.concatenate([cf.i_t, [cf.i_r]]),
+        x_r=cf.x_r,
+        transmit_powers=cf.p_tx,
+        iterations=0,
+        delta_cr_rel=0.0,
         closed_form=cf,
     )
+
+
+def _solve_binding(zs, cfs, opts: PipelineOptions):
+    """The rows of same-size links whose closed forms cfs break a power
+    row: the dual of all of them as one stack, the relaxation of each row
+    it does not certify, then their operating points.  Each row is an
+    SdrResult or the `ROW_ERRORS` exception it raised; a stack that raises
+    is solved again one row at a time, so that the error stays with its
+    own row."""
+    try:
+        problems = build_problems(zs, [cf.r_load for cf in cfs], opts.power_caps)
+        rows = _solve_dual(problems)
+    except ROW_ERRORS as exc:
+        if len(zs) == 1:
+            return [exc]
+        return [row for z, cf in zip(zs, cfs) for row in _solve_binding([z], [cf], opts)]
+    for i, row in enumerate(rows):
+        if row is None:
+            try:
+                rows[i] = solve_relaxation(problems.row(i))
+            except ROW_ERRORS as exc:
+                rows[i] = exc
+    solved = [i for i, row in enumerate(rows) if not isinstance(row, Exception)]
+    if not solved:
+        return rows
+    x_rs = _receiver_reactances(
+        problems if len(solved) == len(rows) else problems.take(solved),
+        np.array([rows[i].cvec for i in solved]),
+        np.array([rows[i].currents for i in solved]),
+        np.array([zs[i].entries for i in solved]),
+    )
+    for i, x_r in zip(solved, x_rs):
+        if isinstance(x_r, Exception):
+            rows[i] = x_r
+            continue
+        res, cf, omega = rows[i], cfs[i], zs[i].omega
+        cr_cf, cr_sdr = cap_r(cf.x_r, omega), cap_r(x_r, omega)
+        try:
+            rows[i] = replace(
+                res,
+                x_r=x_r,
+                delta_eta_db=10.0 * math.log10(cf.eta / res.eta),
+                delta_cr_rel=(cr_sdr - cr_cf) / cr_cf if math.isfinite(cr_cf) else float("nan"),
+                closed_form=cf,
+            )
+        except ROW_ERRORS as exc:
+            rows[i] = exc
+    return rows
 
 
 @dataclass(frozen=True)

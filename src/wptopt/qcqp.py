@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import ImpedanceMatrix, partition
-from .pims import port_impedance_matrices
+from .circuit import ImpedanceMatrix
+from .pims import _port_stack
 
 __all__ = [
     "QcqpProblem",
@@ -28,6 +28,7 @@ __all__ = [
     "build_affine",
     "power_rows",
     "build_problem",
+    "build_problems",
     "evaluate",
     "current_residuals",
 ]
@@ -41,7 +42,7 @@ __all__ = [
 def realify(t):
     """Map a Hermitian N x N matrix to the real symmetric (2N-1) x (2N-1)
     matrix with the same quadratic form on currents whose receiver part is
-    real.
+    real; a (..., N, N) stack maps matrix by matrix.
 
     The full real embedding is (1/2) [[T', -T''], [T'', T']] on
     [Re(i); Im(i)]; fixing Im(i_r) = 0 deletes the last row and column.
@@ -49,26 +50,34 @@ def realify(t):
     Im(i_r) = 0.
     """
     t = np.asarray(t, dtype=complex)
-    n = t.shape[0]
-    if t.shape != (n, n):
+    n = t.shape[-1]
+    if t.ndim < 2 or t.shape[-2] != n:
         raise ValueError("square matrix required")
-    herm = np.abs(t - t.conj().T).max()
-    if herm > 1e-10 * max(1.0, np.abs(t).max()):
-        raise ValueError(f"matrix is not Hermitian (deviation {herm:.3e})")
-    t = 0.5 * (t + t.conj().T)
+    flat = t.reshape(-1, n * n)
+    herm = np.abs(flat - np.swapaxes(t, -1, -2).conj().reshape(-1, n * n)).max(axis=1)
+    if (herm > 1e-10 * np.fmax(1.0, np.abs(flat).max(axis=1))).any():
+        raise ValueError(f"matrix is not Hermitian (deviation {herm.max():.3e})")
+    return _realify(t)
+
+
+def _realify(t):
+    """`realify` of a stack of matrices that are Hermitian already."""
+    n = t.shape[-1]
+    t = 0.5 * (t + np.swapaxes(t, -1, -2).conj())
     re, im = 0.5 * t.real, 0.5 * t.imag
-    big = np.empty((2 * n, 2 * n))
-    big[:n, :n] = big[n:, n:] = re
-    big[:n, n:] = -im
-    big[n:, :n] = im
-    return big[: 2 * n - 1, : 2 * n - 1]
+    big = np.empty(t.shape[:-2] + (2 * n, 2 * n))
+    big[..., :n, :n] = big[..., n:, n:] = re
+    big[..., :n, n:] = -im
+    big[..., n:, :n] = im
+    return big[..., : 2 * n - 1, : 2 * n - 1]
 
 
 def _realify_vector(c, n):
-    """Back-map c in R^(2N-1) to the complex current vector."""
+    """Back-map c in R^(2N-1), or a (..., 2N-1) stack, to the complex
+    current vector."""
     c = np.asarray(c, dtype=float)
-    im = np.concatenate([c[n:], [0.0]])
-    return c[:n] + 1j * im
+    im = np.concatenate([c[..., n:], np.zeros(c.shape[:-1] + (1,))], axis=-1)
+    return c[..., :n] + 1j * im
 
 
 # ---------------------------------------------------------------------------
@@ -77,19 +86,23 @@ def _realify_vector(c, n):
 
 
 def build_affine(z, r_load):
-    """Affine equalities A c = b: Re(v_r) = 0 and i_r = sqrt(2/R_L).
+    """Affine equalities A c = b: Re(v_r) = 0 and i_r = sqrt(2/R_L).  A
+    (K, N, N) stack of matrices with K loads gives (K, 2, M) and (K, 2).
 
     Im(v_r) = 0 is not encoded; the receiver compensation reactance absorbs
     it for any current satisfying these two rows.
     """
     zmat = np.asarray(getattr(z, "entries", z), dtype=complex)
-    n = zmat.shape[0]
-    m = 2 * n - 1
-    a = np.zeros((2, m))
-    _, ztr, zr = partition(zmat)
-    a[0] = np.concatenate([ztr.real, [zr.real + r_load], -ztr.imag])  # the KVL row
-    a[1, n - 1] = 1.0
-    b = np.array([0.0, np.sqrt(2.0 / r_load)])
+    r_load = np.asarray(r_load, dtype=float)
+    n = zmat.shape[-1]
+    ztr, zr = zmat[..., :-1, -1], zmat[..., -1, -1]
+    a = np.zeros(zmat.shape[:-2] + (2, 2 * n - 1))
+    a[..., 0, : n - 1] = ztr.real  # the KVL row
+    a[..., 0, n - 1] = zr.real + r_load
+    a[..., 0, n:] = -ztr.imag
+    a[..., 1, n - 1] = 1.0
+    b = np.zeros(zmat.shape[:-2] + (2,))
+    b[..., 1] = np.sqrt(2.0 / r_load)
     return a, b
 
 
@@ -130,6 +143,11 @@ class QcqpProblem:
     orthonormal basis of null(A), hr0 is V^T Q0 V and hrn the flat rows of
     V^T G_j V, f0 is V^T Q0 c_p and fn the rows (G_j c_p)^T V, and
     lam_scale is |G_j| / |Q0|, the unit of each power row's multiplier.
+
+    A stack of problems of one size, as `build_problems` makes, is a
+    QcqpProblem too: every array (each of q as well) carries a leading row
+    axis and r_load is the array of loads.  `row` takes one problem out of
+    a stack and `stack` makes a stack of one problem, both as views.
     """
 
     n_tx: int
@@ -157,49 +175,87 @@ class QcqpProblem:
         """Complex current vector corresponding to a real solution c."""
         return _realify_vector(c, self.n_tx + 1)
 
+    def row(self, i):
+        """Problem i of a stack."""
+        return self._map(lambda arr: arr[i], float(self.r_load[i]))
+
+    def take(self, rows):
+        """The stack of the given rows of a stack."""
+        return self._map(lambda arr: arr[rows], self.r_load[rows])
+
+    def stack(self):
+        """This problem as a stack of one."""
+        return self._map(lambda arr: arr[None], np.array([self.r_load]))
+
+    def _map(self, view, r_load):
+        arrays = {name: view(getattr(self, name)) for name in _ARRAYS}
+        return QcqpProblem(self.n_tx, r_load, q=tuple(map(view, self.q)), **arrays)
+
+
+_ARRAYS = ("q0", "a", "b", "g", "h", "cp", "v", "hr0", "hrn", "f0", "fn", "lam_scale")
+
 
 def build_problem(z, r_load, power_caps=None, constrain_powers=True):
     """Assemble the QCQP data from an impedance matrix and load, with the
-    power rows of `power_rows`, and reduce it to the affine set once.
+    power rows of `power_rows`, and reduce it to the affine set once: the
+    one-link case of `build_problems`.
+    """
+    zmat = z.entries if isinstance(z, ImpedanceMatrix) else np.asarray(z, dtype=complex)
+    return build_problems(zmat[None], [r_load], power_caps, constrain_powers).row(0)
+
+
+def build_problems(zs, r_loads, power_caps=None, constrain_powers=True):
+    """The stack of the problems of same-size links at their loads, built
+    in one pass of stacked numpy; row i is bit for bit `build_problem` of
+    link i alone.  ``zs`` is a (K, N, N) array or K ImpedanceMatrix.
 
     The transmitter port matrices are those of Z itself: a transmitter's
     row of Z never holds the receiver's diagonal entry, where the load adds.
     """
-    if isinstance(z, ImpedanceMatrix):
-        zmat = z.entries
-    else:
-        zmat = np.asarray(z, dtype=complex)
-    n = zmat.shape[0]
-    if not 0.0 < r_load < math.inf:
-        raise ValueError(f"load resistance must be positive and finite, got {r_load}")
+    zmat = np.array([getattr(z, "entries", z) for z in zs], dtype=complex)
+    for r in r_loads:
+        if not 0.0 < r < math.inf:
+            raise ValueError(f"load resistance must be positive and finite, got {r}")
+    r_load = np.array(r_loads, dtype=float)
+    k_rows, n = zmat.shape[:2]
     q0 = realify(zmat.real)
-    q = tuple(realify(t) for t in port_impedance_matrices(zmat)[:-1])
+    q = _realify(_port_stack(zmat)[:, :-1])  # (K, N - 1, M, M), Hermitian by construction
     rows = power_rows(n - 1, power_caps, constrain_powers)
-    g = np.array([sign * q[port] for port, sign, _ in rows]).reshape(-1, *q0.shape)
-    h = np.array([rhs for *_, rhs in rows])
+    ports = [port for port, _, _ in rows]
+    signs = np.array([sign for _, sign, _ in rows]).reshape(-1, 1, 1)
+    g = signs * q[:, ports]
+    h = np.array([[rhs for *_, rhs in rows]] * k_rows, dtype=float)
     a, b = build_affine(zmat, r_load)
     # orthonormal bases of range(A^T) and of its complement null(A)
-    qa, ra = np.linalg.qr(a.T, mode="complete")
-    rank = a.shape[0]
-    cp = qa[:, :rank] @ np.linalg.solve(ra[:rank].T, b)
-    v = qa[:, rank:]
+    qa, ra = np.linalg.qr(a.mT, mode="complete")
+    rank = a.shape[1]
+    cp = (qa[..., :rank] @ np.linalg.solve(ra[:, :rank].mT, b[..., None]))[..., 0]
+    v = qa[..., rank:]
+    v_t = v.mT
     return QcqpProblem(
         n_tx=n - 1,
-        r_load=float(r_load),
+        r_load=r_load,
         q0=q0,
-        q=q,
+        q=tuple(q[:, port] for port in range(n - 1)),
         a=a,
         b=b,
         g=g,
         h=h,
         cp=cp,
         v=v,
-        hr0=v.T @ q0 @ v,
-        hrn=(v.T @ g @ v).reshape(h.size, v.shape[1] ** 2),
-        f0=v.T @ (q0 @ cp),
-        fn=(g @ cp) @ v,
-        lam_scale=np.linalg.norm(g, axis=(1, 2)) / np.linalg.norm(q0),
+        hr0=v_t @ q0 @ v,
+        hrn=(v_t[:, None] @ g @ v[:, None]).reshape(k_rows, len(rows), v.shape[-1] ** 2),
+        f0=(v_t @ (q0 @ cp[..., None]))[..., 0],
+        fn=(g @ cp[:, None, :, None])[..., 0] @ v,
+        lam_scale=np.sqrt(np.add.reduce(g * g, axis=(2, 3))) / _frobenius(q0)[:, None],
     )
+
+
+def _frobenius(m):
+    """np.linalg.norm of each matrix of a stack, bit for bit: the root of
+    the flattened matrix's dot product with itself."""
+    flat = m.reshape(len(m), 1, -1)
+    return np.sqrt(flat @ flat.mT)[:, 0, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -208,14 +264,29 @@ def build_problem(z, r_load, power_caps=None, constrain_powers=True):
 
 
 def evaluate(problem, c):
-    """(c^T Q0 c, the transmit powers c^T Q_n c) at a point c."""
+    """(c^T Q0 c, the transmit powers c^T Q_n c) at a point c; on a stack of
+    problems, at a (K, M) stack of points, as K losses and (K, N - 1)
+    powers."""
     c = np.asarray(c, dtype=float)
-    powers = np.array([float(c @ qn @ c) for qn in problem.q])
+    if c.ndim == 1:
+        objective, powers = evaluate(problem.stack(), c[None])
+        return float(objective[0]), powers[0]
+    row, col = c[:, None, :], c[:, :, None]
+    q = np.stack(problem.q, axis=1)
+    powers = (row[:, None] @ q @ col[:, None])[..., 0, 0]
     powers.setflags(write=False)
-    return float(c @ problem.q0 @ c), powers
+    return (row @ problem.q0 @ col)[:, 0, 0], powers
 
 
 def current_residuals(problem, c):
-    """(KVL, received-power) residuals of the current equalities at c."""
-    kvl = float((problem.a @ c - problem.b)[0])
-    return kvl, float(0.5 * problem.r_load * c[problem.n_tx] ** 2 - 1.0)
+    """(KVL, received-power) residuals of the current equalities at c; on a
+    stack of problems, at a (K, M) stack of points, as two arrays of K."""
+    c = np.asarray(c, dtype=float)
+    if c.ndim == 1:
+        kvl, pl = current_residuals(problem.stack(), c[None])
+        return float(kvl[0]), float(pl[0])
+    kvl = ((problem.a @ c[:, :, None])[:, :, 0] - problem.b)[:, 0]
+    # c_r ** 2 of each row as a scalar (libm's pow), which the square of an
+    # array now and then differs from in the last bit
+    pl = [0.5 * r * c_r**2 - 1.0 for r, c_r in zip(problem.r_load.tolist(), c[:, problem.n_tx])]
+    return kvl, np.array(pl)

@@ -19,7 +19,7 @@ def relaxation_only():
     @contextlib.contextmanager
     def dual_off():
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(wptopt.pipeline, "_solve_dual", lambda problem: None)
+            mp.setattr(wptopt.pipeline, "_solve_dual", lambda problems: [None] * len(problems.r_load))
             yield
 
     return dual_off

@@ -26,7 +26,7 @@ from wptopt.pipeline import (
     full_pipeline,
     solve_relaxation,
 )
-from wptopt.qcqp import build_problem, evaluate
+from wptopt.qcqp import build_problem, build_problems, evaluate
 
 MISO_PRESETS = ("miso-2p", "miso-3p", "miso-2c", "miso-3c")
 SWEEP_THETAS = tuple(float(t) for t in range(-90, 91, 2))
@@ -108,6 +108,60 @@ class TestDerivatives:
             trials = rng.standard_normal((400, k))
             trials = np.maximum(lam + trials, 0.0) - lam
             assert model(d) >= max(model(t) for t in trials) - 1e-12
+
+
+class TestStacks:
+    """The stacked evaluations give every row the bits of its own."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_model_steps_match_one_row_at_a_time(self, k, monkeypatch):
+        # indefinite models make some face systems fail the Cholesky test
+        # while their neighbours' pass
+        rng = np.random.default_rng(40 + k)
+        rows = 60
+        b = rng.standard_normal((rows, k, k))
+        neg_hess = b @ b.mT + rng.uniform(-0.5, 1e-3, (rows, 1, 1)) * np.eye(k)
+        grad = rng.standard_normal((rows, k)) * 10.0 ** rng.uniform(-4, 4, (rows, 1))
+        lam = np.where(rng.random((rows, k)) < 0.5, 0.0, rng.random((rows, k)))
+        masks = []
+        solves = dual._cholesky_solves
+
+        def recorded(mat, rhs):
+            x, passed = solves(mat, rhs)
+            masks.append(passed)
+            return x, passed
+
+        monkeypatch.setattr(dual, "_cholesky_solves", recorded)
+        steps = dual._model_steps(lam, grad, neg_hess)
+        assert any(m.any() and not m.all() for m in masks)
+        for i, step in enumerate(steps):
+            alone = dual._model_step(lam[i], grad[i], neg_hess[i])
+            assert (step is None) == (alone is None), i
+            assert step is None or step.tobytes() == alone.tobytes(), i
+
+    def test_points_match_one_row_at_a_time(self):
+        zs = [retarded_system("miso-3p", 0.1, t) for t in (-70.0, -40.0, 18.0, 45.0)]
+        problems = build_problems(zs, [solve_closed_form(z).r_load for z in zs])
+        base = np.array([dual.solve_dual(problems.row(i)).lam for i in range(len(zs))])
+        lam = base * np.array([[1.0], [40.0], [0.5], [1e4]])  # two leave the domain
+        points, inside = dual._at_rows(problems, lam, slice(None))
+        assert inside.any() and not inside.all()
+        for i in range(len(zs)):
+            alone = dual._at(problems.row(i), lam[i])
+            assert (alone is not None) == inside[i], i
+            if alone is not None:
+                for got, want in zip(points.row(i), alone):
+                    assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), i
+
+    def test_duals_match_one_row_at_a_time(self):
+        zs = [retarded_system(p, 0.1, t) for p in ("miso-2p", "miso-3p") for t in (-54.0, 45.0)]
+        rl = float(np.geomspace(0.06, 0.08, 21)[6])  # miso-3p at -54 stalls here
+        for n in (3, 4):
+            group = [z for z in zs if z.entries.shape[0] == n]
+            points = dual.solve_duals(build_problems(group, [rl] * len(group)))
+            for z, point in zip(group, points):
+                assert same(point, dual.solve_dual(build_problem(z, rl)))
+        assert {p.reason for p in points} == {"", "stalled"}
 
 
 @pytest.fixture(scope="module")

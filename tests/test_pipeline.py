@@ -441,6 +441,70 @@ class TestFullPipeline:
             forms.add(row.form)
         assert forms == {"closed-form", "dual"}
 
+    def test_a_mixed_block_matches_the_one_row_pipeline_bit_for_bit(self, monkeypatch):
+        """One block holds binding rows of two and three transmitters, a row
+        the ascent stalls on, the uncoupled row and closed-form rows, and a
+        stacked trial point leaves the domain for one row while its
+        neighbours' stay in.  Every row is bit for bit its one-row result."""
+        from wptopt.circuit import ImpedanceMatrix
+        from wptopt.closedform import NoCouplingError
+        from wptopt.pipeline import solve_rows
+
+        monkeypatch.setattr(wptopt.pipeline, "STACK_ROWS", 8)  # the first 8 rows
+        r_load = float(np.geomspace(0.06, 0.08, 21)[6])
+        zs = [
+            quasi_system("miso-2p", 0.1, 0.0),
+            retarded_system("miso-3p", 0.1, -54.0),  # the ascent stalls
+            ImpedanceMatrix(np.diag([0.02 + 56j, 0.02 + 56j]), 40e6),
+            retarded_system("miso-2p", 0.1, -70.0),
+            retarded_system("miso-3p", 0.1, -40.0),
+            quasi_system("siso", 0.05, 30.0),
+            retarded_system("miso-3p", 0.1, 45.0),
+            retarded_system("miso-2p", 0.1, 45.0),
+            retarded_system("miso-3c", 0.1, 18.0),
+        ]
+        masks = []
+        at_rows = dual._at_rows
+
+        def recorded(*args):
+            points, inside = at_rows(*args)
+            masks.append(inside.copy())
+            return points, inside
+
+        monkeypatch.setattr(dual, "_at_rows", recorded)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = list(solve_rows(zs, r_load))
+        assert any(m.any() and not m.all() for m in masks)
+        monkeypatch.setattr(dual, "_at_rows", at_rows)
+        assert isinstance(rows[2], NoCouplingError)
+        assert (rows[1].form, rows[1].status) == ("conic", "optimal")
+        forms = {}
+        for z, row in zip(zs[:2] + zs[3:], rows[:2] + rows[3:]):
+            assert_same_bits(row, full_pipeline(z, r_load))
+            forms.setdefault(row.form, set()).add(z.n_tx)
+        assert forms == {"closed-form": {1, 2}, "conic": {3}, "dual": {2, 3}}
+
+    def test_an_error_in_a_stack_stays_with_its_row(self, monkeypatch):
+        from wptopt.pipeline import solve_rows
+
+        zs = [retarded_system("miso-3p", 0.1, t) for t in (-70.0, -40.0, 18.0, 45.0)]
+        bad = zs[2].entries
+        build = wptopt.pipeline.build_problems
+
+        def failing(links, *args, **kwargs):
+            if any(z.entries is bad for z in links):
+                raise np.linalg.LinAlgError("singular matrix")
+            return build(links, *args, **kwargs)
+
+        monkeypatch.setattr(wptopt.pipeline, "build_problems", failing)
+        rows = list(solve_rows(zs))
+        assert isinstance(rows[2], np.linalg.LinAlgError)
+        monkeypatch.setattr(wptopt.pipeline, "build_problems", build)
+        for z, row in zip(zs[:2] + zs[3:], rows[:2] + rows[3:]):
+            assert row.form == "dual"
+            assert_same_bits(row, full_pipeline(z))
+
     def test_explicit_load_is_respected(self):
         z = quasi_system("miso-2p")
         res = full_pipeline(z, 17.0)

@@ -18,6 +18,7 @@ from wptopt.pims import port_impedance_matrices
 from wptopt.qcqp import (
     build_affine,
     build_problem,
+    build_problems,
     current_residuals,
     evaluate,
     realify,
@@ -240,6 +241,30 @@ class TestProblem:
             prob = build_problem(z, 0.05)
             want = [realify(t) for t in port_impedance_matrices(loaded)[:-1]]
             assert all(np.array_equal(q, w) for q, w in zip(prob.q, want, strict=True))
+
+    @pytest.mark.parametrize("caps", [None, (2.0, 3.0, 4.0)])
+    def test_a_stack_holds_each_problem_bit_for_bit(self, caps):
+        zs = [
+            build_loop_system(GeometrySpec.preset("miso-3c", frac * LAM, theta))
+            for frac, theta in [(0.1, 0.2), (0.05, -0.9), (0.3, 1.4)]
+        ]
+        loads = [0.05, 3.0, 1e3]
+        stack = build_problems(zs, loads, power_caps=caps)
+        assert stack.r_load.tolist() == loads
+        for i, (z, r_load) in enumerate(zip(zs, loads)):
+            row, alone = stack.row(i), build_problem(z, r_load, power_caps=caps)
+            assert (row.n_tx, row.r_load) == (alone.n_tx, alone.r_load)
+            names = ("q0", "a", "b", "g", "h", "cp", "v", "hr0", "hrn", "f0", "fn", "lam_scale")
+            for name in names:
+                got, want = getattr(row, name), getattr(alone, name)
+                assert (got.shape, got.tobytes()) == (want.shape, want.tobytes()), name
+                assert not got.flags.writeable, name
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(row.q, alone.q, strict=True))
+
+    def test_a_stack_rejects_a_bad_load(self):
+        z = build_loop_system(GeometrySpec.preset("miso-2p", 0.1 * LAM, 0.0))
+        with pytest.raises(ValueError, match="positive and finite, got nan"):
+            build_problems([z, z], [1.0, math.nan])
 
     @pytest.mark.parametrize("caps", [None, (2.0, 3.0, 4.0)])
     def test_reduced_problem(self, caps):
