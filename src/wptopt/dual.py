@@ -68,21 +68,19 @@ so the relaxation's KKT audit can check the lift c c^T.
 
 `solve_duals` runs the ascent of every row of a stack of problems (a
 block's binding rows of one port count) in lockstep.  The ascent is
-written once, as a generator per row (`_ascent`) that asks for what it
-needs evaluated: its point at a trial lam, and its model step.  Each turn
-evaluates the asks of all rows still ascending as stacks: `_at_rows` for
-the points, and the guessed face of `_model_step` for the steps, a row
-whose guessed face is not the maximizer taking its step through
-`_model_step` itself.  The last row still ascending, and so the one row of
-`solve_dual`, is answered by `_at` and `_model_step` alone.  Stacked
-numpy gives each matrix the bits it gets alone, so every row's point is
-bit for bit the one it reaches alone.
+written once, as a generator per row (`_ascent`) that takes its model
+steps itself and asks only for its point at each trial lam.  Each turn
+evaluates the trial points of all rows still ascending as one stack, by
+`_at_rows`.  The last row still ascending, and so the one row of
+`solve_dual`, is answered by `_at` alone.  Stacked numpy gives each matrix
+the bits it gets alone, so every row's point is bit for bit the one it
+reaches alone.
 
 Only numpy is used: `np.linalg.cholesky` is the positive-definite test of
 Hr and of each face system, which are then solved through that factor
-(face systems of order 1 and 2 inline, with the same elementwise
-arithmetic on stacks).  A stacked factorization fails as a whole when one
-matrix fails, so such a stack is factored again one matrix at a time.
+(face systems of order 1 and 2 inline).  A stacked factorization fails as
+a whole when one matrix fails, so such a stack of Hr is factored again one
+matrix at a time.
 """
 
 import math
@@ -150,7 +148,12 @@ class DualPoint:
 
 def _at(problem, lam):
     """Everything the ascent and the barrier need at lam on the reduced
-    problem, or None outside the PD domain."""
+    problem, or None outside the PD domain.
+
+    `_at_rows` of a stack of one gives the same bits, but costs more per
+    call: the one-row load search (`load-search`, about 1300 calls a
+    round) took about 1.5 times as long through it.  So the scalar
+    evaluation stays, for the barrier and the last row of an ascent."""
     hr = problem.hr0 - (lam @ problem.hrn).reshape(problem.hr0.shape)
     linv = _inverse_cholesky_factor(hr)
     if linv is None:
@@ -186,7 +189,7 @@ def _at_rows(problems, lam, rows):
 
 def _conic_dual_slack(problems, lam, c, rows=slice(None)):
     """Dual slack of the conic relaxation at lam, for the problems[rows] of
-    a stack (rows=None: a single problem as a stack of one).
+    a stack.
 
     With the received-power multiplier nu = c^T H c, S0 = H - nu R, R
     the received-power row (R_L / 2 on the receiver's diagonal entry
@@ -250,7 +253,8 @@ def _inverse_cholesky_factor(mat):
 
 def _inverse_cholesky_factors(mat):
     """`_inverse_cholesky_factor` of each matrix of a stack, as (the
-    factors, 0 for a matrix that fails, and a mask of those that pass).
+    factors, 0 for a matrix that fails, and a mask of those that pass): the
+    Hr of the trial points `_at_rows` evaluates in lockstep.
 
     numpy's stacked Cholesky factorization fails as a whole when one matrix
     fails.  The matrices whose least eigenvalue is positive are then
@@ -297,28 +301,6 @@ def _cholesky_solve(mat, rhs):
     return np.array([(y0 - l21 * x1) / l11, x1])
 
 
-def _cholesky_solves(mat, rhs):
-    """`_cholesky_solve` of each matrix and right-hand side of a stack, as
-    (the solutions, a mask of the matrices that pass the Cholesky test),
-    with the same arithmetic."""
-    if rhs.shape[1] > 2:
-        linv, passed = _inverse_cholesky_factors(mat)
-        return (linv.mT @ (linv @ rhs[..., None]))[..., 0], passed
-    with np.errstate(all="ignore"):  # the rows that fail are masked
-        a = mat[:, 0, 0]
-        passed = a > 0.0
-        l11 = np.sqrt(a)
-        y0 = rhs[:, 0] / l11
-        if rhs.shape[1] == 1:
-            return (y0 / l11)[:, None], passed
-        l21 = mat[:, 1, 0] / l11
-        t = mat[:, 1, 1] - l21 * l21
-        passed &= t > 0.0
-        l22 = np.sqrt(t)
-        x1 = (rhs[:, 1] - l21 * y0) / l22 / l22
-        return np.stack([(y0 - l21 * x1) / l11, x1], axis=1), passed
-
-
 @lru_cache(maxsize=None)
 def _faces(k):
     """(free, fixed) index arrays of the 2^k faces of the orthant in R^k.
@@ -340,11 +322,19 @@ def _model_step(lam, grad, neg_hess):
     free multiplier nonnegative is the constrained maximizer.  The model is
     concave, so a face optimum whose model gradient points out of the
     orthant on every fixed multiplier is that maximizer at once.  The face
-    the current gradient suggests is tried first.
+    the current gradient suggests is tried first, and skipped where it
+    falls among the rest.
     """
     guess = lam > 0.0
     guess |= grad > 0.0
-    faces = ((np.flatnonzero(guess), np.flatnonzero(~guess)),) + _faces(lam.size)
+    # the guessed face's index in `_faces`: its fixed multipliers read as
+    # binary digits.  In Python, not np.arange, which releases the GIL and
+    # so costs a thread switch per step when threads share the process
+    first = 0
+    for fixed in (~guess).tolist():
+        first = 2 * first + fixed
+    faces = _faces(lam.size)
+    faces = (faces[first],) + faces[:first] + faces[first + 1 :]
     best, best_val = None, -np.inf
     for free, fixed in faces:
         d = -lam
@@ -366,58 +356,14 @@ def _model_step(lam, grad, neg_hess):
     return best
 
 
-def _model_steps(lam, grad, neg_hess):
-    """`_model_step` of each row of a stack, as a list.  The rows' guessed
-    faces are solved as stacks, one per face, with the same arithmetic; a
-    row whose guessed face does not give the maximizer takes its step
-    through `_model_step`."""
-    if len(lam) == 1:
-        return [_model_step(lam[0], grad[0], neg_hess[0])]
-    out = [None] * len(lam)
-    guess = (lam > 0.0) | (grad > 0.0)
-    code = guess @ (1 << np.arange(lam.shape[1]))
-    for face in sorted(set(code.tolist())):
-        sel = np.flatnonzero(code == face)
-        free, fixed = np.flatnonzero(guess[sel[0]]), np.flatnonzero(~guess[sel[0]])
-        d, done = _face_steps(lam[sel], grad[sel], neg_hess[sel], free, fixed)
-        for i, step in zip(sel[done].tolist(), d[done]):
-            out[i] = step
-        for i in sel[~done].tolist():
-            out[i] = _model_step(lam[i], grad[i], neg_hess[i])
-    return out
-
-
-def _face_steps(lam, grad, neg_hess, free, fixed):
-    """The model's optimum on one face of `_model_step`, for each row of a
-    stack: (d, a mask of the rows where d is the orthant maximizer)."""
-    d = -lam
-    passed = np.ones(len(lam), bool)
-    if free.size:
-        # operands of @ laid out row by row, as `_model_step`'s are: numpy
-        # lays a mixed slice-and-index result out stack axis last, which
-        # BLAS cannot take, and its own loop rounds differently
-        cross = np.ascontiguousarray(neg_hess[:, free[:, None], fixed])
-        rhs = grad[:, free] - (cross @ np.ascontiguousarray(d[:, fixed, None]))[..., 0]
-        sub = np.ascontiguousarray(neg_hess[:, free[:, None], free])
-        d_free, passed = _cholesky_solves(sub, np.ascontiguousarray(rhs))
-        passed &= ~(lam[:, free] + d_free < 0.0).any(axis=1)
-        d[:, free] = np.where(passed[:, None], d_free, d[:, free])
-    model_grad = grad - (neg_hess @ d[..., None])[..., 0]
-    return d, passed & (model_grad[:, fixed] <= 0.0).all(axis=1)
-
-
-_STEP, _AT = "step", "at"  # what an ascent asks to have evaluated
-
-
 def _ascent(lam, lam_scale, h):
-    """The dual ascent of one problem from lam, as a generator of what it
-    needs evaluated: it yields (_AT, lam), to be sent `_at` of the problem
-    there, and (_STEP, (lam, grad, neg_hess)), to be sent `_model_step` of
-    that model.  Returns (reason, the point it stopped at, its steps, the
-    duality gap there), or None when lam is outside the domain; lam_scale
-    and h are the problem's.
+    """The dual ascent of one problem from lam, as a generator of the points
+    it needs: it yields each trial lam, to be sent `_at` of the problem
+    there, and takes its model steps itself.  Returns (reason, the point it
+    stopped at, its steps, the duality gap there), or None when lam is
+    outside the domain; lam_scale and h are the problem's.
     """
-    pt = yield _AT, lam
+    pt = yield lam
     if pt is None:
         return None
     k = lam.size
@@ -439,12 +385,12 @@ def _ascent(lam, lam_scale, h):
         trial = None
         for mu in _DAMPING:
             neg_hess = mu * hess_scale * np.eye(k) - pt.hess
-            d = yield _STEP, (pt.lam, grad, neg_hess)
+            d = _model_step(pt.lam, grad, neg_hess)
             if d is None:
                 continue
             # multipliers sent to a face land on exact zeros
             lam_new = np.where(pt.lam + d <= 0.0, 0.0, pt.lam + d)
-            cand = yield _AT, lam_new
+            cand = yield lam_new
             if cand is not None and (cand.value > pt.value or cand.pgrad() <= 0.5 * pg):
                 trial = cand
                 break
@@ -482,12 +428,12 @@ def solve_duals(problems, lam=None):
     `wptopt.qcqp.QcqpProblem`) from the rows of lam, as a list of
     DualPoints.
 
-    The rows ascend in lockstep: every row runs its own `_ascent`, and what
-    they ask for at each turn is evaluated as one stack per kind (their
-    points, and their guessed faces), as are the dual slacks of the rows
+    The rows ascend in lockstep: every row runs its own `_ascent`, which
+    takes its model steps itself, and the trial points they ask for at each
+    turn are evaluated as one stack, as are the dual slacks of the rows
     that certify.  The last row still ascending, and so the row of a stack
-    of one, is answered by `_at` and `_model_step` themselves.  Each row's
-    point is bit for bit the one it reaches alone.
+    of one, is answered by `_at` itself.  Each row's point is bit for bit
+    the one it reaches alone.
     """
     n_rows, k = problems.h.shape
     start = np.zeros((n_rows, k)) if lam is None else np.maximum(lam, 0.0)
@@ -498,8 +444,8 @@ def solve_duals(problems, lam=None):
     while len(asks) > 1:
         for i, answer in _answers(problems, asks).items():
             _advance(ascents, asks, ends, i, answer)
-    for i, ask in asks.items():  # the last row ascends alone
-        ends[i] = _alone(ascents[i], ask, problems.row(i))
+    for i, lam_i in asks.items():  # the last row ascends alone
+        ends[i] = _alone(ascents[i], lam_i, problems.row(i))
 
     out = [None] * n_rows
     certified = sorted(i for i, end in ends.items() if end is not None and not end[0])
@@ -519,27 +465,17 @@ def solve_duals(problems, lam=None):
 
 
 def _answers(problems, asks):
-    """What the rows of a stack ask, evaluated as one stack per kind."""
-    answers = {}
-    steps = [i for i, (kind, _) in asks.items() if kind is _STEP]
-    if steps:
-        models = (np.array(parts) for parts in zip(*(asks[i][1] for i in steps)))
-        answers.update(zip(steps, _model_steps(*models)))
-    ats = [i for i, (kind, _) in asks.items() if kind is _AT]
-    if ats:
-        rows = slice(None) if len(ats) == len(problems.h) else np.array(ats)
-        cands, passed = _at_rows(problems, np.array([asks[i][1] for i in ats]), rows)
-        answers.update((i, cands.row(j) if passed[j] else None) for j, i in enumerate(ats))
-    return answers
+    """The points the rows of a stack ask for, evaluated as one stack."""
+    rows = slice(None) if len(asks) == len(problems.h) else np.array(list(asks))
+    cands, passed = _at_rows(problems, np.array(list(asks.values())), rows)
+    return {i: cands.row(j) if passed[j] else None for j, i in enumerate(asks)}
 
 
-def _alone(ascent, ask, problem):
-    """Drive one row's ascent to its end with `_at` and `_model_step`."""
+def _alone(ascent, lam, problem):
+    """Drive one row's ascent to its end with `_at`."""
     while True:
-        kind, arg = ask
-        answer = _model_step(*arg) if kind is _STEP else _at(problem, arg)
         try:
-            ask = ascent.send(answer)
+            lam = ascent.send(_at(problem, lam))
         except StopIteration as stop:
             return stop.value
 
@@ -649,6 +585,6 @@ def _barrier_point(reason, pt, steps, x_mat, problem):
         objective=pt.obj,
         gap=float(pt.lam @ pt.slack) / pt.obj,
         steps=steps,
-        dual_slack=_conic_dual_slack(problem, pt.lam[None], pt.c[None], None)[0],
+        dual_slack=_conic_dual_slack(problem.stack(), pt.lam[None], pt.c[None])[0],
         x_mat=x_mat,
     )

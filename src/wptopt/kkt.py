@@ -44,16 +44,15 @@ def relaxation_audit(problem, x_mat, lam, dual_slack, objective):
     complementary slackness.  The one-point case of `relaxation_audits`.
     """
     (report,) = relaxation_audits(
-        problem, x_mat[None], np.asarray(lam)[None], dual_slack[None], [objective], None
+        problem.stack(), x_mat[None], np.asarray(lam)[None], dual_slack[None], [objective]
     )
     return report
 
 
 def relaxation_audits(problems, x_mat, lam, dual_slack, objective, rows=slice(None)):
     """`relaxation_audit` of the problems[rows] of a stack (see
-    `wptopt.qcqp.QcqpProblem`; rows=None takes a single problem as a stack
-    of one) at a stack of points, as a list of KktReports, each bit for bit
-    the report of its point alone."""
+    `wptopt.qcqp.QcqpProblem`) at a stack of points, as a list of
+    KktReports, each bit for bit the report of its point alone."""
     n_rows = len(x_mat)
     # X and the symmetric part of the dual slack: their PSD residuals
     both = np.concatenate([x_mat, 0.5 * (dual_slack + dual_slack.mT)])

@@ -15,8 +15,8 @@ front, which conditions the Schur system and makes the iterate path exactly
 invariant under power-of-two data scalings.
 
 The tolerances are fixed: a run is optimal once the normalized primal and
-dual infeasibilities meet `TOL_FEAS` and the relative gap meets `TOL_GAP`
-(both 1e-10), and it stops after `MAX_ITERS` = 200 iterations. Every
+dual infeasibilities meet `TOL_FEAS` (1e-10) and the relative gap meets
+`TOL_GAP` (1e-12), and it stops after `MAX_ITERS` = 200 iterations. Every
 iteration's residuals and objectives are recorded in `SdpSolution.trace`.
 
 Equality rows that are linear combinations of earlier rows are dropped in
@@ -69,7 +69,7 @@ __all__ = [
 
 DIM_CAP = 64
 TOL_FEAS = 1e-10  # normalized primal and dual infeasibility at optimality
-TOL_GAP = 1e-10  # relative duality gap at optimality
+TOL_GAP = 1e-12  # relative duality gap at optimality
 MAX_ITERS = 200
 TOL_ACCEPT = 1e-7  # residuals a stalled run must meet to count as optimal
 FRAC_TO_BOUNDARY = 0.98  # share of the step to the cone boundary taken

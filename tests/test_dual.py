@@ -7,11 +7,12 @@ import json
 import math
 import warnings
 from dataclasses import fields, is_dataclass
+from itertools import product
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import sdp_oracle
@@ -91,53 +92,91 @@ class TestDerivatives:
             col = (up.slack - down.slack) / (2.0 * h)  # d(-grad)/dlam_j
             assert np.allclose(-col, pt.hess[:, j], rtol=1e-5, atol=1e-8)
 
-    def test_model_step_is_the_orthant_maximizer(self):
+    def test_model_step_is_the_orthant_maximizer(self, monkeypatch):
+        # singular models, exact in integers, make some face systems fail
+        # the Cholesky test; their gradient in range(neg_hess) keeps the
+        # model bounded, so a face with a definite system attains its max.
+        # Each face is solved at most once, the guessed one first
+        failed = []
+        solve = dual._cholesky_solve
+
+        def recorded(mat, rhs):
+            x = solve(mat, rhs)
+            failed.append(x is None)
+            return x
+
+        monkeypatch.setattr(dual, "_cholesky_solve", recorded)
         rng = np.random.default_rng(5)
-        for _ in range(50):
-            k = 3
-            b = rng.standard_normal((k, k))
-            neg_hess = b @ b.T + 1e-3 * np.eye(k)
-            grad = rng.standard_normal(k)
-            lam = np.where(rng.random(k) < 0.5, 0.0, rng.random(k))
-            d = dual._model_step(lam, grad, neg_hess)
-            assert (lam + d >= 0.0).all()
+        hits = 0
+        for k in (1, 2, 3, 4):
+            for trial in range(60):
+                definite = trial % 2 == 0
+                if definite:
+                    b = rng.standard_normal((k, k))
+                    neg_hess = b @ b.T + 1e-3 * np.eye(k)
+                    grad = rng.standard_normal(k)
+                else:
+                    b = rng.integers(-2, 3, (k, rng.integers(0, k)))  # rank < k
+                    neg_hess = (b @ b.T).astype(float)
+                    grad = neg_hess @ rng.integers(-3, 4, k)
+                lam = np.where(rng.random(k) < 0.5, 0.0, rng.random(k))
+                solved = len(failed)
+                d = dual._model_step(lam, grad, neg_hess)
+                solved = len(failed) - solved
+                assert solved <= 2**k - 1, (k, trial)
+                guess = (lam > 0.0) | (grad > 0.0)
+                if definite and guess.any() and ((lam + d > 0.0) == guess).all():
+                    hits += 1
+                    assert solved == 1, (k, trial)
+                best, best_val = brute_force_step(lam, grad, neg_hess)
+                val = grad @ d - 0.5 * d @ neg_hess @ d
+                assert (lam + d >= 0.0).all(), (k, trial)
+                assert abs(val - best_val) <= 1e-12 * (1.0 + abs(best_val)), (k, trial)
+                if definite:  # the maximizer is unique
+                    assert np.allclose(d, best, rtol=1e-9, atol=1e-12), (k, trial)
+        assert any(failed) and not all(failed)
+        assert hits > 20
 
-            def model(step):
-                return grad @ step - 0.5 * step @ neg_hess @ step
 
-            trials = rng.standard_normal((400, k))
-            trials = np.maximum(lam + trials, 0.0) - lam
-            assert model(d) >= max(model(t) for t in trials) - 1e-12
+def brute_force_step(lam, grad, neg_hess):
+    """(d, model value) of the best face optimum of `dual._model_step`'s
+    model over lam + d >= 0, every face solved by `np.linalg.solve`; faces
+    whose system is singular are left out."""
+    k = lam.size
+    best, best_val = None, -np.inf
+    for free in product((True, False), repeat=k):
+        free = np.array(free)
+        d = -lam
+        if free.any():
+            sub = neg_hess[np.ix_(free, free)]
+            if np.linalg.eigvalsh(sub)[0] <= 1e-9 * max(1.0, np.abs(neg_hess).max()):
+                continue
+            d[free] = np.linalg.solve(sub, grad[free] - neg_hess[np.ix_(free, ~free)] @ d[~free])
+            if (lam[free] + d[free] < 0.0).any():
+                continue
+        val = grad @ d - 0.5 * d @ neg_hess @ d
+        if val > best_val:
+            best, best_val = d, val
+    return best, best_val
+
+
+@pytest.fixture(scope="module")
+def stall_stacks():
+    """(`solve_duals` of a stack, `solve_dual` of each of its rows) of the
+    retarded 3- and 4-port stacks at a load where miso-3p at -54 degrees
+    stalls and the others certify."""
+    zs = [retarded_system(p, 0.1, t) for p in ("miso-2p", "miso-3p") for t in (-54.0, 45.0)]
+    rl = float(np.geomspace(0.06, 0.08, 21)[6])
+    out = []
+    for n in (3, 4):
+        group = [z for z in zs if z.entries.shape[0] == n]
+        stacked = dual.solve_duals(build_problems(group, [rl] * len(group)))
+        out.append((stacked, [dual.solve_dual(build_problem(z, rl)) for z in group]))
+    return out
 
 
 class TestStacks:
     """The stacked evaluations give every row the bits of its own."""
-
-    @pytest.mark.parametrize("k", [1, 2, 3, 4])
-    def test_model_steps_match_one_row_at_a_time(self, k, monkeypatch):
-        # indefinite models make some face systems fail the Cholesky test
-        # while their neighbours' pass
-        rng = np.random.default_rng(40 + k)
-        rows = 60
-        b = rng.standard_normal((rows, k, k))
-        neg_hess = b @ b.mT + rng.uniform(-0.5, 1e-3, (rows, 1, 1)) * np.eye(k)
-        grad = rng.standard_normal((rows, k)) * 10.0 ** rng.uniform(-4, 4, (rows, 1))
-        lam = np.where(rng.random((rows, k)) < 0.5, 0.0, rng.random((rows, k)))
-        masks = []
-        solves = dual._cholesky_solves
-
-        def recorded(mat, rhs):
-            x, passed = solves(mat, rhs)
-            masks.append(passed)
-            return x, passed
-
-        monkeypatch.setattr(dual, "_cholesky_solves", recorded)
-        steps = dual._model_steps(lam, grad, neg_hess)
-        assert any(m.any() and not m.all() for m in masks)
-        for i, step in enumerate(steps):
-            alone = dual._model_step(lam[i], grad[i], neg_hess[i])
-            assert (step is None) == (alone is None), i
-            assert step is None or step.tobytes() == alone.tobytes(), i
 
     def test_points_match_one_row_at_a_time(self):
         zs = [retarded_system("miso-3p", 0.1, t) for t in (-70.0, -40.0, 18.0, 45.0)]
@@ -153,15 +192,24 @@ class TestStacks:
                 for got, want in zip(points.row(i), alone):
                     assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), i
 
-    def test_duals_match_one_row_at_a_time(self):
-        zs = [retarded_system(p, 0.1, t) for p in ("miso-2p", "miso-3p") for t in (-54.0, 45.0)]
-        rl = float(np.geomspace(0.06, 0.08, 21)[6])  # miso-3p at -54 stalls here
-        for n in (3, 4):
-            group = [z for z in zs if z.entries.shape[0] == n]
-            points = dual.solve_duals(build_problems(group, [rl] * len(group)))
-            for z, point in zip(group, points):
-                assert same(point, dual.solve_dual(build_problem(z, rl)))
-        assert {p.reason for p in points} == {"", "stalled"}
+    @settings(max_examples=25, deadline=None)
+    @given(
+        n=st.sampled_from((3, 4, 5)),
+        # per row, a random_system seed and decades off its closed-form load
+        rows=st.lists(
+            st.tuples(st.integers(0, 2000), st.floats(-1.0, 1.0)), min_size=2, max_size=5
+        ),
+    )
+    @example(n=4, rows=[(104, 0.0), (0, -1.0), (1, 1.0)])  # 104 is not tight
+    def test_duals_match_one_row_at_a_time(self, stall_stacks, n, rows):
+        for stacked, alone in stall_stacks:
+            assert all(same(a, b) for a, b in zip(stacked, alone))
+        assert {p.reason for p in stacked} == {"", "stalled"}
+        zs = [random_system(seed, n) for seed, _ in rows]
+        loads = [solve_closed_form(z).r_load * 10.0**u for z, (_, u) in zip(zs, rows)]
+        points = dual.solve_duals(build_problems(zs, loads))
+        for z, rl, point in zip(zs, loads, points):
+            assert same(point, dual.solve_dual(build_problem(z, rl)))
 
 
 @pytest.fixture(scope="module")
