@@ -69,18 +69,19 @@ so the relaxation's KKT audit can check the lift c c^T.
 `solve_duals` runs the ascent of every row of a stack of problems (a
 block's binding rows of one port count) in lockstep.  The ascent is
 written once, as a generator per row (`_ascent`) that takes its model
-steps itself and asks only for its point at each trial lam.  Each turn
-evaluates the trial points of all rows still ascending as one stack, by
-`_at_rows`.  The last row still ascending, and so the one row of
-`solve_dual`, is answered by `_at` alone.  Stacked numpy gives each matrix
-the bits it gets alone, so every row's point is bit for bit the one it
-reaches alone.
+steps itself and asks only for its point at each trial lam.  The point
+evaluation is written once too, as `_at` over leading axes: each turn
+evaluates the trial points of all rows still ascending as one stack, and
+the last row still ascending, and so the one row of `solve_dual`, is
+evaluated on its own problem, as is each point of the barrier.  Stacked
+numpy gives each matrix the bits it gets alone, so every row's point is
+bit for bit the one it reaches alone.
 
 Only numpy is used: `np.linalg.cholesky` is the positive-definite test of
 Hr and of each face system, which are then solved through that factor
-(face systems of order 1 and 2 inline).  A stacked factorization fails as
-a whole when one matrix fails, so such a stack of Hr is factored again one
-matrix at a time.
+(face systems of order 1 and 2 inline), by `_inverse_cholesky_factors`.
+A stacked factorization fails as a whole when one matrix fails, so such a
+stack of Hr is factored again one matrix at a time.
 """
 
 import math
@@ -146,44 +147,28 @@ class DualPoint:
         return not self.reason
 
 
-def _at(problem, lam):
+def _at(problems, lam):
     """Everything the ascent and the barrier need at lam on the reduced
-    problem, or None outside the PD domain.
+    problem, and whether Hr is inside the PD domain there.
 
-    `_at_rows` of a stack of one gives the same bits, but costs more per
-    call: the one-row load search (`load-search`, about 1300 calls a
-    round) took about 1.5 times as long through it.  So the scalar
-    evaluation stays, for the barrier and the last row of an ascent."""
-    hr = problem.hr0 - (lam @ problem.hrn).reshape(problem.hr0.shape)
-    linv = _inverse_cholesky_factor(hr)
-    if linv is None:
-        return None
-    c = problem.cp - problem.v @ (linv.T @ (linv @ (problem.f0 - lam @ problem.fn)))
-    qc = problem.g @ c
-    slack = qc @ c - problem.h
-    obj = float(c @ problem.q0 @ c)
-    lam_slack = float(lam @ slack)
-    g = qc @ problem.v @ linv.T  # B L^-T, so B Hr^-1 B^T = g g^T
-    return _Points(lam, c, slack, obj, obj - lam_slack, lam_slack, -2.0 * (g @ g.T), linv)
-
-
-def _at_rows(problems, lam, rows):
-    """`_at` of the problems[rows] of a stack at the rows of lam, with the
-    same arithmetic, as stacked `_Points` and a mask of the rows inside the
-    PD domain (the points of the others mean nothing)."""
+    Written over leading axes: one problem at a lam of k multipliers gives
+    one point and a 0-d flag; a stack of problems at a (K, k) lam gives
+    stacked points and a mask of the rows inside (the points of the others
+    mean nothing).  When no row is inside, the point is None.  Stacked
+    numpy gives each row the bits it gets alone."""
     p = problems
-    hr0, hrn, f0, fn, cp, v, g, h, q0 = (
-        p.hr0[rows], p.hrn[rows], p.f0[rows], p.fn[rows], p.cp[rows], p.v[rows], p.g[rows],
-        p.h[rows], p.q0[rows],
-    )
-    hr = hr0 - (lam[:, None] @ hrn)[:, 0].reshape(hr0.shape)
+    lam_row = lam[..., None, :]
+    hr = p.hr0 - (lam_row @ p.hrn)[..., 0, :].reshape(p.hr0.shape)
     linv, inside = _inverse_cholesky_factors(hr)
-    c = cp - (v @ (linv.mT @ (linv @ (f0 - (lam[:, None] @ fn)[:, 0])[..., None])))[..., 0]
-    qc = (g @ c[:, None, :, None])[..., 0]
-    slack = (qc @ c[..., None])[..., 0] - h
-    obj = (c[:, None] @ q0 @ c[..., None])[:, 0, 0]
-    lam_slack = (lam[:, None] @ slack[..., None])[:, 0, 0]
-    g = qc @ v @ linv.mT
+    if not inside.any():
+        return None, inside
+    u = linv.mT @ (linv @ (p.f0 - (lam_row @ p.fn)[..., 0, :])[..., None])
+    c = p.cp - (p.v @ u)[..., 0]
+    qc = (p.g @ c[..., None, :, None])[..., 0]
+    slack = (qc @ c[..., None])[..., 0] - p.h
+    obj = (c[..., None, :] @ p.q0 @ c[..., None])[..., 0, 0]
+    lam_slack = (lam_row @ slack[..., None])[..., 0, 0]
+    g = qc @ p.v @ linv.mT  # B L^-T, so B Hr^-1 B^T = g g^T
     return _Points(lam, c, slack, obj, obj - lam_slack, lam_slack, -2.0 * (g @ g.mT), linv), inside
 
 
@@ -214,8 +199,8 @@ def _conic_dual_slack(problems, lam, c, rows=slice(None)):
 
 
 class _Points(NamedTuple):
-    """What `_at` finds at lam, or `_at_rows` at a stack of rows, whose
-    fields then carry a leading row axis."""
+    """What `_at` finds at lam: one problem's point, or a stack's, whose
+    fields then carry a leading row axis.  The scalars are numpy's."""
 
     lam: np.ndarray
     c: np.ndarray
@@ -233,47 +218,36 @@ class _Points(NamedTuple):
         return float(np.abs(pg).max(initial=0.0))
 
     def row(self, i):
-        """Point i alone, its scalars as Python floats."""
-        lam, c, slack, obj, value, lam_slack, hess, linv = (arr[i] for arr in self)
-        return _Points(lam, c, slack, float(obj), float(value), float(lam_slack), hess, linv)
-
-
-def _inverse_cholesky_factor(mat):
-    """L^-1 for the Cholesky factor L of a symmetric matrix, so that
-    mat^-1 = L^-T L^-1; None when the matrix fails the Cholesky test.
-
-    Solving through the factor that passed the test keeps a nearly singular
-    but positive definite system solvable, where an LU solve may meet an
-    exactly zero pivot."""
-    try:
-        return np.linalg.inv(np.linalg.cholesky(mat))
-    except np.linalg.LinAlgError:
-        return None
+        """Point i of a stack."""
+        return _Points(*(arr[i] for arr in self))
 
 
 def _inverse_cholesky_factors(mat):
-    """`_inverse_cholesky_factor` of each matrix of a stack, as (the
-    factors, 0 for a matrix that fails, and a mask of those that pass): the
-    Hr of the trial points `_at_rows` evaluates in lockstep.
+    """L^-1 for the Cholesky factor L of a symmetric matrix, so that
+    mat^-1 = L^-T L^-1, and whether the matrix passes the Cholesky test; a
+    matrix that fails gets zeros.  A (K, n, n) stack gives K factors and a
+    mask: the Hr of the trial points `_at` evaluates in lockstep.
 
-    numpy's stacked Cholesky factorization fails as a whole when one matrix
-    fails.  The matrices whose least eigenvalue is positive are then
-    factored again as a stack, and the others one at a time, as is a stack
-    that fails again."""
+    Solving through the factor that passed the test keeps a nearly singular
+    but positive definite system solvable, where an LU solve may meet an
+    exactly zero pivot.  numpy's stacked Cholesky factorization fails as a
+    whole when one matrix fails.  The matrices whose least eigenvalue is
+    positive are then factored again as a stack, and the others one at a
+    time, as is a stack that fails again."""
     try:
-        return np.linalg.inv(np.linalg.cholesky(mat)), np.ones(len(mat), bool)
+        return np.linalg.inv(np.linalg.cholesky(mat)), np.ones(mat.shape[:-2], bool)
     except np.linalg.LinAlgError:
         pass
-    linv, passed = np.zeros(mat.shape), np.zeros(len(mat), bool)
+    linv, passed = np.zeros(mat.shape), np.zeros(mat.shape[:-2], bool)
+    if mat.ndim == 2:
+        return linv, passed
     likely = np.linalg.eigvalsh(mat)[:, 0] > 0.0
     rows = range(len(mat))
     if 1 < likely.sum() < len(mat):
         linv[likely], passed[likely] = _inverse_cholesky_factors(mat[likely])
         rows = np.flatnonzero(~likely).tolist()
     for i in rows:
-        factor = _inverse_cholesky_factor(mat[i])
-        if factor is not None:
-            linv[i], passed[i] = factor, True
+        linv[i], passed[i] = _inverse_cholesky_factors(mat[i])
     return linv, passed
 
 
@@ -283,8 +257,8 @@ def _cholesky_solve(mat, rhs):
     face systems, are factored inline with LAPACK's arithmetic: a call
     through numpy.linalg costs more than the whole solve at that size."""
     if len(rhs) > 2:
-        linv = _inverse_cholesky_factor(mat)
-        return None if linv is None else linv.T @ (linv @ rhs)
+        linv, passed = _inverse_cholesky_factors(mat)
+        return linv.T @ (linv @ rhs) if passed else None
     a = float(mat[0, 0])
     if not a > 0.0:
         return None
@@ -432,8 +406,8 @@ def solve_duals(problems, lam=None):
     takes its model steps itself, and the trial points they ask for at each
     turn are evaluated as one stack, as are the dual slacks of the rows
     that certify.  The last row still ascending, and so the row of a stack
-    of one, is answered by `_at` itself.  Each row's point is bit for bit
-    the one it reaches alone.
+    of one, is evaluated on its own problem.  Each row's point is bit for
+    bit the one it reaches alone.
     """
     n_rows, k = problems.h.shape
     start = np.zeros((n_rows, k)) if lam is None else np.maximum(lam, 0.0)
@@ -460,22 +434,25 @@ def solve_duals(problems, lam=None):
             out[i] = _outside(None if lam is None else lam[i])
             continue
         reason, pt, steps, gap = end
-        out[i] = DualPoint(reason, pt.lam, pt.c, pt.value, pt.obj, gap, steps, slacks.get(i))
+        out[i] = DualPoint(
+            reason, pt.lam, pt.c, float(pt.value), float(pt.obj), float(gap), steps, slacks.get(i)
+        )
     return out
 
 
 def _answers(problems, asks):
     """The points the rows of a stack ask for, evaluated as one stack."""
-    rows = slice(None) if len(asks) == len(problems.h) else np.array(list(asks))
-    cands, passed = _at_rows(problems, np.array(list(asks.values())), rows)
+    if len(asks) < len(problems.h):
+        problems = problems.take(np.array(list(asks)))
+    cands, passed = _at(problems, np.array(list(asks.values())))
     return {i: cands.row(j) if passed[j] else None for j, i in enumerate(asks)}
 
 
 def _alone(ascent, lam, problem):
-    """Drive one row's ascent to its end with `_at`."""
+    """Drive one row's ascent to its end with `_at` of its one problem."""
     while True:
         try:
-            lam = ascent.send(_at(problem, lam))
+            lam = ascent.send(_at(problem, lam)[0])
         except StopIteration as stop:
             return stop.value
 
@@ -499,11 +476,11 @@ def solve_barrier(problem):
     """
     k = problem.h.size
     if k == 0:
-        pt = _at(problem, np.zeros(k))
+        pt = _at(problem, np.zeros(k))[0]
         return _barrier_point("", pt, 0, np.outer(pt.c, pt.c), problem)
     lam = LAM_START / problem.lam_scale
     for _ in range(60):  # towards lam = 0, where Hr = V^T Q0 V is positive definite
-        pt = _at(problem, lam)
+        pt = _at(problem, lam)[0]
         if pt is not None:
             break
         lam = 0.5 * lam
@@ -540,7 +517,7 @@ def solve_barrier(problem):
         while cand is None and s > 1e-12:
             lam_new = pt.lam + s * d
             if lam_new.min() > 0.0:
-                cand = _at(problem, lam_new)
+                cand = _at(problem, lam_new)[0]
                 if cand is not None and phi(cand) < floor + 0.25 * s * dec:
                     cand = None
             s *= 0.5
@@ -581,9 +558,9 @@ def _barrier_point(reason, pt, steps, x_mat, problem):
         reason=reason,
         lam=pt.lam,
         c=pt.c,
-        value=pt.value,
-        objective=pt.obj,
-        gap=float(pt.lam @ pt.slack) / pt.obj,
+        value=float(pt.value),
+        objective=float(pt.obj),
+        gap=float(pt.lam @ pt.slack) / float(pt.obj),
         steps=steps,
         dual_slack=_conic_dual_slack(problem.stack(), pt.lam[None], pt.c[None])[0],
         x_mat=x_mat,

@@ -36,13 +36,15 @@ def port_impedance_matrices(z) -> list[np.ndarray]:
 
 def _port_stack(m: np.ndarray) -> np.ndarray:
     """T_n of every matrix in a (..., N, N) stack, as (..., N, N, N) with n
-    on axis -3."""
+    on axis -3: row n of T_n is half of row n of m, and its column n adds
+    half of that row's conjugate."""
     n = m.shape[-1]
     t = np.zeros(m.shape[:-2] + (n, n, n), dtype=complex)
-    for k in range(n):
-        row = m[..., k, :]
-        t[..., k, k, :] += 0.5 * row
-        t[..., k, :, k] += 0.5 * row.conj()
+    # writeable diagonal views: rows n and columns n of every T_n.  Fancy
+    # indexing would do the same but releases the GIL, which costs a thread
+    # switch per call when threads share the process
+    np.einsum("...kkb->...kb", t)[...] += 0.5 * m
+    np.einsum("...kbk->...kb", t)[...] += 0.5 * m.conj()
     return t
 
 

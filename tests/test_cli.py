@@ -565,6 +565,40 @@ class TestSweep:
         assert [row["status"] for row in mixed[3:]] == ["error:NoCouplingError"] * 3
         assert "6 rows" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("source", ["retarded", "quasi-static"])
+    def test_mirrored_rows_agree(self, source, tmp_path):
+        """Rows at theta and -theta share form and status, and their eta
+        agrees within 1e-12 relative (README, "Sweeps"): the retarded
+        miso-3p family at d = 0.1 lambda and the quasi-static miso-3p grid."""
+        thetas = range(-90, 91, 2)
+        if source == "retarded":
+            points = []
+            for theta in thetas:
+                geom = GeometrySpec.preset("miso-3p", 0.1 * LAM, angle=math.radians(theta))
+                z = retarded_loop_system(geom)
+                points.append({"theta_deg": theta, "d_frac": 0.1, "matrix": matrix_to_json(z)})
+            family = tmp_path / "family.json"
+            family.write_text(json.dumps({"points": points}))
+            args = ["--matrix", str(family)]
+        else:
+            args = ["--preset", "miso-3p", "--theta-range=-90:90:2",
+                    "--d", "0.05,0.075,0.1,0.15,0.2,0.3"]
+        assert cli.main(["sweep", *args, "--out", str(tmp_path / "out")]) == 0
+        rows = {
+            (row["d_frac"], float(row["theta_deg"])): row
+            for row in read_rows(tmp_path / "out" / "sweep.csv")
+        }
+        pairs = [(row, rows[d, -theta]) for (d, theta), row in rows.items() if theta > 0]
+        assert len(pairs) == (45 if source == "retarded" else 270)
+        forms = set()
+        for row, mirror in pairs:
+            label = (row["d_frac"], row["theta_deg"])
+            assert (row["form"], row["status"]) == (mirror["form"], mirror["status"]), label
+            eta, eta_mirror = float(row["eta"]), float(mirror["eta"])
+            assert abs(eta - eta_mirror) <= 1e-12 * eta, label
+            forms.add(row["form"])
+        assert forms == ({"dual"} if source == "retarded" else {"closed-form"})
+
     def test_pattern_split_per_distance(self, tmp_path):
         cli.main(["sweep", "--preset", "siso", "--d", "0.05,0.1",
                   "--theta-range", "0:20:20", "--out", str(tmp_path)])

@@ -82,11 +82,12 @@ class TestDerivatives:
         problem = build_problem(z, solve_closed_form(z).r_load)
         # inside the positive definite domain, which is convex and holds 0
         lam = 0.5 * dual.solve_dual(problem).lam + 1e-3
-        pt = dual._at(problem, lam)
+        pt, inside = dual._at(problem, lam)
+        assert inside.shape == () and inside
         h = 1e-6
         for j in range(lam.size):
             step = h * np.eye(lam.size)[j]
-            up, down = dual._at(problem, lam + step), dual._at(problem, lam - step)
+            up, down = dual._at(problem, lam + step)[0], dual._at(problem, lam - step)[0]
             grad = (up.value - down.value) / (2.0 * h)
             assert grad == pytest.approx(-pt.slack[j], rel=1e-6, abs=1e-9)
             col = (up.slack - down.slack) / (2.0 * h)  # d(-grad)/dlam_j
@@ -160,6 +161,78 @@ def brute_force_step(lam, grad, neg_hess):
     return best, best_val
 
 
+class TestInverseCholeskyFactors:
+    """`dual._inverse_cholesky_factors` against np.linalg, matrix by matrix."""
+
+    @staticmethod
+    def matrices(seed):
+        """Order-4 symmetric matrices: positive definite, indefinite, and
+        nearly singular ones whose Cholesky test goes either way."""
+        rng = np.random.default_rng(seed)
+        basis = np.linalg.qr(rng.standard_normal((4, 4)))[0]
+
+        def spectrum(*eig):
+            return basis @ np.diag(eig) @ basis.T
+
+        return {
+            "spd": spectrum(1.0, 2.0, 3.0, 0.5),
+            "indefinite": spectrum(1.0, 2.0, 3.0, -0.5),
+            "singular+": spectrum(1.0, 2.0, 3.0, 1e-17),
+            "singular0": spectrum(1.0, 2.0, 3.0, 0.0),
+            "singular-": spectrum(1.0, 2.0, 3.0, -1e-17),
+        }
+
+    @staticmethod
+    def passes(mat):
+        try:
+            np.linalg.cholesky(mat)
+        except np.linalg.LinAlgError:
+            return False
+        return True
+
+    def test_factors_and_mask_match_one_matrix_at_a_time(self):
+        kinds = (
+            ("spd", "spd", "spd"),  # the stack passes as a whole
+            ("spd", "indefinite", "indefinite"),  # one passes
+            ("indefinite", "spd", "singular+", "spd", "indefinite"),  # two or more
+            ("singular+", "singular0", "singular-", "spd", "indefinite", "spd"),
+            ("singular-", "singular+", "singular0"),
+            ("indefinite",),
+        )
+        branches, screened = set(), set()
+        for seed in range(40):
+            mats = self.matrices(seed)
+            for kind in kinds:
+                stack = np.array([mats[k] for k in kind])
+                want = np.array([self.passes(m) for m in stack])
+                linv, mask = dual._inverse_cholesky_factors(stack)
+                assert mask.shape == (len(kind),) and mask.dtype == bool
+                assert (mask == want).all(), (seed, kind)
+                for m, factor, ok in zip(stack, linv, mask):
+                    if ok:
+                        ref = np.linalg.inv(np.linalg.cholesky(m))
+                        assert factor.tobytes() == ref.tobytes(), (seed, kind)
+                    else:
+                        assert not factor.any(), (seed, kind)
+                if not want.all():  # the eigvalsh screen runs
+                    likely = np.linalg.eigvalsh(stack)[:, 0] > 0.0
+                    branches.add(1 < likely.sum() < len(stack))
+                    screened.update(zip(likely.tolist(), want.tolist()))
+        # both branches of the screen ran, and the screen and the Cholesky
+        # test disagreed both ways on the nearly singular matrices
+        assert branches == {True, False}
+        assert screened == {(True, True), (True, False), (False, True), (False, False)}
+
+    def test_one_matrix_gives_a_0d_mask(self):
+        mats = self.matrices(0)
+        linv, ok = dual._inverse_cholesky_factors(mats["spd"])
+        assert np.shape(ok) == () and ok
+        assert linv.tobytes() == np.linalg.inv(np.linalg.cholesky(mats["spd"])).tobytes()
+        linv, ok = dual._inverse_cholesky_factors(mats["indefinite"])
+        assert np.shape(ok) == () and not ok
+        assert linv.shape == (4, 4) and not linv.any()
+
+
 @pytest.fixture(scope="module")
 def stall_stacks():
     """(`solve_duals` of a stack, `solve_dual` of each of its rows) of the
@@ -183,10 +256,12 @@ class TestStacks:
         problems = build_problems(zs, [solve_closed_form(z).r_load for z in zs])
         base = np.array([dual.solve_dual(problems.row(i)).lam for i in range(len(zs))])
         lam = base * np.array([[1.0], [40.0], [0.5], [1e4]])  # two leave the domain
-        points, inside = dual._at_rows(problems, lam, slice(None))
+        points, inside = dual._at(problems, lam)
+        assert inside.shape == (len(zs),)
         assert inside.any() and not inside.all()
         for i in range(len(zs)):
-            alone = dual._at(problems.row(i), lam[i])
+            alone, inside_alone = dual._at(problems.row(i), lam[i])
+            assert inside_alone.shape == () and inside_alone == inside[i], i
             assert (alone is not None) == inside[i], i
             if alone is not None:
                 for got, want in zip(points.row(i), alone):

@@ -6,6 +6,7 @@ import pytest
 from wptopt.circuit import GeometrySpec, build_loop_system
 from wptopt.pims import (
     PimEigensystem,
+    _port_stack,
     pim_eigensystem,
     pim_split,
     port_impedance_matrices,
@@ -42,6 +43,27 @@ class TestConstruction:
         t1, t2 = port_impedance_matrices(zhat)
         assert np.allclose(t1, np.array([[1.0, 1j], [-1j, 0.0]]), atol=1e-15)
         assert np.allclose(t2, np.array([[0.0, -1j], [1j, 3.0]]), atol=1e-15)
+
+    def test_stack_matches_the_per_port_loop_bit_for_bit(self):
+        """`_port_stack` against its definition written port by port: row n
+        of T_n is half of row n, and column n adds half its conjugate."""
+
+        def per_port(m):
+            n = m.shape[-1]
+            t = np.zeros(m.shape[:-2] + (n, n, n), dtype=complex)
+            for k in range(n):
+                row = m[..., k, :]
+                t[..., k, k, :] += 0.5 * row
+                t[..., k, :, k] += 0.5 * row.conj()
+            return t
+
+        rng = np.random.default_rng(9)
+        for n in (2, 3, 4, 5):
+            zs = np.array([random_passive_matrix(rng, n) for _ in range(4)])
+            zs[1] = zs[1].real - 0.0j  # signed zeros in every imaginary part
+            zs[2, 0, -1] = zs[2, -1, 0] = -0.0
+            for m in (zs[0], zs, zs[None]):
+                assert _port_stack(m).tobytes() == per_port(m).tobytes(), n
 
     def test_hermitian(self):
         rng = np.random.default_rng(7)

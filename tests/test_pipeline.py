@@ -464,19 +464,19 @@ class TestFullPipeline:
             retarded_system("miso-3c", 0.1, 18.0),
         ]
         masks = []
-        at_rows = dual._at_rows
+        at = dual._at
 
         def recorded(*args):
-            points, inside = at_rows(*args)
+            points, inside = at(*args)
             masks.append(inside.copy())
             return points, inside
 
-        monkeypatch.setattr(dual, "_at_rows", recorded)
+        monkeypatch.setattr(dual, "_at", recorded)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             rows = list(solve_rows(zs, r_load))
         assert any(m.any() and not m.all() for m in masks)
-        monkeypatch.setattr(dual, "_at_rows", at_rows)
+        monkeypatch.setattr(dual, "_at", at)
         assert isinstance(rows[2], NoCouplingError)
         assert (rows[1].form, rows[1].status) == ("conic", "optimal")
         forms = {}
