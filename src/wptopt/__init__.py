@@ -23,6 +23,7 @@ from .circuit import (
     SchemaError,
     build_loop_system,
     build_loop_systems,
+    build_preset_systems,
     load_impedance_file,
     matrix_from_json,
     matrix_to_json,
@@ -80,6 +81,7 @@ __all__ = [
     "SdrResult",
     "build_loop_system",
     "build_loop_systems",
+    "build_preset_systems",
     "build_problem",
     "evaluate",
     "full_pipeline",

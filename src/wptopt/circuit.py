@@ -19,13 +19,23 @@ pair it has not cached is evaluated in a few large integrand calls, and
 only a pair whose error estimate fails goes on to adaptive refinement, one
 integrand call per split.  The panel sums stay separate dot products, so M
 is bit for bit what a panel-at-a-time loop over that pair alone gives.
-Matrices can also be ingested from JSON files, e.g. when they come from a
-full-wave solver.
+
+:func:`build_preset_systems` is the batched path of a preset sweep.  It
+builds the preset's transmitter loops, their self-impedances and their
+pairwise keys once, and per point only the receiver loop, its overlap test
+against the transmitters and its transmitter-receiver keys.  It assembles
+all matrices as one (K, N, N) stack and checks them with one stacked
+:func:`checked_entries`, whose one-matrix call is the K = 1 case.  Each
+matrix is bit for bit what :meth:`GeometrySpec.preset` and
+:func:`build_loop_system` give at its point.  Matrices can also be ingested
+from JSON files, e.g. when they come from a full-wave solver; each file is
+checked on its own.
 """
 
 from __future__ import annotations
 
 import collections
+import contextlib
 import functools
 import heapq
 import json
@@ -90,7 +100,7 @@ class Loop:
     def __post_init__(self):
         if len(self.center) != 3:
             raise GeometryError("loop center must be a 3-vector")
-        object.__setattr__(self, "center", tuple(float(v) for v in self.center))
+        object.__setattr__(self, "center", tuple(map(float, self.center)))
         if not all(abs(v) <= MAX_COORDINATE for v in self.center):
             raise GeometryError(
                 f"loop center must be finite and at most {MAX_COORDINATE:g} m from the "
@@ -159,54 +169,69 @@ class GeometrySpec:
         frequency : float
             Operating frequency in Hz; sets the loop dimensions.
         """
-        lam = C0 / frequency
-        r_loop = lam / 100.0
-        a = r_loop / 10.0
-        dx = lam / 50.0
-        dz = lam / 100.0
-        centers = {
-            "siso": [(0.0, 0.0, 0.0)],
-            "miso-2p": [(-dx / 2, 0.0, 0.0), (dx / 2, 0.0, 0.0)],
-            "miso-3p": [(-dx, 0.0, 0.0), (0.0, 0.0, 0.0), (dx, 0.0, 0.0)],
-            "miso-2c": [(0.0, 0.0, -dz / 2), (0.0, 0.0, dz / 2)],
-            "miso-3c": [(0.0, 0.0, -dz), (0.0, 0.0, 0.0), (0.0, 0.0, dz)],
-        }
-        if name not in centers:
-            raise GeometryError(f"unknown preset {name!r}; choose from {PRESETS}")
-        if not (0.0 < distance < math.inf):
-            raise GeometryError(
-                f"receiver distance must be positive and finite, got {distance}"
-            )
-        if not math.isfinite(angle):
-            raise GeometryError(f"receiver angle must be finite, got {angle}")
-        rx = (distance * math.sin(angle), 0.0, distance * math.cos(angle))
-        loops = [Loop(c, r_loop, a) for c in centers[name]] + [Loop(rx, r_loop, a)]
+        centers, r_loop, a = _preset_layout(name, frequency)
+        rx = _receiver_center(distance, angle)
+        loops = [Loop(c, r_loop, a) for c in centers] + [Loop(rx, r_loop, a)]
         return cls(tuple(loops), frequency)
+
+
+def _preset_layout(name, frequency):
+    """A preset's transmitter centres, loop radius and wire radius."""
+    lam = C0 / frequency
+    r_loop = lam / 100.0
+    a = r_loop / 10.0
+    dx = lam / 50.0
+    dz = lam / 100.0
+    centers = {
+        "siso": [(0.0, 0.0, 0.0)],
+        "miso-2p": [(-dx / 2, 0.0, 0.0), (dx / 2, 0.0, 0.0)],
+        "miso-3p": [(-dx, 0.0, 0.0), (0.0, 0.0, 0.0), (dx, 0.0, 0.0)],
+        "miso-2c": [(0.0, 0.0, -dz / 2), (0.0, 0.0, dz / 2)],
+        "miso-3c": [(0.0, 0.0, -dz), (0.0, 0.0, 0.0), (0.0, 0.0, dz)],
+    }
+    if name not in centers:
+        raise GeometryError(f"unknown preset {name!r}; choose from {PRESETS}")
+    return centers[name], r_loop, a
+
+
+def _receiver_center(distance, angle):
+    """A preset receiver's centre, d (sin angle, 0, cos angle)."""
+    if not (0.0 < distance < math.inf):
+        raise GeometryError(
+            f"receiver distance must be positive and finite, got {distance}"
+        )
+    if not math.isfinite(angle):
+        raise GeometryError(f"receiver angle must be finite, got {angle}")
+    return (distance * math.sin(angle), 0.0, distance * math.cos(angle))
 
 
 def _check_no_overlap(loops) -> None:
     for i in range(len(loops)):
         for j in range(i + 1, len(loops)):
-            a, b = loops[i], loops[j]
-            dzij = a.center[2] - b.center[2]
-            rho = math.hypot(a.center[0] - b.center[0], a.center[1] - b.center[1])
-            scale = a.radius + b.radius
-            if abs(dzij) > 1e-9 * scale:
-                continue  # distinct planes never intersect
-            if rho < 1e-9 * scale and abs(a.radius - b.radius) < 1e-9 * scale:
-                raise GeometryError(
-                    f"loops {i} and {j} are coincident (same center and radius)"
-                )
-            overlap = (a.radius + b.radius) - rho
-            nested = abs(a.radius - b.radius) - rho
-            # exact tangency is allowed (the planar presets need it), true
-            # crossings are not
-            if overlap > 1e-9 * scale and nested < -1e-9 * scale:
-                raise GeometryError(
-                    f"coplanar loops {i} and {j} intersect "
-                    f"(center distance {rho:.6g} m, radii {a.radius:.6g}"
-                    f"/{b.radius:.6g} m)"
-                )
+            _check_pair(i, j, loops[i], loops[j])
+
+
+def _check_pair(i, j, a, b) -> None:
+    """GeometryError if loops i and j coincide or cross."""
+    dzij = a.center[2] - b.center[2]
+    rho = math.hypot(a.center[0] - b.center[0], a.center[1] - b.center[1])
+    scale = a.radius + b.radius
+    if abs(dzij) > 1e-9 * scale:
+        return  # distinct planes never intersect
+    if rho < 1e-9 * scale and abs(a.radius - b.radius) < 1e-9 * scale:
+        raise GeometryError(
+            f"loops {i} and {j} are coincident (same center and radius)"
+        )
+    overlap = (a.radius + b.radius) - rho
+    nested = abs(a.radius - b.radius) - rho
+    # exact tangency is allowed (the planar presets need it), true
+    # crossings are not
+    if overlap > 1e-9 * scale and nested < -1e-9 * scale:
+        raise GeometryError(
+            f"coplanar loops {i} and {j} intersect "
+            f"(center distance {rho:.6g} m, radii {a.radius:.6g}"
+            f"/{b.radius:.6g} m)"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -559,6 +584,15 @@ class ImpedanceMatrix:
         if not self.frequency > 0.0:
             raise SchemaError("frequency must be positive")
 
+    @classmethod
+    def _checked(cls, entries, frequency: float) -> "ImpedanceMatrix":
+        """The link of entries and a frequency that have passed the checks
+        of `__post_init__`, without running them again."""
+        link = object.__new__(cls)
+        object.__setattr__(link, "entries", entries)
+        object.__setattr__(link, "frequency", frequency)
+        return link
+
     @property
     def n_ports(self) -> int:
         return self.entries.shape[0]
@@ -572,24 +606,38 @@ class ImpedanceMatrix:
         return 2.0 * np.pi * self.frequency
 
 
-def checked_entries(entries) -> np.ndarray:
+def checked_entries(entries, stacked=False) -> np.ndarray:
     """Complex copy of an impedance matrix's entries after the checks every
     link must pass: square with at least two ports, symmetric as stored,
-    finite and strictly passive.  Raises SchemaError or PassivityError."""
-    z = np.array(entries, dtype=complex)
-    if z.ndim != 2 or z.shape[0] != z.shape[1]:
-        raise SchemaError(f"impedance matrix must be square, got shape {z.shape}")
-    if z.shape[0] < 2:
+    finite and strictly passive.  Raises SchemaError or PassivityError.
+
+    With ``stacked``, ``entries`` is a (K, N, N) stack checked at once (one
+    matrix is the K = 1 case), and the first failing matrix raises the
+    error it raises alone.  A stack that is already a complex array is
+    returned as it is, not copied."""
+    z = np.array(entries, dtype=complex, copy=None if stacked else True)
+    stack = z if stacked else z[None]
+    shape = stack.shape[1:]
+    if len(shape) != 2 or shape[0] != shape[1]:
+        raise SchemaError(f"impedance matrix must be square, got shape {shape}")
+    if shape[0] < 2:
         raise SchemaError("need at least 2 ports (one transmitter, one receiver)")
-    if not np.array_equal(z, z.T):
-        raise SchemaError("impedance matrix must be symmetric as stored")
-    if not np.all(np.isfinite(z.view(float))):
-        raise SchemaError("impedance matrix contains non-finite entries")
-    eigs = np.linalg.eigvalsh(z.real)
-    if eigs[0] <= 0.0:
+    symmetric = (stack == stack.mT).all(axis=(1, 2))  # False on NaN, as array_equal
+    finite = np.isfinite(stack.view(float)).all(axis=(1, 2))
+    ok = symmetric & finite
+    # the passivity test, on an identity in place of a matrix that failed
+    real = stack.real if ok.all() else np.where(ok[:, None, None], stack.real, np.eye(shape[0]))
+    eig_min = np.linalg.eigvalsh(real)[:, 0]
+    failed = ~ok | (eig_min <= 0.0)
+    if failed.any():
+        k = failed.argmax()
+        if not symmetric[k]:
+            raise SchemaError("impedance matrix must be symmetric as stored")
+        if not finite[k]:
+            raise SchemaError("impedance matrix contains non-finite entries")
         raise PassivityError(
             f"impedance matrix is not strictly passive: Re(Z) has eigenvalue "
-            f"{eigs[0]:.6g} <= 0"
+            f"{eig_min[k]:.6g} <= 0"
         )
     return z
 
@@ -606,6 +654,41 @@ def partition(z: ImpedanceMatrix | np.ndarray):
     return m[:-1, :-1], m[:-1, -1], m[-1, -1]
 
 
+def _self_impedance(loop: Loop, omega: float, wavelength: float) -> complex:
+    return loop_resistance(loop, omega, wavelength) + 1j * omega * loop_self_inductance(loop)
+
+
+@functools.cache
+def _loop_pairs(n):
+    """The loop indices (i, j > i) of the pairs of n loops, in row-major
+    order, as two read-only arrays."""
+    i, j = np.triu_indices(n, 1)
+    i.flags.writeable = j.flags.writeable = False
+    return i, j
+
+
+def _impedance_stack(diag, omega, mutuals) -> np.ndarray:
+    """The (K, N, N) Z of K arrangements of N loops: the self-impedances
+    ``diag`` on every diagonal, and j omega M off it, from the (K, N(N-1)/2)
+    mutual inductances of the `_loop_pairs`."""
+    n = len(diag)
+    z = np.empty((len(mutuals), n, n), dtype=complex)
+    i, j = _loop_pairs(n)
+    z[:, i, j] = z[:, j, i] = 1j * omega * mutuals
+    z[:, range(n), range(n)] = diag
+    return z
+
+
+@contextlib.contextmanager
+def _constructed():
+    """Marks a PassivityError raised inside as one of a constructed loop
+    system."""
+    try:
+        yield
+    except PassivityError as exc:
+        raise PassivityError(f"constructed loop system failed validation: {exc}") from exc
+
+
 def build_loop_systems(geoms) -> list[ImpedanceMatrix]:
     """Impedance matrices of loop arrangements at their design frequencies.
 
@@ -618,38 +701,68 @@ def build_loop_systems(geoms) -> list[ImpedanceMatrix]:
     shells = []  # per arrangement: frequency, omega, diagonal, pair positions
     for geom in geoms:
         omega = 2.0 * np.pi * geom.frequency
-        lam = geom.wavelength
         loops = geom.loops
-        diag = [
-            loop_resistance(loop, omega, lam) + 1j * omega * loop_self_inductance(loop)
-            for loop in loops
-        ]
+        diag = [_self_impedance(loop, omega, geom.wavelength) for loop in loops]
         pairs = [
             index.setdefault(_pair_key(a, b), len(index))
             for i, a in enumerate(loops)
             for b in loops[i + 1:]
         ]
         shells.append((geom.frequency, omega, diag, pairs))
-    mutuals = _mutual_values(list(index))
+    mutuals = np.array(_mutual_values(list(index)))
     systems = []
     for frequency, omega, diag, pairs in shells:
-        n = len(diag)
-        z = np.zeros((n, n), dtype=complex)
-        pos = iter(pairs)
-        for i in range(n):
-            z[i, i] = diag[i]
-            for j in range(i + 1, n):
-                z[i, j] = z[j, i] = 1j * omega * mutuals[next(pos)]
-        try:
+        (z,) = _impedance_stack(diag, omega, mutuals[None, pairs])
+        with _constructed():
             systems.append(ImpedanceMatrix(z, frequency))
-        except PassivityError as exc:
-            raise PassivityError(f"constructed loop system failed validation: {exc}") from exc
     return systems
 
 
 def build_loop_system(geom: GeometrySpec) -> ImpedanceMatrix:
     """Impedance matrix of a loop arrangement at its design frequency."""
     return build_loop_systems([geom])[0]
+
+
+def build_preset_systems(name, points, frequency=PRESET_FREQUENCY) -> list[ImpedanceMatrix]:
+    """`build_loop_systems` of ``GeometrySpec.preset(name, distance, angle,
+    frequency)`` at each (distance, angle) of ``points``, bit for bit,
+    raising what the first failing point raises.
+
+    The transmitter loops, the self-impedances and the transmitter pairs'
+    keys are made once.  Each point adds only its receiver loop, its overlap
+    test against the transmitters and its transmitter-receiver keys.  The
+    matrices are assembled as one stack and checked by one stacked
+    `checked_entries`.
+    """
+    centers, r_loop, a = _preset_layout(name, frequency)
+    tx = tuple(Loop(c, r_loop, a) for c in centers)
+    _check_no_overlap(tx)
+    n = len(tx)
+    index = {}  # distinct pair key -> its position
+    tx_pairs = [
+        index.setdefault(_pair_key(p, q), len(index)) for i, p in enumerate(tx) for q in tx[i + 1:]
+    ]
+    rx_pairs = []
+    for distance, angle in points:
+        rx = Loop(_receiver_center(distance, angle), r_loop, a)
+        for i, loop in enumerate(tx):
+            _check_pair(i, n, loop, rx)
+        rx_pairs.append([index.setdefault(_pair_key(loop, rx), len(index)) for loop in tx])
+    if not rx_pairs:
+        return []
+    omega = 2.0 * np.pi * frequency
+    # every loop of a preset has one size, so one receiver stands for all
+    diag = [_self_impedance(loop, omega, C0 / frequency) for loop in tx + (rx,)]
+    _, j = _loop_pairs(n + 1)
+    pairs = np.empty((len(rx_pairs), len(j)), dtype=np.intp)
+    pairs[:, j < n] = tx_pairs
+    pairs[:, j == n] = rx_pairs
+    mutuals = np.array(_mutual_values(list(index)))
+    with _constructed():
+        z = checked_entries(_impedance_stack(diag, omega, mutuals[pairs]), stacked=True)
+    z.flags.writeable = False
+    frequency = float(frequency)  # positive, or the loops would have no positive radius
+    return [ImpedanceMatrix._checked(entries, frequency) for entries in z]
 
 
 # ---------------------------------------------------------------------------

@@ -18,12 +18,14 @@ fractions of the operating wavelength.  Output files use a fixed column
 order and shortest round-trip float formatting, so identical inputs produce
 byte-identical files; every sweep row carries the load, constraint mode and
 matrix hash needed to re-solve it in isolation.  A sweep builds the
-matrices of its preset points in one quadrature pass, and solves its rows
-in blocks of ``pipeline.STACK_ROWS``: the closed forms in stacked passes,
+matrices of its preset points in one batched pass (see
+``circuit.build_preset_systems``), and solves its rows in blocks of
+``pipeline.STACK_ROWS``: the closed forms in stacked passes,
 then the binding rows of each port count together, their dual ascents in
 lockstep (under ``--rl optimize``, each row's load search, one after
 another).  Rows come out in input order, and every row is bit for bit what
-its point gives swept alone.
+its point gives swept alone.  Output files are formatted a column at a
+time, by the rule `_fmt` gives each value.
 """
 
 import argparse
@@ -43,10 +45,9 @@ from .circuit import (
     PRESET_FREQUENCY,
     PRESETS,
     GeometryError,
-    GeometrySpec,
     PassivityError,
     SchemaError,
-    build_loop_systems,
+    build_preset_systems,
     matrix_bytes,
     load_impedance_file,
     matrix_from_json,
@@ -76,6 +77,7 @@ EXIT_SOLVER = 3
 EXIT_IO = 4
 
 MAX_THETAS = 100_000  # angles one --theta-range may ask for
+CSV_BLOCK_ROWS = 128  # rows formatted at once when writing a CSV file
 
 SWEEP_COLUMNS = (
     "theta_deg",
@@ -108,13 +110,27 @@ def _fmt(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, (float, np.floating)):
-        v = float(value)
-        return "nan" if math.isnan(v) else repr(v)
+        return repr(float(value))  # repr of every NaN is 'nan'
     text = str(value)
     # RFC 4180: a field holding a comma, a quote or a line break is quoted
     if any(ch in text for ch in ',"\r\n'):
         return '"' + text.replace('"', '""') + '"'
     return text
+
+
+def _fmt_column(values) -> list[str]:
+    """`_fmt` of each value of a column, a whole column at a time.
+
+    A column of Python and numpy floats is `_fmt`'s float rule mapped in C;
+    a column of one other kind of value formats each distinct value once.
+    """
+    kinds = set(map(type, values))
+    if kinds <= {float, np.float64}:
+        return list(map(repr, map(float, values)))
+    if len(kinds) == 1 and kinds <= {str, int, bool}:  # here equal values print alike
+        texts = {value: _fmt(value) for value in set(values)}
+        return list(map(texts.__getitem__, values))
+    return list(map(_fmt, values))
 
 
 # ---------------------------------------------------------------- parsing
@@ -256,9 +272,8 @@ def _preset_systems(name: str, grid):
     """The impedance matrices of a preset at (theta_deg, d_frac) points, from
     one quadrature pass."""
     lam = C0 / PRESET_FREQUENCY
-    return build_loop_systems(
-        GeometrySpec.preset(name, d_frac * lam, angle=math.radians(theta_deg))
-        for theta_deg, d_frac in grid
+    return build_preset_systems(
+        name, [(d_frac * lam, math.radians(theta_deg)) for theta_deg, d_frac in grid]
     )
 
 
@@ -489,12 +504,10 @@ def cmd_sweep(args) -> int:
 
     out_dir = _ensure_out(args.out or ".")
     power_cols = tuple(f"p_t_{k + 1}_w" for k in range(n_tx))
+    columns = [[row[c] for row in rows] for c in SWEEP_COLUMNS]
+    columns += map(list, zip(*(row["powers"] for row in rows)))
     header = ",".join(SWEEP_COLUMNS + power_cols)
-    csv_lines = [header]
-    for row in rows:
-        values = [row[c] for c in SWEEP_COLUMNS] + row["powers"]
-        csv_lines.append(",".join(_fmt(v) for v in values))
-    _write_text(os.path.join(out_dir, "sweep.csv"), csv_lines)
+    _write_text(os.path.join(out_dir, "sweep.csv"), _csv_lines(header, columns))
 
     _write_patterns(out_dir, rows)
     provenance = {
@@ -525,24 +538,45 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
+def _csv_lines(header, columns):
+    """The lines of a CSV file: the header, then the rows of equal-length
+    columns, each formatted by `_fmt_column` a block of `CSV_BLOCK_ROWS`
+    rows at a time, so that one block's texts are held at once."""
+    yield header
+    for start in range(0, len(columns[0]), CSV_BLOCK_ROWS):
+        block = (_fmt_column(column[start:start + CSV_BLOCK_ROWS]) for column in columns)
+        yield from map(",".join, zip(*block))
+
+
 def _write_patterns(out_dir, rows):
-    """Polar-ready (theta, radius) files: efficiency and total transmit power."""
-    ds = sorted({row["d_frac"] for row in rows})
-    split = len(ds) > 1 and all(math.isfinite(d) for d in ds)
-    groups = {d: [] for d in ds} if split else {None: rows}
-    if split:
-        for row in rows:
-            groups[row["d_frac"]].append(row)
+    """Polar-ready (theta, radius) files: efficiency and total transmit power.
+
+    A sweep over several finite distances writes one pair per distance,
+    tagged with the distance's `_d_tag`."""
+    thetas = [row["theta_deg"] for row in rows]
+    etas = [row["eta"] for row in rows]
+    powers = np.sum([row["powers"] for row in rows], axis=1).tolist()
+    ds = [row["d_frac"] for row in rows]
+    distinct = set(ds)
+    groups = {None: range(len(rows))}
+    if len(distinct) > 1 and all(map(math.isfinite, distinct)):
+        groups = {d: [] for d in sorted(distinct)}
+        for k, d in enumerate(ds):
+            groups[d].append(k)
     for key, group in groups.items():
-        tag = "" if key is None else f"_d{key:g}"
-        eta_lines = ["theta_deg,radius"]
-        pow_lines = ["theta_deg,radius"]
-        for row in group:
-            theta = _fmt(row["theta_deg"])
-            eta_lines.append(f"{theta},{_fmt(row['eta'])}")
-            pow_lines.append(f"{theta},{_fmt(float(np.sum(row['powers'])))}")
-        _write_text(os.path.join(out_dir, f"pattern_eta{tag}.csv"), eta_lines)
-        _write_text(os.path.join(out_dir, f"pattern_power{tag}.csv"), pow_lines)
+        tag = "" if key is None else f"_d{_d_tag(key)}"
+        theta = [thetas[k] for k in group]
+        for name, radius in (("eta", etas), ("power", powers)):
+            lines = _csv_lines("theta_deg,radius", [theta, [radius[k] for k in group]])
+            _write_text(os.path.join(out_dir, f"pattern_{name}{tag}.csv"), lines)
+
+
+def _d_tag(d: float) -> str:
+    """A distance's text in pattern file names: six significant digits
+    (``:g``) where they read back as d, else the shortest round-trip text,
+    so distinct distances never share a name."""
+    text = f"{d:g}"
+    return text if float(text) == d else repr(d)
 
 
 def _sweep_hash(points, blobs, args) -> str:

@@ -2,6 +2,7 @@
 
 import collections
 import math
+import re
 
 import numpy as np
 import pytest
@@ -18,9 +19,12 @@ from wptopt.circuit import (
     PassivityError,
     SchemaError,
     build_loop_system,
+    build_preset_systems,
+    checked_entries,
     load_impedance_file,
     loop_resistance,
     loop_self_inductance,
+    matrix_bytes,
     matrix_from_json,
     matrix_to_json,
     mutual_inductance,
@@ -366,6 +370,97 @@ class TestBuildLoopSystem:
         for name in ["siso", "miso-2p", "miso-3p", "miso-2c", "miso-3c"]:
             z = build_loop_system(GeometrySpec.preset(name, 0.05 * LAM, 1.0))
             assert np.linalg.eigvalsh(z.entries.real).min() > 0.0
+
+
+class TestBatchedPresets:
+    """build_preset_systems gives each point the matrix of the one-point API."""
+
+    THETAS = [math.radians(t) for t in range(-90, 91, 2)]
+
+    @pytest.mark.parametrize("name", circuit.PRESETS)
+    def test_every_point_matches_the_one_point_api(self, name):
+        points = [(d * LAM, angle) for d in (0.075, 0.3) for angle in self.THETAS]
+        batch = build_preset_systems(name, points)
+        assert len(batch) == len(points)
+        for (distance, angle), z in zip(points, batch):
+            one = build_loop_system(GeometrySpec.preset(name, distance, angle))
+            assert matrix_bytes(z) == matrix_bytes(one), (name, distance, angle)
+            assert not z.entries.flags.writeable
+
+    def test_negative_couplings_keep_their_signed_zeros(self):
+        # M < 0 gives Re(j omega M) = -0.0, which matrix_bytes sees
+        (z,) = build_preset_systems("miso-3c", [(0.1 * LAM, math.radians(80.0))])
+        off = z.entries[:-1, -1]
+        assert (off.imag < 0.0).any()
+        assert np.array_equal(np.signbit(off.real), off.imag < 0.0)
+
+    def test_a_non_passive_build_raises_the_one_point_error(self, monkeypatch):
+        monkeypatch.setattr(circuit, "loop_resistance", lambda loop, omega, lam: -1.0)
+        points = [(0.1 * LAM, 0.0), (0.2 * LAM, 0.5)]
+        with pytest.raises(PassivityError) as one:
+            build_loop_system(GeometrySpec.preset("miso-2p", *points[0]))
+        with pytest.raises(PassivityError) as batch:
+            build_preset_systems("miso-2p", points)
+        assert str(batch.value) == str(one.value)
+        assert str(one.value).startswith("constructed loop system failed validation: ")
+
+    def test_the_first_failing_point_raises_its_own_error(self):
+        good, bad = (0.1 * LAM, 0.0), (0.01 * LAM, math.radians(90.0))
+        with pytest.raises(GeometryError) as one:
+            GeometrySpec.preset("miso-2p", *bad)
+        with pytest.raises(GeometryError) as batch:
+            build_preset_systems("miso-2p", [good, bad, (math.inf, 0.0)])
+        assert str(batch.value) == str(one.value)
+        with pytest.raises(GeometryError, match="unknown preset"):
+            build_preset_systems("miso-9x", [good])
+        assert build_preset_systems("siso", []) == []
+
+
+def _one_matrix_error(m):
+    with pytest.raises((SchemaError, PassivityError)) as info:
+        checked_entries(m)
+    return type(info.value), str(info.value)
+
+
+class TestStackedCheck:
+    """checked_entries over a stack raises what its first failing matrix
+    raises alone."""
+
+    GOOD = np.array([[2.0 + 1j, 0.5j], [0.5j, 3.0 + 2j]])
+
+    @pytest.mark.parametrize(
+        "defect",
+        [
+            ("non-passive", lambda m: m + np.array([[0.0, 5.0], [5.0, 0.0]])),
+            ("asymmetric", lambda m: m + np.array([[0.0, 1e-3j], [0.0, 0.0]])),
+            ("non-finite", lambda m: m + np.array([[0.0, np.nan], [np.nan, 0.0]])),
+            ("infinite", lambda m: m + np.array([[np.inf, 0.0], [0.0, 0.0]])),
+            ("nan-diagonal", lambda m: m + np.array([[np.nan, 0.0], [0.0, 0.0]])),
+        ],
+        ids=lambda d: d[0],
+    )
+    def test_middle_matrix_raises_its_own_error(self, defect):
+        bad = defect[1](self.GOOD)
+        worse = np.array([[1.0, 3.0], [3.0, 1.0]], dtype=complex)  # fails later, differently
+        with pytest.raises((SchemaError, PassivityError)) as info:
+            checked_entries(np.array([self.GOOD, bad, worse]), stacked=True)
+        assert (type(info.value), str(info.value)) == _one_matrix_error(bad)
+
+    def test_a_passing_stack_is_returned_whole(self):
+        stack = np.array([self.GOOD, 2.0 * self.GOOD, self.GOOD.real + 0j])
+        out = checked_entries(stack, stacked=True)
+        assert out.dtype == complex and np.array_equal(out, stack)
+        for m in stack:
+            assert np.array_equal(checked_entries(m), m)
+
+    def test_shape_errors_name_one_matrix(self):
+        for shape in [(3,), (2, 3), ()]:
+            with pytest.raises(SchemaError, match=f"got shape {re.escape(str(shape))}"):
+                checked_entries(np.ones(shape))
+        with pytest.raises(SchemaError, match=r"got shape \(2, 3\)"):
+            checked_entries(np.ones((4, 2, 3)), stacked=True)
+        with pytest.raises(SchemaError, match="at least 2 ports"):
+            checked_entries(np.ones((4, 1, 1)), stacked=True)
 
 
 class TestGeometryValidation:

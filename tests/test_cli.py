@@ -608,6 +608,62 @@ class TestSweep:
         rows = read_rows(tmp_path / "sweep.csv")
         assert len(rows) == 4
 
+    def test_close_distances_get_their_own_pattern_files(self, tmp_path):
+        # 0.1 and 0.1000001 agree to six significant digits; each keeps its rows
+        assert cli.main(["sweep", "--preset", "siso", "--d", "0.1,0.1000001",
+                         "--theta-range=0:90:45", "--out", str(tmp_path)]) == 0
+        rows = read_rows(tmp_path / "sweep.csv")
+        assert len(rows) == 6
+        for tag, d in (("0.1", "0.1"), ("0.1000001", "0.1000001")):
+            want = [(r["theta_deg"], r["eta"]) for r in rows if r["d_frac"] == d]
+            got = read_rows(tmp_path / f"pattern_eta_d{tag}.csv")
+            assert [(r["theta_deg"], r["radius"]) for r in got] == want
+            assert len(read_rows(tmp_path / f"pattern_power_d{tag}.csv")) == 3
+        assert sorted(os.listdir(tmp_path)) == sorted(
+            ["sweep.csv", "sweep.json"]
+            + [f"pattern_{k}_d{t}.csv" for k in ("eta", "power") for t in ("0.1", "0.1000001")]
+        )
+
+    def test_distance_tags(self):
+        assert [cli._d_tag(d) for d in (0.05, 0.1, 2.0, 1e100, 1e-05, 0.1000001, 1234567.0)] == [
+            "0.05", "0.1", "2", "1e+100", "1e-05", "0.1000001", "1234567.0"
+        ]
+
+
+class TestColumnWriter:
+    """_fmt_column writes every value as _fmt does."""
+
+    COLUMNS = [
+        [math.nan, -math.nan, 0.0, -0.0, math.inf, -math.inf, 5e-324, -2.2e-308, 0.1, 1e100],
+        [np.float64(0.1), np.float64(-0.0), np.float64(np.nan), 2.5, np.float64(-np.inf)],
+        [np.float32(0.1), np.float32(-0.0), np.float32(np.nan)],
+        [True, False, True],
+        [0, -3, 2**70, 0],
+        ["plain", "a,b", 'say "hi"', "two\nlines", "cr\r", "", "plain"],
+        [True, 1, 1.0, np.float64(1.0), "1", np.int64(1)],
+        [0.0, -0.0, False, 0],
+    ]
+
+    @pytest.mark.parametrize("column", COLUMNS)
+    def test_matches_fmt(self, column):
+        texts = cli._fmt_column(column)
+        assert texts == [cli._fmt(v) for v in column]
+        assert not any("np." in text for text in texts)
+
+    def test_text_of_each_kind(self):
+        assert cli._fmt_column([math.nan, -0.0, np.float64(2.5), 5e-324]) == [
+            "nan", "-0.0", "2.5", "5e-324"
+        ]
+        assert cli._fmt_column([True, False]) == ["true", "false"]
+        assert cli._fmt_column(['a,"b"']) == ['"a,""b"""']
+
+    def test_pattern_power_is_the_row_sum(self):
+        rng = np.random.default_rng(7)
+        powers = rng.standard_normal((500, 3)) * 10.0 ** rng.integers(-12, 12, (500, 3))
+        powers[::7, 1] = -0.0
+        rows = powers.tolist()
+        assert np.sum(rows, axis=1).tolist() == [float(np.sum(r)) for r in rows]
+
 
 class TestPatternShapes:
     def test_siso_power_spikes_near_weak_coupling(self, tmp_path):
