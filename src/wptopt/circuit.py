@@ -23,21 +23,21 @@ is bit for bit what a panel-at-a-time loop over that pair alone gives.
 :func:`build_preset_systems` is the batched path of a preset sweep.  It
 builds the preset's transmitter loops, their self-impedances and their
 pairwise keys once, and per point only the receiver loop, its overlap test
-against the transmitters and its transmitter-receiver keys.  It assembles
-all matrices as one (K, N, N) stack and checks them with one stacked
-:func:`checked_entries`, whose one-matrix call is the K = 1 case.  Each
-matrix is bit for bit what :meth:`GeometrySpec.preset` and
-:func:`build_loop_system` give at its point.  Matrices can also be ingested
-from JSON files, e.g. when they come from a full-wave solver; each file is
-checked on its own.
+against the transmitters and its transmitter-receiver keys.  Each matrix is
+bit for bit what :meth:`GeometrySpec.preset` and :func:`build_loop_system`
+give at its point.  Both builders end alike: the matrices of arrangements
+with the same number of loops are assembled as one (K, N, N) stack and
+checked by one stacked :func:`checked_entries`, whose one-matrix call is
+the K = 1 case.  Matrices can also be ingested from JSON files, e.g. when
+they come from a full-wave solver; each file is checked on its own.
 """
 
 from __future__ import annotations
 
 import collections
-import contextlib
 import functools
 import heapq
+import itertools
 import json
 import math
 import threading
@@ -667,26 +667,26 @@ def _loop_pairs(n):
     return i, j
 
 
-def _impedance_stack(diag, omega, mutuals) -> np.ndarray:
-    """The (K, N, N) Z of K arrangements of N loops: the self-impedances
-    ``diag`` on every diagonal, and j omega M off it, from the (K, N(N-1)/2)
-    mutual inductances of the `_loop_pairs`."""
-    n = len(diag)
+def _loop_systems(diag, omega, mutuals, frequencies) -> list[ImpedanceMatrix]:
+    """The checked links of K arrangements of N loops at their frequencies.
+
+    Z has the self-impedances ``diag`` ((N,) or (K, N)) on its diagonals and
+    j omega M off them, from the (K, N(N-1)/2) mutual inductances of the
+    `_loop_pairs`; ``omega`` is a scalar or a (K, 1) column.  The K matrices
+    are assembled as one stack and checked by one stacked `checked_entries`,
+    so the first failing arrangement raises its own error.
+    """
+    n = np.shape(diag)[-1]
     z = np.empty((len(mutuals), n, n), dtype=complex)
     i, j = _loop_pairs(n)
     z[:, i, j] = z[:, j, i] = 1j * omega * mutuals
     z[:, range(n), range(n)] = diag
-    return z
-
-
-@contextlib.contextmanager
-def _constructed():
-    """Marks a PassivityError raised inside as one of a constructed loop
-    system."""
     try:
-        yield
+        checked_entries(z, stacked=True)
     except PassivityError as exc:
         raise PassivityError(f"constructed loop system failed validation: {exc}") from exc
+    z.flags.writeable = False
+    return [ImpedanceMatrix._checked(entries, float(f)) for entries, f in zip(z, frequencies)]
 
 
 def build_loop_systems(geoms) -> list[ImpedanceMatrix]:
@@ -711,10 +711,13 @@ def build_loop_systems(geoms) -> list[ImpedanceMatrix]:
         shells.append((geom.frequency, omega, diag, pairs))
     mutuals = np.array(_mutual_values(list(index)))
     systems = []
-    for frequency, omega, diag, pairs in shells:
-        (z,) = _impedance_stack(diag, omega, mutuals[None, pairs])
-        with _constructed():
-            systems.append(ImpedanceMatrix(z, frequency))
+    # one stack per run of arrangements with the same number of loops, so
+    # that the runs, and the arrangements in each, are checked in order
+    for _, run in itertools.groupby(shells, key=lambda shell: len(shell[2])):
+        frequency, omega, diag, pairs = zip(*run)
+        systems += _loop_systems(
+            np.array(diag), np.array(omega)[:, None], mutuals[list(pairs)], frequency
+        )
     return systems
 
 
@@ -723,17 +726,16 @@ def build_loop_system(geom: GeometrySpec) -> ImpedanceMatrix:
     return build_loop_systems([geom])[0]
 
 
-def build_preset_systems(name, points, frequency=PRESET_FREQUENCY) -> list[ImpedanceMatrix]:
-    """`build_loop_systems` of ``GeometrySpec.preset(name, distance, angle,
-    frequency)`` at each (distance, angle) of ``points``, bit for bit,
-    raising what the first failing point raises.
+def build_preset_systems(name, points) -> list[ImpedanceMatrix]:
+    """`build_loop_systems` of ``GeometrySpec.preset(name, distance, angle)``
+    at each (distance, angle) of ``points``, bit for bit, raising what the
+    first failing point raises.
 
     The transmitter loops, the self-impedances and the transmitter pairs'
     keys are made once.  Each point adds only its receiver loop, its overlap
-    test against the transmitters and its transmitter-receiver keys.  The
-    matrices are assembled as one stack and checked by one stacked
-    `checked_entries`.
+    test against the transmitters and its transmitter-receiver keys.
     """
+    frequency = PRESET_FREQUENCY
     centers, r_loop, a = _preset_layout(name, frequency)
     tx = tuple(Loop(c, r_loop, a) for c in centers)
     _check_no_overlap(tx)
@@ -758,11 +760,7 @@ def build_preset_systems(name, points, frequency=PRESET_FREQUENCY) -> list[Imped
     pairs[:, j < n] = tx_pairs
     pairs[:, j == n] = rx_pairs
     mutuals = np.array(_mutual_values(list(index)))
-    with _constructed():
-        z = checked_entries(_impedance_stack(diag, omega, mutuals[pairs]), stacked=True)
-    z.flags.writeable = False
-    frequency = float(frequency)  # positive, or the loops would have no positive radius
-    return [ImpedanceMatrix._checked(entries, frequency) for entries in z]
+    return _loop_systems(diag, omega, mutuals[pairs], itertools.repeat(frequency))
 
 
 # ---------------------------------------------------------------------------

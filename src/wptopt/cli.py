@@ -119,17 +119,10 @@ def _fmt(value) -> str:
 
 
 def _fmt_column(values) -> list[str]:
-    """`_fmt` of each value of a column, a whole column at a time.
-
-    A column of Python and numpy floats is `_fmt`'s float rule mapped in C;
-    a column of one other kind of value formats each distinct value once.
-    """
-    kinds = set(map(type, values))
-    if kinds <= {float, np.float64}:
+    """`_fmt` of each value of a column; a column of Python and numpy floats
+    takes `_fmt`'s float rule in one pass."""
+    if set(map(type, values)) <= {float, np.float64}:
         return list(map(repr, map(float, values)))
-    if len(kinds) == 1 and kinds <= {str, int, bool}:  # here equal values print alike
-        texts = {value: _fmt(value) for value in set(values)}
-        return list(map(texts.__getitem__, values))
     return list(map(_fmt, values))
 
 

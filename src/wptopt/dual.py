@@ -88,7 +88,6 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
-from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
@@ -441,16 +440,10 @@ def solve_duals(problems, lam=None):
     return out
 
 
-# the arrays of a QcqpProblem that `_at` reads
-_AT_FIELDS = ("q0", "g", "h", "cp", "v", "hr0", "hrn", "f0", "fn")
-
-
 def _answers(problems, asks):
-    """The points the rows of a stack ask for, evaluated as one stack; the
-    rows that ask are gathered from the arrays `_at` reads alone."""
+    """The points the rows of a stack ask for, evaluated as one stack."""
     if len(asks) < len(problems.h):
-        rows = np.array(list(asks))
-        problems = SimpleNamespace(**{name: getattr(problems, name)[rows] for name in _AT_FIELDS})
+        problems = problems.take(np.array(list(asks)))
     cands, passed = _at(problems, np.array(list(asks.values())))
     return {i: cands.row(j) if passed[j] else None for j, i in enumerate(asks)}
 

@@ -19,6 +19,7 @@ from wptopt.circuit import (
     PassivityError,
     SchemaError,
     build_loop_system,
+    build_loop_systems,
     build_preset_systems,
     checked_entries,
     load_impedance_file,
@@ -370,6 +371,66 @@ class TestBuildLoopSystem:
         for name in ["siso", "miso-2p", "miso-3p", "miso-2c", "miso-3c"]:
             z = build_loop_system(GeometrySpec.preset(name, 0.05 * LAM, 1.0))
             assert np.linalg.eigvalsh(z.entries.real).min() > 0.0
+
+
+def per_element_build(geom):
+    """The impedance matrix of one arrangement, built entry by entry in
+    Python complex arithmetic and checked by ImpedanceMatrix itself."""
+    omega = 2.0 * np.pi * geom.frequency
+    loops = geom.loops
+    n = len(loops)
+    z = np.zeros((n, n), dtype=complex)
+    for i in range(n):
+        z[i, i] = loop_resistance(loops[i], omega, geom.wavelength) + 1j * omega * (
+            loop_self_inductance(loops[i])
+        )
+        for j in range(i + 1, n):
+            m = circuit._mutual_values([circuit._pair_key(loops[i], loops[j])])[0]
+            z[i, j] = z[j, i] = 1j * omega * m
+    return ImpedanceMatrix(z, geom.frequency)
+
+
+class TestBuildLoopSystems:
+    """build_loop_systems assembles and checks one stack per run of
+    arrangements with the same number of loops."""
+
+    GEOMS = [
+        GeometrySpec.preset("siso", 0.1 * LAM, 0.3),
+        GeometrySpec.preset("miso-2p", 0.05 * LAM, -1.2),
+        GeometrySpec.preset("miso-2c", 0.2 * LAM, math.radians(90.0), frequency=13.56e6),
+        GeometrySpec((make_loop(), make_loop(x=0.03 * LAM, z=0.01 * LAM, r=0.5 * R_LOOP))),
+        GeometrySpec.preset("miso-3p", 0.3 * LAM, 2.0),
+        GeometrySpec.preset("siso", 0.1 * LAM, -0.3),
+    ]
+
+    def test_each_matrix_matches_the_per_element_build(self):
+        systems = build_loop_systems(iter(self.GEOMS))
+        assert [z.n_ports for z in systems] == [2, 3, 3, 2, 4, 2]
+        for geom, z in zip(self.GEOMS, systems):
+            assert matrix_bytes(z) == matrix_bytes(per_element_build(geom))
+            assert type(z.frequency) is float and not z.entries.flags.writeable
+
+    def test_the_first_failing_arrangement_raises_its_own_error(self, monkeypatch):
+        resistance = circuit.loop_resistance
+        bad = {0.5 * R_LOOP: -1.0, 0.7 * R_LOOP: -2.0}  # radius -> resistance
+        monkeypatch.setattr(
+            circuit, "loop_resistance",
+            lambda loop, omega, lam: bad.get(loop.radius) or resistance(loop, omega, lam),
+        )
+        first = GeometrySpec((make_loop(), make_loop(z=0.1 * LAM), make_loop(r=0.5 * R_LOOP)))
+        later = GeometrySpec((make_loop(), make_loop(z=0.1 * LAM, r=0.7 * R_LOOP)))
+        with pytest.raises(PassivityError) as one:
+            build_loop_system(first)
+        with pytest.raises(PassivityError) as other:
+            build_loop_system(later)
+        assert str(one.value) != str(other.value)
+        with pytest.raises(PassivityError) as batch:
+            build_loop_systems([self.GEOMS[0], later, first, later])
+        assert str(batch.value) == str(other.value)
+        with pytest.raises(PassivityError) as batch:
+            build_loop_systems([self.GEOMS[0], first, later, self.GEOMS[4]])
+        assert str(batch.value) == str(one.value)
+        assert str(one.value).startswith("constructed loop system failed validation: ")
 
 
 class TestBatchedPresets:
