@@ -338,7 +338,7 @@ def _w_over_m(m: np.ndarray, one_minus_m: np.ndarray) -> np.ndarray:
     small = m < 0.05
     if small.all():
         return _wm_series(m)
-    p = np.maximum(one_minus_m, 5e-324)
+    p = np.maximum(one_minus_m, 5e-324).ravel()
     # rows p**0 .. p**11, then A and B in one matrix product
     powers = np.empty((_WM_AB.shape[1], p.size))
     powers[0] = 1.0
@@ -346,7 +346,7 @@ def _w_over_m(m: np.ndarray, one_minus_m: np.ndarray) -> np.ndarray:
     for k in range(2, len(powers)):
         np.multiply(powers[k - 1], p, out=powers[k])
     a, b = _WM_AB @ powers
-    out = a - np.log(p) * b
+    out = (a - np.log(p) * b).reshape(m.shape)
     if small.any():
         out[small] = _wm_series(m[small])
     return out
@@ -385,7 +385,10 @@ def _neumann_reduced(psi, terms):
 
     ``psi`` is measured from the closest-approach azimuth of the field
     loop; the full mutual inductance is 2 * integral over [0, pi].
-    ``terms`` are the pair's `_pair_terms`, as scalars or one per node.
+    ``terms`` are one pair's `_pair_terms` as scalars, with values shaped
+    as ``psi``, or the terms of many pairs as (pairs, 1) columns, with
+    values of shape (pairs, nodes): the functions of psi alone are then
+    computed once for all of them.
     """
     ra, rb, rho, h2, rho_rb2, c_s2, c_diff, ra4, scale = terms
     s2 = np.sin(0.5 * psi) ** 2
@@ -405,20 +408,21 @@ def _graded(s, terms):
     return _neumann_reduced(_DELTA * s**4, terms) * 4.0 * _DELTA * s**3
 
 
-def _stage(f, a, b, terms, pairs=1):
-    """(lo, hi) rule sums over the panels [a[i], b[i]] of ``pairs`` pairs
-    whose ``terms`` hold one entry per node, or of one pair with scalar
-    terms; both of shape (pairs, panels).
+def _stage(f, a, b, terms):
+    """(lo, hi) rule sums over the panels [a[i], b[i]], of shape (pairs,
+    panels): of one pair with scalar ``terms`` (pairs = 1), or of many with
+    (pairs, 1) columns.
 
-    One call of ``f`` covers every node.  Each panel's sum is its own dot
+    The nodes of the panels are made once, with shape (nodes,), and one
+    call of ``f`` covers every pair.  Each panel's sum is its own dot
     product over a contiguous slice of the values, in the same order as a
     panel-at-a-time loop: a matrix product could sum in another order and
     move the last bit of M.
     """
     x, w_lo, w_hi = _rule()
     xm, xr = 0.5 * (a + b), 0.5 * (b - a)
-    psi = np.tile((xm[:, None] + xr[:, None] * x).ravel(), pairs)
-    vals = f(psi, terms).reshape(pairs, len(a), x.size)
+    psi = (xm[:, None] + xr[:, None] * x).ravel()
+    vals = f(psi, terms).reshape(-1, len(a), x.size)
     return xr * np.vecdot(vals[..., :_N_LO], w_lo), xr * np.vecdot(vals[..., _N_LO:], w_hi)
 
 
@@ -453,65 +457,79 @@ _NEAR = (True, 0.0, 1.0)  # [0, delta] in psi = delta s**4
 _REST = (False, _DELTA, np.pi)
 
 
+def _first_stage(kind, rows, terms, columns, atol, rtol):
+    """(integral, error estimate) arrays of one range kind over the keys
+    ``rows``, each with absolute tolerance ``atol``.
+
+    The first stage, 8 panels on the range, runs for `_CHUNK_NODES` // 288
+    keys per `_stage` call, on the (9, keys, 1) ``columns`` of their
+    `_pair_terms`; its tolerance test runs on the whole arrays.  A key that
+    fails the test is refined alone, from the scalar ``terms`` of its pair.
+    """
+    graded, x0, x1 = kind
+    f = _graded if graded else _neumann_reduced
+    edges = np.linspace(x0, x1, _FIRST_PANELS + 1)
+    chunk = max(1, _CHUNK_NODES // (_FIRST_PANELS * (_N_LO + _N_HI)))
+    stages = [
+        _stage(f, edges[:-1], edges[1:], tuple(columns[:, rows[c0:c0 + chunk]]))
+        for c0 in range(0, len(rows), chunk)
+    ]
+    lo, hi = (np.concatenate(sums) for sums in zip(*stages))
+    total = err = 0.0
+    for i in range(_FIRST_PANELS):  # in panel order, as one range alone sums
+        total = total + hi[:, i]
+        err = err + abs(hi[:, i] - lo[:, i])
+    for j in np.flatnonzero(err > np.maximum(rtol * abs(total), atol)).tolist():
+        k = rows[j]
+        total[j], err[j] = _refine(
+            f, terms[k], edges, lo[j], hi[j], total[j], err[j], rtol, atol[j]
+        )
+    return total, err
+
+
 def _quadrature(keys, rtol):
     """Mutual inductances of distinct (ra, rb, rho, h) pair keys.
 
     The outer Neumann integral runs over [0, pi], or for a near-tangent pair
-    over [0, delta] graded and [delta, pi] plain.  The first stage, 8 panels
-    per range, is taken for all ranges of one kind together, in integrand
-    calls of at most `_CHUNK_NODES` nodes.  Only a range whose error
-    estimate then fails the tolerance goes on to `_refine`.  Each value is
-    bit for bit what a panel-at-a-time adaptive quadrature of its pair alone
-    gives.
+    over [0, delta] graded and [delta, pi] plain.  The first stage of every
+    range, 8 panels, is taken by `_first_stage` for all ranges of one kind
+    together: each integrand call covers up to `_CHUNK_NODES` values, on
+    nodes shared by all its pairs.  Only a range whose error estimate then
+    fails the tolerance goes on to `_refine`.  Each value is bit for bit
+    what a panel-at-a-time adaptive quadrature of its pair alone gives.
     """
     terms = [_pair_terms(*key) for key in keys]
-    atols, plan, jobs = [], [], {}  # jobs: range -> [(key index, atol)]
-    for k, (ra, rb, rho, h) in enumerate(keys):
-        atol = 1e-15 * MU0 * min(ra, rb)
+    near = []
+    for ra, rb, rho, h in keys:
         rf0 = abs(rho - rb)
         p0 = ((ra - rf0) ** 2 + h * h) / ((ra + rf0) ** 2 + h * h)
         # near-tangent pair: graded substitution tames the log singularity
         # at psi = 0
-        ranges = (_NEAR, _REST) if p0 < 1e-5 else (_FULL,)
-        for kind in ranges:
-            jobs.setdefault(kind, []).append((k, atol / len(ranges)))
-        atols.append(atol)
-        plan.append(ranges)
-    per_range = _FIRST_PANELS * (_N_LO + _N_HI)
-    chunk = max(1, _CHUNK_NODES // per_range)
-    parts = {}  # (key index, range) -> (integral, error estimate)
-    for kind, kind_jobs in jobs.items():
-        graded, x0, x1 = kind
-        f = _graded if graded else _neumann_reduced
-        edges = np.linspace(x0, x1, _FIRST_PANELS + 1)
-        for c0 in range(0, len(kind_jobs), chunk):
-            block = kind_jobs[c0:c0 + chunk]
-            per_node = np.repeat(np.array([terms[k] for k, _ in block]).T, per_range, axis=1)
-            lo, hi = _stage(f, edges[:-1], edges[1:], tuple(per_node), len(block))
-            total = err = 0.0
-            for i in range(_FIRST_PANELS):  # in panel order, as one range alone sums
-                total = total + hi[:, i]
-                err = err + abs(hi[:, i] - lo[:, i])
-            for j, (k, atol) in enumerate(block):
-                tj, ej = total[j], err[j]
-                if ej > max(rtol * abs(tj), atol):
-                    tj, ej = _refine(f, terms[k], edges, lo[j], hi[j], tj, ej, rtol, atol)
-                parts[k, kind] = tj, ej
-    values = []
-    for k, (ranges, atol) in enumerate(zip(plan, atols)):
-        (total, err), *rest = (parts[k, kind] for kind in ranges)
-        for t, e in rest:
-            total, err = total + t, err + e
-        value = 2.0 * total
-        if 2.0 * err > max(10.0 * rtol * abs(value), 10.0 * atol):
-            warnings.warn(
-                f"mutual inductance quadrature stopped at estimated relative error "
-                f"{2.0 * err / max(abs(value), atol):.2e}",
-                RuntimeWarning,
-                stacklevel=4,
-            )
-        values.append(value)
-    return values
+        near.append(p0 < 1e-5)
+    near = np.array(near, dtype=bool)
+    arr = np.array(keys, dtype=float).reshape(-1, 4)
+    atol = 1e-15 * MU0 * np.minimum(arr[:, 0], arr[:, 1])
+    columns = np.array(terms, dtype=float).reshape(-1, 9).T[:, :, None]
+    full, tangent = np.flatnonzero(~near), np.flatnonzero(near)
+    total, err = np.empty(len(keys)), np.empty(len(keys))
+    if full.size:
+        total[full], err[full] = _first_stage(_FULL, full, terms, columns, atol[full], rtol)
+    if tangent.size:
+        half = atol[tangent] / 2
+        t_near, e_near = _first_stage(_NEAR, tangent, terms, columns, half, rtol)
+        t_rest, e_rest = _first_stage(_REST, tangent, terms, columns, half, rtol)
+        total[tangent], err[tangent] = t_near + t_rest, e_near + e_rest
+    values = 2.0 * total
+    for k in np.flatnonzero(
+        2.0 * err > np.maximum(10.0 * rtol * abs(values), 10.0 * atol)
+    ).tolist():
+        warnings.warn(
+            f"mutual inductance quadrature stopped at estimated relative error "
+            f"{2.0 * err[k] / max(abs(values[k]), atol[k]):.2e}",
+            RuntimeWarning,
+            stacklevel=4,
+        )
+    return list(values)
 
 
 _cache = collections.OrderedDict()  # (ra, rb, rho, h) -> M, oldest use first

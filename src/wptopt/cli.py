@@ -24,12 +24,15 @@ matrices of its preset points in one batched pass (see
 then the binding rows of each port count together, their dual ascents in
 lockstep (under ``--rl optimize``, each row's load search, one after
 another).  Rows come out in input order, and every row is bit for bit what
-its point gives swept alone.  Output files are formatted a column at a
-time, by the rule `_fmt` gives each value.
+its point gives swept alone.  Both `sweep` and `solve` take their row
+values from one column builder, `_columns`, with no record per row.  Output
+files are formatted a column at a time, by the rule `_fmt` gives each
+value; a column that is the same in every row is formatted once.
 """
 
 import argparse
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -105,6 +108,10 @@ class CommandError(Exception):
     """Input problem detected at the CLI level; maps to exit code 2."""
 
 
+# RFC 4180: a field holding a comma, a quote or a line break is quoted
+_needs_quotes = re.compile('[,"\r\n]').search
+
+
 def _fmt(value) -> str:
     """One stable text form per value; floats print shortest round-trip."""
     if isinstance(value, bool):
@@ -112,8 +119,7 @@ def _fmt(value) -> str:
     if isinstance(value, (float, np.floating)):
         return repr(float(value))  # repr of every NaN is 'nan'
     text = str(value)
-    # RFC 4180: a field holding a comma, a quote or a line break is quoted
-    if any(ch in text for ch in ',"\r\n'):
+    if _needs_quotes(text):
         return '"' + text.replace('"', '""') + '"'
     return text
 
@@ -361,47 +367,56 @@ def _solve_rows(zs, rl_policy, opts: PipelineOptions):
             yield res, None
 
 
-def _row(theta_deg, d_frac, z, z_bytes, source, args, res):
-    """One point's row from its result or the exception it raised: the
-    `SWEEP_COLUMNS` values, the per-port powers under "powers" and, for a
-    failed row, the failure text under "error".  z_bytes is
-    `matrix_bytes` of z."""
-    row = {
-        "theta_deg": theta_deg,
-        "d_frac": d_frac,
-        "source": source,
-        "matrix_sha256": hashlib.sha256(z_bytes).hexdigest(),
-        "constraint_mode": args.constraints[0],
-    }
+# the `SWEEP_COLUMNS` a row's result gives, "form" to "iterations"
+_RESULT_COLUMNS = SWEEP_COLUMNS[5:]
+
+
+def _result_values(res, z):
+    """The `_RESULT_COLUMNS` values of a point's result, or of the
+    exception it raised."""
     if isinstance(res, Exception):
         nan = float("nan")
         status = res.status if isinstance(res, RelaxationError) else type(res).__name__
-        failed = {
-            "form": "",
-            "status": f"error:{status}",
-            "skipped": False,
-            "tight": False,
-            "iterations": 0,
-            "powers": [nan] * z.n_tx,
-            "error": str(res),
-        }
-        return dict.fromkeys(SWEEP_COLUMNS, nan) | row | failed
-    return row | {
-        "form": res.form,
-        "r_load_ohm": res.r_load,
-        "status": res.status,
-        "skipped": res.skipped,
-        "tight": res.tight,
-        "epsilon": res.epsilon,
-        "eta": res.eta,
-        "p_relax_w": res.p_relax,
-        "x_r_ohm": res.x_r,
-        "c_r_farad": cap_r(res.x_r, z.omega),
-        "delta_eta_db": res.delta_eta_db,
-        "delta_cr_rel": res.delta_cr_rel,
-        "iterations": res.iterations,
-        "powers": [float(p) for p in res.transmit_powers],
+        return ("", nan, f"error:{status}", False, False) + (nan,) * 7 + (0,)
+    return (
+        res.form,
+        res.r_load,
+        res.status,
+        res.skipped,
+        res.tight,
+        res.epsilon,
+        res.eta,
+        res.p_relax,
+        res.x_r,
+        cap_r(res.x_r, z.omega),
+        res.delta_eta_db,
+        res.delta_cr_rel,
+        res.iterations,
+    )
+
+
+def _columns(points, results, blobs, n_tx):
+    """The rows of (theta_deg, d_frac, z) points from their results (each
+    an SdrResult or the exception it raised), by column: ({name: values}
+    for every `SWEEP_COLUMNS` name but "source" and "constraint_mode", the
+    same in every row; the (rows, n_tx) transmit powers, NaN in a failed
+    row; {row: failure text}).  blobs are `matrix_bytes` of each z."""
+    values, powers, errors = [], [], {}
+    failed = np.full(n_tx, np.nan)
+    for k, ((_, _, z), res) in enumerate(zip(points, results)):
+        values.append(_result_values(res, z))
+        if isinstance(res, Exception):
+            errors[k] = str(res)
+            powers.append(failed)
+        else:
+            powers.append(res.transmit_powers)
+    columns = {
+        "theta_deg": [theta for theta, _, _ in points],
+        "d_frac": [d for _, d, _ in points],
+        "matrix_sha256": [hashlib.sha256(z_bytes).hexdigest() for z_bytes in blobs],
     }
+    columns.update(zip(_RESULT_COLUMNS, map(list, zip(*values))))
+    return columns, np.array(powers), errors
 
 
 def _ensure_out(path):
@@ -454,18 +469,21 @@ def _describe(res, search, z, source: str, theta_deg: float, d_frac: float, args
 
 
 def cmd_solve(args) -> int:
-    ((theta_deg, d_frac, z),), source, _ = _points(args)
+    points, source, n_tx = _points(args)
+    ((theta_deg, d_frac, z),) = points
     ((res, search),) = _solve_rows([z], args.rl, _pipeline_options(args))
     if isinstance(res, Exception):
         raise res
     print(_describe(res, search, z, source, theta_deg, d_frac, args))
     z_bytes = matrix_bytes(z)
-    row = _row(theta_deg, d_frac, z, z_bytes, source, args, res)
+    columns, powers, _ = _columns(points, [res], [z_bytes], n_tx)
     inputs = hashlib.sha256(z_bytes)  # the matrix, then the load
     inputs.update(np.float64(res.r_load).tobytes())
-    record = {key: row[key] for key in SWEEP_COLUMNS} | {
+    record = {name: values[0] for name, values in columns.items()} | {
+        "source": source,
+        "constraint_mode": args.constraints[0],
         "inputs_sha256": inputs.hexdigest(),
-        "transmit_powers_w": row["powers"],
+        "transmit_powers_w": powers[0].tolist(),
         "currents_re": res.currents.real.tolist(),
         "currents_im": res.currents.imag.tolist(),
         "rl_policy": str(args.rl),
@@ -490,24 +508,29 @@ def cmd_sweep(args) -> int:
     points, source, n_tx = _points(args)
     results = _solve_rows([z for _, _, z in points], args.rl, _pipeline_options(args))
     blobs = [matrix_bytes(z) for _, _, z in points]  # each matrix serialized once
-    rows = [
-        _row(theta, d, z, z_bytes, source, args, res)
-        for (theta, d, z), z_bytes, (res, _) in zip(points, blobs, results)
-    ]
+    columns, powers, errors = _columns(points, (res for res, _ in results), blobs, n_tx)
 
     out_dir = _ensure_out(args.out or ".")
     power_cols = tuple(f"p_t_{k + 1}_w" for k in range(n_tx))
-    columns = [[row[c] for row in rows] for c in SWEEP_COLUMNS]
-    columns += map(list, zip(*(row["powers"] for row in rows)))
-    header = ",".join(SWEEP_COLUMNS + power_cols)
-    _write_text(os.path.join(out_dir, "sweep.csv"), _csv_lines(header, columns))
+    columns.update(zip(power_cols, powers.T.tolist()))
+    # one text for every row
+    columns["source"] = _fmt(source)
+    columns["constraint_mode"] = _fmt(args.constraints[0])
+    names = SWEEP_COLUMNS + power_cols
+    lines = _csv_lines(",".join(names), [columns[name] for name in names])
+    _write_text(os.path.join(out_dir, "sweep.csv"), lines)
 
-    _write_patterns(out_dir, rows)
+    _write_patterns(
+        out_dir,
+        columns["theta_deg"],
+        columns["d_frac"],
+        {"eta": columns["eta"], "power": powers.sum(axis=1).tolist()},
+    )
     provenance = {
-        "columns": list(SWEEP_COLUMNS + power_cols),
+        "columns": list(names),
         "constraint_mode": args.constraints[0],
         "inputs_sha256": _sweep_hash(points, blobs, args),
-        "n_rows": len(rows),
+        "n_rows": len(points),
         "rl_policy": str(args.rl),
         "source": source,
         "version": __version__,
@@ -517,49 +540,53 @@ def cmd_sweep(args) -> int:
         [json.dumps(provenance, indent=2, sort_keys=True)],
     )
 
-    failures = [row for row in rows if "error" in row]
-    for row in failures:
+    for k, error in errors.items():
         print(
-            f"warning: theta={_fmt(row['theta_deg'])} deg failed "
-            f"({row['status']}): {row['error']}",
+            f"warning: theta={_fmt(columns['theta_deg'][k])} deg failed "
+            f"({columns['status'][k]}): {error}",
             file=sys.stderr,
         )
     print(
-        f"{len(rows)} rows -> {os.path.join(out_dir, 'sweep.csv')}"
-        + (f"  ({len(failures)} failed)" if failures else "")
+        f"{len(points)} rows -> {os.path.join(out_dir, 'sweep.csv')}"
+        + (f"  ({len(errors)} failed)" if errors else "")
     )
     return EXIT_OK
 
 
 def _csv_lines(header, columns):
-    """The lines of a CSV file: the header, then the rows of equal-length
-    columns, each formatted by `_fmt_column` a block of `CSV_BLOCK_ROWS`
-    rows at a time, so that one block's texts are held at once."""
+    """The lines of a CSV file: the header, then the rows of the columns,
+    each formatted by `_fmt_column` a block of `CSV_BLOCK_ROWS` rows at a
+    time, so that one block's texts are held at once.  A column given as a
+    str is that text in every row."""
     yield header
-    for start in range(0, len(columns[0]), CSV_BLOCK_ROWS):
-        block = (_fmt_column(column[start:start + CSV_BLOCK_ROWS]) for column in columns)
+    n_rows = next(len(column) for column in columns if not isinstance(column, str))
+    for start in range(0, n_rows, CSV_BLOCK_ROWS):
+        block = (
+            itertools.repeat(column) if isinstance(column, str)
+            else _fmt_column(column[start:start + CSV_BLOCK_ROWS])
+            for column in columns
+        )
         yield from map(",".join, zip(*block))
 
 
-def _write_patterns(out_dir, rows):
-    """Polar-ready (theta, radius) files: efficiency and total transmit power.
+def _write_patterns(out_dir, thetas, ds, radii):
+    """Polar-ready (theta, radius) files, one per {name: radius column} of
+    radii: efficiency and total transmit power.
 
-    A sweep over several finite distances writes one pair per distance,
-    tagged with the distance's `_d_tag`."""
-    thetas = [row["theta_deg"] for row in rows]
-    etas = [row["eta"] for row in rows]
-    powers = np.sum([row["powers"] for row in rows], axis=1).tolist()
-    ds = [row["d_frac"] for row in rows]
+    A sweep over several finite distances, some of which hold more than one
+    row, writes one file per name and distance, tagged with the distance's
+    `_d_tag`.  A family whose every point has its own distance writes one
+    file per name."""
     distinct = set(ds)
-    groups = {None: range(len(rows))}
-    if len(distinct) > 1 and all(map(math.isfinite, distinct)):
+    groups = {None: range(len(ds))}
+    if 1 < len(distinct) < len(ds) and all(map(math.isfinite, distinct)):
         groups = {d: [] for d in sorted(distinct)}
         for k, d in enumerate(ds):
             groups[d].append(k)
     for key, group in groups.items():
         tag = "" if key is None else f"_d{_d_tag(key)}"
         theta = [thetas[k] for k in group]
-        for name, radius in (("eta", etas), ("power", powers)):
+        for name, radius in radii.items():
             lines = _csv_lines("theta_deg,radius", [theta, [radius[k] for k in group]])
             _write_text(os.path.join(out_dir, f"pattern_{name}{tag}.csv"), lines)
 

@@ -20,6 +20,9 @@ entries of the solution's ``p_tx`` and call for the constrained solver in
 LAPACK solves for z_o, U and the currents, and the per-port powers of all
 links at once.  :func:`solve_closed_form` is its one-link case; every link's
 solution is bit for bit the same alone or in a stack.
+:func:`closed_form_stacks` hands out the same solutions by stack, with the
+stacked currents and powers, for callers that test or copy them a stack at
+a time.
 """
 
 from __future__ import annotations
@@ -181,6 +184,24 @@ def solve_closed_forms(zs, r_load: float | None = None) -> list:
     for bit the one the link gets alone.  Raises ValueError for a load that
     is not positive and finite.
     """
+    out, stacks = closed_form_stacks(zs, r_load)
+    for ks, rows, _, _ in stacks:
+        for k, sol in zip(ks, rows):
+            out[k] = sol
+    return out
+
+
+def closed_form_stacks(zs, r_load: float | None = None):
+    """The closed forms of `solve_closed_forms`, by stack: (errors, stacks).
+
+    ``errors`` holds, in input order, the SchemaError, PassivityError or
+    NoCouplingError of each link that never reaches a stack, else None.
+    Each stack is (positions, rows, currents, p_tx) for the coupled links of
+    one matrix shape: their positions in ``zs``, their ClosedFormSolutions
+    or errors, and the (K, N) currents [i_t, i_r] and (K, N - 1) transmit
+    powers of all K links, in rows whose solution may be an error.  A
+    solution's ``i_t`` and ``p_tx`` are views of these arrays.
+    """
     _check_load(r_load)
     out = [None] * len(zs)
     stacks = {}  # matrix shape -> [(row, entries)] of the coupled links
@@ -194,17 +215,19 @@ def solve_closed_forms(zs, r_load: float | None = None) -> list:
             stacks.setdefault(m.shape, []).append((k, m))
         else:
             out[k] = NoCouplingError("receiver is uncoupled from every transmitter")
+    solved = []
     for rows in stacks.values():
         ks, ms = zip(*rows)
-        for k, sol in zip(ks, _closed_form_rows(np.array(ms), r_load)):
-            out[k] = sol
-    return out
+        solved.append((ks, *_closed_form_rows(np.array(ms), r_load)))
+    return out, solved
 
 
 def _closed_form_rows(z, r_load):
-    """ClosedFormSolutions of a (K, N, N) stack of coupled links; a link out
-    of double range silently gets its error instead: NoCouplingError where
-    its coupling o U^2 underflows to 0, else NonFiniteError."""
+    """(rows, currents, p_tx) of a (K, N, N) stack of coupled links: their
+    ClosedFormSolutions, a link out of double range silently getting its
+    error instead (NoCouplingError where its coupling or U^2 underflows to
+    0, else NonFiniteError), and the stacked currents and transmit powers.
+    Only the loss and the peak efficiency are computed row by row."""
     zt, ztr = z[:, :-1, :-1], z[:, :-1, -1]
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         z_o, u = _zo_u(z)
@@ -218,13 +241,14 @@ def _closed_form_rows(z, r_load):
         eta = resonant_pte(z_o, u, rl)
         zhat = z.copy()
         zhat[:, -1, -1] += 1j * x_r + rl
-        p_tx = port_powers(zhat, np.concatenate([i_t, i_r[:, None]], axis=1))[:, :-1]
+        currents = np.concatenate([i_t, i_r[:, None]], axis=1)
+        p_tx = port_powers(zhat, currents)[:, :-1]
         finite = np.isfinite(r_opt) & np.isfinite(eta) & np.isfinite(p_tx).all(axis=1)
     rows = []
-    for k, in_range in enumerate(finite.tolist()):
+    fields = zip(*(a.tolist() for a in (finite, rl, ro, u, z_o, r_opt, eta, i_r, x_r)), i_t, p_tx)
+    for in_range, r, o, uk, *values in fields:
         # squares of Python floats (libm's pow): numpy's square of an array
         # differs from it in the last bit now and then
-        r, o, uk = float(rl[k]), float(ro[k]), float(u[k])
         try:
             p_loss = (1.0 / r) * (o + (o + r) ** 2 / (o * uk * uk))
         except ZeroDivisionError:
@@ -235,19 +259,20 @@ def _closed_form_rows(z, r_load):
         if not (in_range and math.isfinite(p_loss)):
             rows.append(NonFiniteError(f"loss at 1 W received overflows at R_L = {r!r} ohm"))
             continue
+        z_ok, r_opt_k, eta_k, i_r_k, x_r_k, i_t_k, p_tx_k = values
         rows.append(
             ClosedFormSolution(
-                z_o=z_o[k],
+                z_o=z_ok,
                 u=uk,
                 r_load=r,
-                r_load_opt=float(r_opt[k]),
-                eta=float(eta[k]),
+                r_load_opt=r_opt_k,
+                eta=eta_k,
                 eta_max=float(max_pte(uk)),
                 p_loss=p_loss,
-                i_t=i_t[k],
-                i_r=float(i_r[k]),
-                x_r=float(x_r[k]),
-                p_tx=p_tx[k],
+                i_t=i_t_k,
+                i_r=i_r_k,
+                x_r=x_r_k,
+                p_tx=p_tx_k,
             )
         )
-    return rows
+    return rows, currents, p_tx

@@ -40,7 +40,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .circuit import ImpedanceMatrix
-from .closedform import ClosedFormSolution, solve_closed_forms
+from .closedform import ClosedFormSolution, closed_form_stacks
 from .dual import solve_barrier, solve_dual, solve_duals
 from .kkt import relaxation_audit, relaxation_audits
 from .qcqp import QcqpProblem, build_problems, current_residuals, evaluate, power_rows
@@ -332,44 +332,62 @@ def solve_rows(zs, r_load: float | None = None, options: PipelineOptions | None 
     R*), as an iterator over the rows in input order.
 
     The links go in blocks of up to `STACK_ROWS`.  A block's closed forms
-    come from stacked passes; the rows whose powers break the constraints
-    are then solved together, one stack per port count: their problems, the
-    dual ascent in lockstep, the KKT audit and the operating points.  A row
-    the dual does not certify goes to the relaxation alone.  Each row is
-    bit for bit what the link gives alone, and yields its SdrResult or the
-    `ROW_ERRORS` exception it raised: an error stays with its own row.
-    Rows are produced as they are consumed, so a caller that keeps only
-    what it needs of each holds one block of results at a time.
+    come from stacked passes, one per port count, and each stack's powers
+    are tested against its power rows in one comparison; the rows that pass
+    take their currents and solution vectors as views of two stacked
+    arrays.  The rows whose powers break the constraints are then solved
+    together, one stack per port count: their problems, the dual ascent in
+    lockstep, the KKT audit and the operating points.  A row the dual does
+    not certify goes to the relaxation alone.  Each row is bit for bit what
+    the link gives alone, and yields its SdrResult or the `ROW_ERRORS`
+    exception it raised: an error stays with its own row.  Rows are
+    produced as they are consumed, so a caller that keeps only what it
+    needs of each holds one block of results at a time.
     """
     opts = options or PipelineOptions()
     zs = list(zs)
     for start in range(0, len(zs), STACK_ROWS):
         block = zs[start:start + STACK_ROWS]
-        rows = solve_closed_forms(block, r_load)
-        binding = {}  # port count -> the positions of its binding rows
-        for k, cf in enumerate(rows):
-            if isinstance(cf, Exception):
-                continue
+        rows, stacks = closed_form_stacks(block, r_load)
+        for ks, cfs, currents, p_tx in stacks:
             try:
-                rows[k] = _closed_form_row(cf, opts)
-            except ROW_ERRORS as exc:
-                rows[k] = exc
-            if rows[k] is None:
-                binding.setdefault(cf.p_tx.size, []).append((k, cf))
-        for group in binding.values():
-            ks, cfs = zip(*group)
-            for k, row in zip(ks, _solve_binding([block[k] for k in ks], cfs, opts)):
-                rows[k] = row
+                legal = _meets_power_rows(p_tx, opts).tolist()
+            except ROW_ERRORS as exc:  # caps of another port count fail every row
+                for k, cf in zip(ks, cfs):
+                    rows[k] = cf if isinstance(cf, Exception) else exc
+                continue
+            cvec = np.concatenate([currents.real, currents.imag[:, :-1]], axis=1)
+            binding = []
+            for j, (k, cf, ok) in enumerate(zip(ks, cfs, legal)):
+                if isinstance(cf, Exception):
+                    rows[k] = cf
+                elif ok:
+                    rows[k] = _closed_form_row(cf, cvec[j], currents[j])
+                else:
+                    binding.append((k, cf))
+            if binding:
+                bks, bcfs = zip(*binding)
+                for k, row in zip(bks, _solve_binding([block[k] for k in bks], bcfs, opts)):
+                    rows[k] = row
         yield from rows
 
 
-def _closed_form_row(cf: ClosedFormSolution, opts: PipelineOptions):
-    """The closed form's own row where its powers are legal, else None."""
-    p = cf.p_tx.tolist()
-    rows = power_rows(len(p), opts.power_caps, opts.constrain_powers)
-    # without power rows the min-loss QP is the closed form itself
-    if not all(sign * p[port] - rhs >= SKIP_TOLERANCE for port, sign, rhs in rows):
-        return None
+def _meets_power_rows(p_tx, opts: PipelineOptions):
+    """Whether each row of a (K, N) stack of transmit powers meets every
+    power row of `power_rows`, sign * p[port] - rhs >= `SKIP_TOLERANCE`, as
+    a bool array.  The rule is applied elementwise, so a NaN power fails
+    it, and without power rows every row meets it: the min-loss QP is then
+    the closed form itself."""
+    rows = power_rows(p_tx.shape[1], opts.power_caps, opts.constrain_powers)
+    if not rows:
+        return np.ones(len(p_tx), dtype=bool)
+    port, sign, rhs = map(np.array, zip(*rows))
+    return (sign * p_tx[:, port] - rhs >= SKIP_TOLERANCE).all(axis=1)
+
+
+def _closed_form_row(cf: ClosedFormSolution, cvec, currents):
+    """The row of a closed form whose powers are legal, with its solution
+    vector [Re i_t, i_r, Im i_t] and its currents [i_t, i_r]."""
     return SdrResult(
         status="closed-form",
         form="closed-form",
@@ -377,8 +395,8 @@ def _closed_form_row(cf: ClosedFormSolution, opts: PipelineOptions):
         p_relax=cf.p_loss,
         eta=cf.eta,
         r_load=cf.r_load,
-        cvec=np.concatenate([cf.i_t.real, [cf.i_r], cf.i_t.imag]),
-        currents=np.concatenate([cf.i_t, [cf.i_r]]),
+        cvec=cvec,
+        currents=currents,
         x_r=cf.x_r,
         transmit_powers=cf.p_tx,
         iterations=0,

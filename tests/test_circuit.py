@@ -218,14 +218,15 @@ class TestQuadratureBits:
     reference in ``tests/oracles.py``."""
 
     def counted_batch(self, monkeypatch, keys, rtol):
-        """``circuit._quadrature`` of keys, with the node count of every
-        integrand call."""
+        """``circuit._quadrature`` of keys, with the number of values
+        (pairs x nodes) every integrand call returns."""
         calls = []
         integrand = circuit._neumann_reduced
 
         def counted(psi, terms):
-            calls.append(len(psi))
-            return integrand(psi, terms)
+            values = integrand(psi, terms)
+            calls.append(values.size)
+            return values
 
         with monkeypatch.context() as m:
             m.setattr(circuit, "_neumann_reduced", counted)

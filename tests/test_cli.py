@@ -624,6 +624,33 @@ class TestSweep:
             + [f"pattern_{k}_d{t}.csv" for k in ("eta", "power") for t in ("0.1", "0.1000001")]
         )
 
+    @pytest.mark.parametrize("repeat", [False, True])
+    def test_a_family_of_distinct_distances_writes_one_pattern_pair(self, repeat, tmp_path):
+        # each point at its own distance: no distance holds a polar pattern,
+        # so one pair of files holds every row; once a distance holds two
+        # rows, the files are split by distance
+        fracs = [0.1, 0.2, 0.1 if repeat else 0.15]
+        points = [
+            {"theta_deg": theta, "d_frac": d,
+             "matrix": matrix_to_json(build_loop_system(
+                 GeometrySpec.preset("siso", d * LAM, angle=math.radians(theta))))}
+            for theta, d in zip((0.0, 30.0, 60.0), fracs)
+        ]
+        path = tmp_path / "family.json"
+        path.write_text(json.dumps({"points": points}))
+        assert cli.main(["sweep", "--matrix", str(path), "--out", str(tmp_path / "out")]) == 0
+        rows = read_rows(tmp_path / "out" / "sweep.csv")
+        tags = ["_d0.1", "_d0.2"] if repeat else [""]
+        assert sorted(os.listdir(tmp_path / "out")) == sorted(
+            ["sweep.csv", "sweep.json"]
+            + [f"pattern_{kind}{tag}.csv" for kind in ("eta", "power") for tag in tags]
+        )
+        got = []
+        for tag in tags:
+            got += [(r["theta_deg"], r["radius"])
+                    for r in read_rows(tmp_path / "out" / f"pattern_eta{tag}.csv")]
+        assert sorted(got) == sorted((r["theta_deg"], r["eta"]) for r in rows)
+
     def test_distance_tags(self):
         assert [cli._d_tag(d) for d in (0.05, 0.1, 2.0, 1e100, 1e-05, 0.1000001, 1234567.0)] == [
             "0.05", "0.1", "2", "1e+100", "1e-05", "0.1000001", "1234567.0"
@@ -642,6 +669,7 @@ class TestColumnWriter:
         ["plain", "a,b", 'say "hi"', "two\nlines", "cr\r", "", "plain"],
         [True, 1, 1.0, np.float64(1.0), "1", np.int64(1)],
         [0.0, -0.0, False, 0],
+        ["\r", '"', "needs no quotes", "a\rb", 'x"'],
     ]
 
     @pytest.mark.parametrize("column", COLUMNS)
@@ -656,6 +684,11 @@ class TestColumnWriter:
         ]
         assert cli._fmt_column([True, False]) == ["true", "false"]
         assert cli._fmt_column(['a,"b"']) == ['"a,""b"""']
+        # a carriage return alone, a lone quote, and a text with none of the
+        # four characters
+        assert cli._fmt_column(["\r", '"', "preset:miso-3p"]) == [
+            '"\r"', '""""', "preset:miso-3p"
+        ]
 
     def test_pattern_power_is_the_row_sum(self):
         rng = np.random.default_rng(7)

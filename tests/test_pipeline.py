@@ -510,6 +510,52 @@ class TestFullPipeline:
         res = full_pipeline(z, 17.0)
         assert res.r_load == 17.0
 
+    @pytest.mark.parametrize(
+        "options",
+        [
+            PipelineOptions(),
+            PipelineOptions(power_caps=(1e-12, 1e6)),
+            PipelineOptions(constrain_powers=False),
+        ],
+    )
+    def test_the_block_test_is_the_per_row_rule(self, options, monkeypatch):
+        """Powers at the edge of `SKIP_TOLERANCE`, NaN and -0.0, tested as a
+        block, skip the relaxation exactly where the per-row rule
+        all(sign * p[port] - rhs >= SKIP_TOLERANCE) says so."""
+        from wptopt.pipeline import SKIP_TOLERANCE, solve_rows
+        from wptopt.qcqp import power_rows
+
+        edge = [SKIP_TOLERANCE, np.nextafter(SKIP_TOLERANCE, -np.inf), np.nan, -0.0]
+        values = [(a, b) for a in edge + [1.0] for b in edge + [1.0]]
+        stacks = wptopt.pipeline.closed_form_stacks
+
+        def with_edge_powers(zs, r_load):
+            errors, solved = stacks(zs, r_load)
+            for _, _, _, p_tx in solved:
+                p_tx[:] = values  # the solutions' p_tx are views of this
+            return errors, solved
+
+        monkeypatch.setattr(wptopt.pipeline, "closed_form_stacks", with_edge_powers)
+        monkeypatch.setattr(
+            wptopt.pipeline, "_solve_binding", lambda zs, cfs, opts: ["binding"] * len(zs)
+        )
+        rows = list(solve_rows([quasi_system("miso-2p")] * len(values), None, options))
+        caps, constrain = options.power_caps, options.constrain_powers
+        for p, row in zip(values, rows):
+            rule = all(
+                sign * p[port] - rhs >= SKIP_TOLERANCE
+                for port, sign, rhs in power_rows(2, caps, constrain)
+            )
+            assert (row != "binding") == rule, p
+            if rule:
+                assert row.skipped
+                assert row.transmit_powers.tobytes() == np.array(p).tobytes()
+        # the rule itself: -1e-12, -0.0 and 1 pass, the float below -1e-12
+        # and NaN fail, and a cap of 1e-12 fails a power of 1; without
+        # power rows every row passes
+        expected = 25 if not constrain else 9 if caps is None else 6
+        assert sum(row != "binding" for row in rows) == expected
+
 
 class FakeRow:
     """Stand-in pipeline row whose efficiency is a given function of ln R_L."""

@@ -7,7 +7,9 @@ and runs the same CLI jobs under the base tree and under this checkout,
 BLAS on one thread:
 
 - ``wptopt sweep`` of every family of every seed;
-- the CI quasi-static grid (theta -90:90:2, six distances) of all 5 presets;
+- the quasi-static grid ``perfbench/families.quasi_static_grid(seed)`` of
+  every seed, for all 5 presets: seed 0 is the CI grid (theta -90:90:2, six
+  distances), other seeds jitter the angle step and the distances;
 - the seed-0 miso-3p family with ``--rl optimize`` and with
   ``--constraints none``, and the seed-0 miso-2p family with
   ``--constraints caps=1e6,1e6``;
@@ -42,8 +44,8 @@ import tarfile
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-QS_THETAS = "-90:90:2"
-QS_DISTANCES = "0.05,0.075,0.1,0.15,0.2,0.3"
+sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+import families  # noqa: E402  (reads only perfbench/)
 
 # runs in each tree: every job through wptopt.cli.main, its log beside it
 WORKER = r"""
@@ -93,9 +95,6 @@ def unpack_src(rev, dest):
 
 def write_inputs(seeds, inputs):
     """Family files per seed, and the binding point as a single-matrix file."""
-    sys.path.insert(0, os.path.join(ROOT, "perfbench"))
-    import families
-
     paths = {}
     for seed in sorted(set(seeds) | {0}):
         paths[seed] = families.write_families(seed, os.path.join(inputs, f"seed{seed}"))
@@ -113,10 +112,13 @@ def jobs(seeds, paths, binding):
     for seed in seeds:
         for preset, path in paths[seed].items():
             out.append((f"seed{seed}/{preset}", ["sweep", "--matrix", path]))
-    for preset in paths[0]:
-        out.append((f"qs/{preset}", [
-            "sweep", "--preset", preset, f"--theta-range={QS_THETAS}", "--d", QS_DISTANCES,
-        ]))
+    for seed in seeds:
+        thetas, distances = families.quasi_static_grid(seed)
+        for preset in families.PRESETS:
+            out.append((f"qs{seed}/{preset}", [
+                "sweep", "--preset", preset, f"--theta-range={thetas}",
+                "--d", ",".join(map(repr, distances)),
+            ]))
     family = paths[0]["miso-3p"]
     out.append(("seed0/miso-3p-rl-optimize", ["sweep", "--matrix", family, "--rl", "optimize"]))
     out.append(("seed0/miso-3p-constraints-none",
