@@ -245,8 +245,10 @@ def _closed_form_rows(z, r_load):
         p_tx = port_powers(zhat, currents)[:, :-1]
         finite = np.isfinite(r_opt) & np.isfinite(eta) & np.isfinite(p_tx).all(axis=1)
     rows = []
-    fields = zip(*(a.tolist() for a in (finite, rl, ro, u, z_o, r_opt, eta, i_r, x_r)), i_t, p_tx)
-    for in_range, r, o, uk, *values in fields:
+    lists = (a.tolist() for a in (finite, rl, ro, u, z_o, r_opt, eta, i_r, x_r))
+    for in_range, r, o, uk, z_o_k, r_opt_k, eta_k, i_r_k, x_r_k, i_t_k, p_tx_k in zip(
+        *lists, i_t, p_tx
+    ):
         # squares of Python floats (libm's pow): numpy's square of an array
         # differs from it in the last bit now and then
         try:
@@ -259,10 +261,9 @@ def _closed_form_rows(z, r_load):
         if not (in_range and math.isfinite(p_loss)):
             rows.append(NonFiniteError(f"loss at 1 W received overflows at R_L = {r!r} ohm"))
             continue
-        z_ok, r_opt_k, eta_k, i_r_k, x_r_k, i_t_k, p_tx_k = values
         rows.append(
             ClosedFormSolution(
-                z_o=z_ok,
+                z_o=z_o_k,
                 u=uk,
                 r_load=r,
                 r_load_opt=r_opt_k,

@@ -333,16 +333,16 @@ def solve_rows(zs, r_load: float | None = None, options: PipelineOptions | None 
 
     The links go in blocks of up to `STACK_ROWS`.  A block's closed forms
     come from stacked passes, one per port count, and each stack's powers
-    are tested against its power rows in one comparison; the rows that pass
-    take their currents and solution vectors as views of two stacked
-    arrays.  The rows whose powers break the constraints are then solved
-    together, one stack per port count: their problems, the dual ascent in
-    lockstep, the KKT audit and the operating points.  A row the dual does
-    not certify goes to the relaxation alone.  Each row is bit for bit what
-    the link gives alone, and yields its SdrResult or the `ROW_ERRORS`
-    exception it raised: an error stays with its own row.  Rows are
-    produced as they are consumed, so a caller that keeps only what it
-    needs of each holds one block of results at a time.
+    are tested against its power rows by the block, one comparison per
+    power row; the rows that pass take their currents and solution vectors
+    as views of two stacked arrays.  The rows whose powers break the
+    constraints are then solved together, one stack per port count: their
+    problems, the dual ascent in lockstep, the KKT audit and the operating
+    points.  A row the dual does not certify goes to the relaxation alone.
+    Each row is bit for bit what the link gives alone, and yields its
+    SdrResult or the `ROW_ERRORS` exception it raised: an error stays with
+    its own row.  Rows are produced as they are consumed, so a caller that
+    keeps only what it needs of each holds one block of results at a time.
     """
     opts = options or PipelineOptions()
     zs = list(zs)
@@ -356,7 +356,8 @@ def solve_rows(zs, r_load: float | None = None, options: PipelineOptions | None 
                 for k, cf in zip(ks, cfs):
                     rows[k] = cf if isinstance(cf, Exception) else exc
                 continue
-            cvec = np.concatenate([currents.real, currents.imag[:, :-1]], axis=1)
+            if True in legal:
+                cvec = np.concatenate([currents.real, currents.imag[:, :-1]], axis=1)
             binding = []
             for j, (k, cf, ok) in enumerate(zip(ks, cfs, legal)):
                 if isinstance(cf, Exception):
@@ -378,11 +379,12 @@ def _meets_power_rows(p_tx, opts: PipelineOptions):
     a bool array.  The rule is applied elementwise, so a NaN power fails
     it, and without power rows every row meets it: the min-loss QP is then
     the closed form itself."""
-    rows = power_rows(p_tx.shape[1], opts.power_caps, opts.constrain_powers)
-    if not rows:
-        return np.ones(len(p_tx), dtype=bool)
-    port, sign, rhs = map(np.array, zip(*rows))
-    return (sign * p_tx[:, port] - rhs >= SKIP_TOLERANCE).all(axis=1)
+    legal = np.ones(len(p_tx), dtype=bool)
+    for port, sign, rhs in power_rows(p_tx.shape[1], opts.power_caps, opts.constrain_powers):
+        # a column by basic indexing: numpy releases the GIL for a gather
+        # with an index array, a thread switch per call next to a busy thread
+        legal &= sign * p_tx[:, port] - rhs >= SKIP_TOLERANCE
+    return legal
 
 
 def _closed_form_row(cf: ClosedFormSolution, cvec, currents):
